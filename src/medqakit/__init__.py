@@ -52,7 +52,6 @@ from .morph import (
     load_morpheme_lexicon,
     meanings_of,
     transform_dataset,
-    transform_text,
 )
 from .schedule import (
     FoldSpec,

@@ -16,10 +16,10 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
 from datetime import date
+from importlib import resources
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__, formats
 from .bm25 import Bm25Params
@@ -45,6 +45,7 @@ from .morph import (
 )
 from .schedule import (
     DEFAULT_HOLDOUT_FRACTIONS,
+    YESNO_SUBSETS,
     SplitSpec,
     builtin_schedules,
     emit_schedule,
@@ -52,7 +53,7 @@ from .schedule import (
     make_folds,
     make_target_split,
 )
-from .weak_label import build_prime_subset
+from .weak_label import PRIME_SUBSET, build_prime_subset
 
 log = logging.getLogger(__name__)
 
@@ -63,41 +64,131 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
 
-_EXTRACTIVE_FILES = {
-    DatasetSubsetId.D1: "d1.json",
-    DatasetSubsetId.D2: "d2.json",
-    DatasetSubsetId.D3: "d3.json",
-    DatasetSubsetId.D4: "d4.json",
-}
+
+def _json_kind(value: Any) -> str:
+    kinds = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string"}
+    return kinds.get(type(value), "array" if isinstance(value, list) else "object")
 
 
-@dataclass
+def _expected(key: str, what: str, value: Any) -> ConfigError:
+    return ConfigError(f"config {key}: expected {what}, got {_json_kind(value)}")
+
+
+def _check(what: str, ok: Callable[[Any], bool], convert: Callable[[Any], Any] = lambda v: v):
+    """A field check: ConfigError naming the key unless ok(value), else convert(value)."""
+
+    def check(key: str, value: Any) -> Any:
+        if not ok(value):
+            raise _expected(key, what, value)
+        return convert(value)
+
+    return check
+
+
+def _object_of(entry: Callable[[str, Any], Any]):
+    """A field check for an object whose values `entry` checks as key.name."""
+
+    def check(key: str, value: Any) -> dict:
+        if not isinstance(value, dict):
+            raise _expected(key, "an object", value)
+        return {name: entry(f"{key}.{name}", v) for name, v in value.items()}
+
+    return check
+
+
+def _is_path(value: Any) -> bool:
+    return isinstance(value, str) and "\0" not in value
+
+
+def _date(key: str, value: Any) -> str:
+    try:
+        return date.fromisoformat(value).isoformat()
+    except (TypeError, ValueError):
+        raise _expected(key, "an ISO date such as 2019-11-01", value) from None
+
+
+def _fraction(key: str, value: Any) -> float:
+    if key.rpartition(".")[2] not in _SUBSETS:
+        raise ConfigError(f"config {key}: unknown subset; expected one of {_SUBSETS}")
+    return _NUMBER(key, value)
+
+
+def _path_setting(key: str, value: Any) -> Any:
+    lexicon = key.rpartition(".")[2] in ("morpheme_lexicon", "lemma_exceptions")
+    return (_LEXICON if lexicon else _FILE)(key, value)
+
+
+_SUBSETS = [s.value for s in DatasetSubsetId]
+_INTEGER = _check("an integer", lambda v: type(v) is int)
+_NUMBER = _check("a number", lambda v: type(v) in (int, float), float)
+_STRINGS = _check(
+    "an array of strings", lambda v: type(v) is list and all(type(s) is str for s in v), list
+)
+_DIRECTORY = _check("a path", _is_path, lambda v: str(Path(v)))
+_FILE = _check("a path or null", lambda v: v is None or _is_path(v))
+_LEXICON = _check(
+    "a path, an array of paths or null",
+    lambda v: v is None or _is_path(v) or (isinstance(v, list) and all(map(_is_path, v))),
+)
+
+
+class ConfigField(NamedTuple):
+    """A run-config key. Its flag wins over its environment variable, which
+    wins over the config file, which wins over the default; `check` turns the
+    winner into the JSON value echoed to config.json."""
+
+    key: str  # dotted: "bm25.k1" is {"bm25": {"k1": ...}} in the file
+    check: Callable[[str, Any], Any]
+    default: Any
+    flag: str | None = None
+    env: str | None = None
+
+
+CONFIG_FIELDS = (
+    ConfigField("seed", _INTEGER, 13, flag="seed"),
+    ConfigField("output_dir", _DIRECTORY, "out", flag="output_dir", env=ENV_OUTPUT_DIR),
+    ConfigField("bm25.k1", _NUMBER, Bm25Params().k1, flag="k1"),
+    ConfigField("bm25.b", _NUMBER, Bm25Params().b, flag="b"),
+    ConfigField("covid_filter.phrases", _STRINGS, list(CovidFilterPolicy().phrases)),
+    ConfigField("covid_filter.cutoff_date", _date, CovidFilterPolicy().cutoff_date.isoformat()),
+    ConfigField("curation.queue_depth", _INTEGER, 50),
+    ConfigField(
+        "split_fractions",
+        _object_of(_fraction),
+        {s.value: f for s, f in DEFAULT_HOLDOUT_FRACTIONS.items()},
+    ),
+    ConfigField(
+        "schedules", _STRINGS, [s.schedule_id for s in builtin_schedules()], flag="schedules"
+    ),
+    ConfigField("paths", _object_of(_path_setting), {}),
+)
+
+
 class RunConfig:
-    seed: int = 13
-    output_dir: Path = Path("out")
-    bm25: Bm25Params = field(default_factory=Bm25Params)
-    covid_policy: CovidFilterPolicy = field(default_factory=CovidFilterPolicy)
-    queue_depth: int = 50
-    split_fractions: dict[str, float] = field(
-        default_factory=lambda: {s.value: f for s, f in DEFAULT_HOLDOUT_FRACTIONS.items()}
-    )
-    schedules: list[str] = field(default_factory=lambda: [s.schedule_id for s in builtin_schedules()])
-    paths: dict[str, Any] = field(default_factory=dict)
+    """The effective config: one checked JSON value per CONFIG_FIELDS key,
+    and the typed settings the commands read from them."""
+
+    def __init__(self, values: dict[str, Any]):
+        self.values = values
+        self.seed: int = values["seed"]
+        self.output_dir = Path(values["output_dir"])
+        self.bm25 = Bm25Params(k1=values["bm25.k1"], b=values["bm25.b"])
+        self.covid_policy = CovidFilterPolicy(
+            phrases=tuple(values["covid_filter.phrases"]),
+            cutoff_date=date.fromisoformat(values["covid_filter.cutoff_date"]),
+        )
+        self.queue_depth: int = values["curation.queue_depth"]
+        self.split_fractions: dict[str, float] = values["split_fractions"]
+        self.schedules: list[str] = values["schedules"]
+        self.paths: dict[str, Any] = values["paths"]
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "output_dir": str(self.output_dir),
-            "bm25": {"k1": self.bm25.k1, "b": self.bm25.b},
-            "covid_filter": {
-                "phrases": list(self.covid_policy.phrases),
-                "cutoff_date": self.covid_policy.cutoff_date.isoformat(),
-            },
-            "curation": {"queue_depth": self.queue_depth},
-            "split_fractions": self.split_fractions,
-            "schedules": self.schedules,
-            "paths": {k: (str(v) if v is not None else None) for k, v in self.paths.items()},
-        }
+        """The nested JSON object echoed to config.json."""
+        out: dict[str, Any] = {}
+        for key, value in self.values.items():
+            group, _, name = key.rpartition(".")
+            (out.setdefault(group, {}) if group else out)[name] = value
+        return out
 
     @property
     def config_hash(self) -> str:
@@ -109,58 +200,44 @@ class RunConfig:
         return {"config_hash": self.config_hash, "seed": self.seed, "tool_version": __version__}
 
 
+def _file_value(raw: dict, key: str, default: Any) -> Any:
+    group, _, name = key.rpartition(".")
+    if group:
+        raw = raw.get(group, {})
+        if not isinstance(raw, dict):
+            raise _expected(group, "an object", raw)
+    return raw.get(name, default)
+
+
 def load_run_config(args: argparse.Namespace) -> RunConfig:
-    raw: dict = {}
+    """Resolve every CONFIG_FIELDS key from the flags, environment and config file."""
+    raw: Any = {}
     if args.config:
         path = Path(args.config)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
-
-    config = RunConfig()
-    if "seed" in raw:
-        config.seed = int(raw["seed"])
-    if "output_dir" in raw:
-        config.output_dir = Path(raw["output_dir"])
-    bm25_raw = raw.get("bm25", {})
-    config.bm25 = Bm25Params(
-        k1=float(bm25_raw.get("k1", config.bm25.k1)), b=float(bm25_raw.get("b", config.bm25.b))
-    )
-    filter_raw = raw.get("covid_filter", {})
-    config.covid_policy = CovidFilterPolicy(
-        phrases=tuple(filter_raw.get("phrases", config.covid_policy.phrases)),
-        cutoff_date=date.fromisoformat(
-            str(filter_raw.get("cutoff_date", config.covid_policy.cutoff_date.isoformat()))
-        ),
-    )
-    config.queue_depth = int(raw.get("curation", {}).get("queue_depth", config.queue_depth))
-    if "split_fractions" in raw:
-        config.split_fractions = {str(k): float(v) for k, v in raw["split_fractions"].items()}
-    if "schedules" in raw:
-        config.schedules = [str(s) for s in raw["schedules"]]
-    config.paths = dict(raw.get("paths", {}))
-
-    # flags win; the env var sits between flags and the config file
-    env_out = os.environ.get(ENV_OUTPUT_DIR)
-    if env_out:
-        config.output_dir = Path(env_out)
-    if getattr(args, "output_dir", None):
-        config.output_dir = Path(args.output_dir)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "k1", None) is not None or getattr(args, "b", None) is not None:
-        config.bm25 = Bm25Params(
-            k1=args.k1 if args.k1 is not None else config.bm25.k1,
-            b=args.b if args.b is not None else config.bm25.b,
-        )
-    if getattr(args, "schedules", None):
-        config.schedules = list(args.schedules)
-    return config
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: expected a JSON object, got {_json_kind(raw)}")
+    values = {}
+    for field in CONFIG_FIELDS:
+        value = _file_value(raw, field.key, field.default)
+        env = os.environ.get(field.env) if field.env else None
+        flag = getattr(args, field.flag, None) if field.flag else None
+        # flags win; the env var sits between flags and the config file
+        value = flag if flag not in (None, "") else env or value
+        values[field.key] = field.check(field.key, value)
+    return RunConfig(values)
 
 
 def _echo_config(config: RunConfig) -> None:
     formats.write_json_atomic(config.output_dir / "config.json", config.to_dict())
+
+
+def _write_summary(config: RunConfig, command: str, **counts: Any) -> None:
+    summary = {"provenance": config.provenance, **counts}
+    formats.write_json_atomic(config.output_dir / f"{command}_summary.json", summary)
 
 
 def _require_path(config: RunConfig, key: str) -> Path:
@@ -175,25 +252,22 @@ def _require_path(config: RunConfig, key: str) -> Path:
 
 def cmd_label(args: argparse.Namespace) -> int:
     config = load_run_config(args)
-    subsets = args.subsets or [
-        s for s in ("pqa_l", "pqa_a") if config.paths.get(s)
-    ]
+    subsets = args.subsets or [s for s in ("pqa_l", "pqa_a") if config.paths.get(s)]
     if not subsets:
         raise ConfigError("no PQA source paths configured (paths.pqa_l / paths.pqa_a)")
     _echo_config(config)
-    summary: dict[str, Any] = {"provenance": config.provenance, "subsets": {}}
+    written = {}
     for name in subsets:
-        source_path = _require_path(config, name)
         subset = DatasetSubsetId(name)
-        instances = formats.read_source_instances(source_path)
+        instances = formats.read_source_instances(_require_path(config, name))
         records, skipped = build_prime_subset(instances, subset, config.bm25)
         pairs = [r.pair for r in records]
-        target = pairs[0].subset.value if pairs else {"pqa_l": "d1", "pqa_a": "d2"}[name]
+        target = PRIME_SUBSET[subset].value
         out_path = config.output_dir / f"{target}.json"
         formats.write_squad(out_path, pairs, config.provenance)
-        summary["subsets"][target] = {"emitted": len(pairs), "skipped": skipped, "source": name}
+        written[target] = {"emitted": len(pairs), "skipped": skipped, "source": name}
         print(f"{name} -> {out_path}  emitted={len(pairs)} skipped={skipped}")
-    formats.write_json_atomic(config.output_dir / "label_summary.json", summary)
+    _write_summary(config, "label", subsets=written)
     return EXIT_OK
 
 
@@ -201,11 +275,7 @@ def _load_templates(config: RunConfig):
     templates_path = config.paths.get("templates")
     if templates_path:
         return load_template_config(Path(templates_path))
-    from importlib import resources
-
-    with resources.as_file(
-        resources.files("medqakit.data").joinpath("covid_templates.json")
-    ) as path:
+    with resources.as_file(resources.files("medqakit.data") / "covid_templates.json") as path:
         return load_template_config(path)
 
 
@@ -218,10 +288,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
         pairs, skipped = build_artificial_pairs(corpus, config.covid_policy, config.bm25)
         out_path = config.output_dir / "d4.json"
         formats.write_squad(out_path, pairs, config.provenance)
-        formats.write_json_atomic(
-            config.output_dir / "curate_artificial_summary.json",
-            {"provenance": config.provenance, "emitted": len(pairs), "skipped": skipped},
-        )
+        _write_summary(config, "curate_artificial", emitted=len(pairs), skipped=skipped)
         print(f"artificial -> {out_path}  emitted={len(pairs)} skipped={skipped}")
         return EXIT_OK
 
@@ -243,15 +310,9 @@ def cmd_curate(args: argparse.Namespace) -> int:
         )
         queue_path = config.output_dir / "review_queue.tsv"
         export_review_queue(candidates, queue_path)
-        formats.write_json_atomic(
-            config.output_dir / "curate_export_summary.json",
-            {
-                "provenance": config.provenance,
-                "questions": len(questions),
-                "candidates": len(candidates),
-                "rows": sum(len(c.candidate_sentences) for c in candidates),
-            },
-        )
+        rows = sum(len(c.candidate_sentences) for c in candidates)
+        counts = {"questions": len(questions), "candidates": len(candidates), "rows": rows}
+        _write_summary(config, "curate_export", **counts)
         print(f"templates-export -> {queue_path}  questions={len(questions)} candidates={len(candidates)}")
         return EXIT_OK
 
@@ -260,45 +321,22 @@ def cmd_curate(args: argparse.Namespace) -> int:
         pairs, unreviewed = import_review_queue(review_path)
         out_path = config.output_dir / "d3.json"
         formats.write_squad(out_path, pairs, config.provenance)
-        formats.write_json_atomic(
-            config.output_dir / "curate_import_summary.json",
-            {
-                "provenance": config.provenance,
-                "emitted": len(pairs),
-                "unreviewed": [list(u) for u in unreviewed],
-            },
-        )
+        _write_summary(config, "curate_import", emitted=len(pairs), unreviewed=unreviewed)
         print(f"templates-import -> {out_path}  emitted={len(pairs)} unreviewed={len(unreviewed)}")
         return EXIT_OK
 
     raise ConfigError(f"unknown curate mode {args.mode!r}")
 
 
-def _lexicon_setting(config: RunConfig, key: str):
-    return config.paths.get(key, "builtin")
-
-
-def _load_lexicons(config: RunConfig, needed: bool):
-    if not needed:
-        return None, None
-    morphs_setting = _lexicon_setting(config, "morpheme_lexicon")
-    lems_setting = _lexicon_setting(config, "lemma_exceptions")
-    if morphs_setting is None or lems_setting is None:
+def _load_lexicon(config: RunConfig, key: str, builtin, load):
+    setting = config.paths.get(key, "builtin")
+    if setting is None:
         raise ConfigError(
-            "requested schedules apply text transformations but "
-            "paths.morpheme_lexicon / paths.lemma_exceptions are disabled"
+            f"requested schedules apply text transformations but lexicon paths.{key} is disabled"
         )
-    if morphs_setting == "builtin":
-        morphs = default_morpheme_lexicon()
-    else:
-        paths = morphs_setting if isinstance(morphs_setting, list) else [morphs_setting]
-        morphs = load_morpheme_lexicon(*paths)
-    if lems_setting == "builtin":
-        lems = default_lemma_lexicon()
-    else:
-        paths = lems_setting if isinstance(lems_setting, list) else [lems_setting]
-        lems = load_lemma_lexicon(*paths)
-    return lems, morphs
+    if setting == "builtin":
+        return builtin()
+    return load(*([setting] if isinstance(setting, str) else setting))
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
@@ -309,40 +347,38 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     needed_subsets = {stage.subset for s in schedules for stage in s.stages}
     datasets: dict[DatasetSubsetId, Any] = {}
     for subset in sorted(needed_subsets, key=lambda s: s.value):
-        if subset in _EXTRACTIVE_FILES:
-            path = config.output_dir / _EXTRACTIVE_FILES[subset]
-            if not path.exists():
-                raise ValidationError(
-                    f"subset {subset.value!r} is not materialized (expected {path}); "
-                    "run 'medqakit label' / 'medqakit curate' first"
-                )
-            datasets[subset] = formats.read_squad(path, subset=subset)
-        else:
+        if subset in YESNO_SUBSETS:
             datasets[subset] = formats.read_yesno(_require_path(config, subset.value))
+            continue
+        path = config.output_dir / f"{subset.value}.json"
+        if not path.exists():
+            raise ValidationError(
+                f"subset {subset.value!r} is not materialized (expected {path}); "
+                "run 'medqakit label' / 'medqakit curate' first"
+            )
+        datasets[subset] = formats.read_squad(path, subset=subset)
 
     fractions = {DatasetSubsetId(k): v for k, v in config.split_fractions.items()}
-    split_inputs = {
-        subset: [i.id for i in data]
-        for subset, data in datasets.items()
-        if subset in fractions
-    }
-    split = (
-        make_target_split(split_inputs, SplitSpec(seed=config.seed, fractions=fractions))
-        if split_inputs
-        else None
-    )
+    split_inputs = {s: [i.id for i in data] for s, data in datasets.items() if s in fractions}
+    split = None
+    if split_inputs:
+        split = make_target_split(split_inputs, SplitSpec(seed=config.seed, fractions=fractions))
     folds = None
     if DatasetSubsetId.PQA_L in datasets:
         folds = make_folds([i.id for i in datasets[DatasetSubsetId.PQA_L]], config.seed)
 
-    needs_lexicons = any(stage.chain is not None for s in schedules for stage in s.stages)
-    lems, morphs = _load_lexicons(config, needs_lexicons)
+    lems = morphs = None
+    if any(stage.chain is not None for s in schedules for stage in s.stages):
+        morphs = _load_lexicon(
+            config, "morpheme_lexicon", default_morpheme_lexicon, load_morpheme_lexicon
+        )
+        lems = _load_lexicon(config, "lemma_exceptions", default_lemma_lexicon, load_lemma_lexicon)
 
     print(f"{'schedule':<10} {'stage':>5} {'subset':<7} {'n':>7}")
     manifest_index = []
     for schedule in schedules:
         schedule_dir = config.output_dir / "schedules" / schedule.schedule_id
-        manifest_path = emit_schedule(
+        manifest_path, stages = emit_schedule(
             schedule,
             datasets,
             split,
@@ -352,17 +388,13 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             morphs=morphs,
             provenance=config.provenance,
         )
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        for stage in manifest["stages"]:
+        for stage in stages:
             print(
                 f"{schedule.schedule_id:<10} {stage['stage_index']:>5} "
                 f"{stage['subset']:<7} {stage['n_instances']:>7}"
             )
         manifest_index.append(str(manifest_path.relative_to(config.output_dir)))
-    formats.write_json_atomic(
-        config.output_dir / "schedule_summary.json",
-        {"provenance": config.provenance, "manifests": manifest_index},
-    )
+    _write_summary(config, "schedule", manifests=manifest_index)
     return EXIT_OK
 
 
@@ -407,9 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_label.set_defaults(func=cmd_label)
 
     p_curate = subparsers.add_parser("curate", help="curate COVID QA pairs (d3/d4)")
-    p_curate.add_argument(
-        "mode", choices=["templates-export", "templates-import", "artificial"]
-    )
+    p_curate.add_argument("mode", choices=["templates-export", "templates-import", "artificial"])
     add_common(p_curate)
     p_curate.add_argument("--review", help="reviewed TSV for templates-import")
     p_curate.set_defaults(func=cmd_curate)

@@ -319,10 +319,9 @@ def build_artificial_pairs(
     return pairs, skipped
 
 
-def _mentions_terms(abstract: StructuredAbstract, terms: Sequence[str]) -> bool:
-    lowered = [t.lower() for t in terms]
-    texts = [abstract.title.lower()] + [t.lower() for t in _searchable_texts(abstract)]
-    return any(term in text for text in texts for term in lowered)
+def _mentions_terms(lowered_texts: Sequence[str], lowered_terms: Sequence[str]) -> bool:
+    """True iff any term occurs in any text; both sides already lowercased."""
+    return any(term in text for text in lowered_texts for term in lowered_terms)
 
 
 def _answer_sections(abstract: StructuredAbstract) -> list[AbstractSection]:
@@ -352,36 +351,40 @@ def build_review_candidates(
     sections, so a TSV round trip preserves sentence text exactly.
     """
     eligible = [a for a in sorted(corpus, key=lambda a: a.pmid) if covid_filter(a, policy)]
-    candidates: list[CurationCandidate] = []
-    for question in questions:
-        taken = 0
-        for abstract in eligible:
-            if taken >= queue_depth:
-                break
-            terms_per_param = [
-                (term_lookup or {}).get(p, (p,)) for p in question.parameters
-            ]
-            if not all(_mentions_terms(abstract, terms) for terms in terms_per_param):
+    lookup = term_lookup or {}
+    terms_per_question = [
+        [tuple(t.lower() for t in lookup.get(p, (p,))) for p in question.parameters]
+        for question in questions
+    ]
+    # One pass over the abstracts, trying each question that still has room,
+    # visits the same (question, abstract) pairs as one pass per question.
+    found: list[list[CurationCandidate]] = [[] for _ in questions]
+    open_questions = list(range(len(questions))) if queue_depth > 0 else []
+    for abstract in eligible:
+        if not open_questions:
+            break
+        texts = [abstract.title.lower()] + [t.lower() for t in _searchable_texts(abstract)]
+        sentences = None
+        for q in list(open_questions):
+            if not all(_mentions_terms(texts, terms) for terms in terms_per_question[q]):
                 continue
-            sections = _answer_sections(abstract)
-            context = " ".join(
-                " ".join(s.text.split()) for s in sections if s.text.strip()
-            )
-            if not context:
-                continue
-            sentences = tuple(segment_sentences(context))
+            if sentences is None:
+                sections = [s.text for s in _answer_sections(abstract) if s.text.strip()]
+                context = " ".join(" ".join(text.split()) for text in sections)
+                sentences = tuple(segment_sentences(context)) if context else ()
             if not sentences:
                 continue
-            candidates.append(
+            found[q].append(
                 CurationCandidate(
-                    question=question.question,
+                    question=questions[q].question,
                     pmid=abstract.pmid,
                     context=context,
                     candidate_sentences=sentences,
                 )
             )
-            taken += 1
-    return candidates
+            if len(found[q]) >= queue_depth:
+                open_questions.remove(q)
+    return [candidate for per_question in found for candidate in per_question]
 
 
 def alias_lookup(vocabs: Sequence[ParameterVocabulary]) -> dict[str, tuple[str, ...]]:

@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .corpus import (
     DatasetSubsetId,
@@ -51,10 +51,8 @@ def read_abstracts(path: str | Path) -> list[StructuredAbstract]:
             raise type(exc)(f"{path}: {exc}") from exc
 
 
-def read_source_instances(path: str | Path) -> list[SourceInstance]:
-    """Load raw yes/no-style source records; degenerate contexts are allowed."""
-    path = Path(path)
-    out = []
+def _jsonl_objects(path: Path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Line number and object of each non-blank line; the required fields must be present."""
     with path.open(encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
@@ -63,18 +61,25 @@ def read_source_instances(path: str | Path) -> list[SourceInstance]:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path} line {line_number}: malformed JSON: {exc}") from exc
-            for field in ("id", "question", "context"):
+            if not isinstance(raw, dict):
+                raise ParseError(f"{path} line {line_number}: expected a JSON object")
+            for field in required:
                 if field not in raw:
                     raise ValidationError(f"{path} line {line_number}: missing field {field!r}")
-            out.append(
-                SourceInstance(
-                    id=str(raw["id"]),
-                    question=str(raw["question"]),
-                    context=str(raw["context"]),
-                    label=None if raw.get("label") is None else str(raw["label"]),
-                )
-            )
-    return out
+            yield line_number, raw
+
+
+def read_source_instances(path: str | Path) -> list[SourceInstance]:
+    """Load raw yes/no-style source records; degenerate contexts are allowed."""
+    return [
+        SourceInstance(
+            id=str(raw["id"]),
+            question=str(raw["question"]),
+            context=str(raw["context"]),
+            label=None if raw.get("label") is None else str(raw["label"]),
+        )
+        for _, raw in _jsonl_objects(Path(path), ("id", "question", "context"))
+    ]
 
 
 def read_yesno(path: str | Path) -> list[YesNoInstance]:
@@ -139,6 +144,24 @@ def write_squad(
     write_json_atomic(path, squad_dict(pairs, provenance))
 
 
+def _check_squad_qa(path: Path, paragraph: dict, qa: dict) -> None:
+    """Raise ParseError, naming the file and qa id, if the qa cannot be read."""
+    answers = qa.get("answers")
+    if "id" not in qa:
+        problem = "no id"
+    elif "context" not in paragraph:
+        problem = "its paragraph has no context"
+    elif "question" not in qa:
+        problem = "no question"
+    elif not isinstance(answers, list) or not answers:
+        problem = "no answers"
+    elif not isinstance(answers[0], dict) or not {"text", "answer_start"} <= answers[0].keys():
+        problem = "the first answer needs text and answer_start"
+    else:
+        return
+    raise ParseError(f"{path}: qa {qa.get('id')!r}: {problem}")
+
+
 def read_squad(
     path: str | Path,
     *,
@@ -158,8 +181,9 @@ def read_squad(
     pairs = []
     for article in raw.get("data", ()):
         for paragraph in article.get("paragraphs", ()):
-            context = paragraph["context"]
             for qa in paragraph.get("qas", ()):
+                _check_squad_qa(path, paragraph, qa)
+                context = paragraph["context"]
                 answer = qa["answers"][0]
                 qa_subset = qa.get("subset")
                 if qa_subset is None:
@@ -184,29 +208,19 @@ def read_squad(
 
 def read_predictions(path: str | Path) -> list[Prediction]:
     """Load predictions JSONL: {id, predicted_text} or {id, predicted_label}."""
-    path = Path(path)
     out = []
-    with path.open(encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path} line {line_number}: malformed JSON: {exc}") from exc
-            if "id" not in raw:
-                raise ValidationError(f"{path} line {line_number}: missing field 'id'")
-            if "predicted_text" not in raw and "predicted_label" not in raw:
-                raise ValidationError(
-                    f"{path} line {line_number}: need predicted_text or predicted_label"
-                )
-            out.append(
-                Prediction(
-                    id=str(raw["id"]),
-                    predicted_text=raw.get("predicted_text"),
-                    predicted_label=raw.get("predicted_label"),
-                )
+    for line_number, raw in _jsonl_objects(Path(path), ("id",)):
+        if "predicted_text" not in raw and "predicted_label" not in raw:
+            raise ValidationError(
+                f"{path} line {line_number}: need predicted_text or predicted_label"
             )
+        out.append(
+            Prediction(
+                id=str(raw["id"]),
+                predicted_text=raw.get("predicted_text"),
+                predicted_label=raw.get("predicted_label"),
+            )
+        )
     return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bm25 import Bm25Params
 from .corpus import QAPair, YesNoInstance
@@ -28,8 +28,6 @@ from .weak_label import QUERY_STOPWORDS, select_answer_sentence
 log = logging.getLogger(__name__)
 
 _WORD_RE = re.compile(r"[A-Za-z]+")
-
-DEFAULT_MIN_DECOMPOSE_LENGTH = 6
 
 
 class MorphemeType(str, Enum):
@@ -92,16 +90,22 @@ class MorphemeLexicon:
         return None
 
 
-def _parse_morpheme_lines(lines: Iterable[str], origin: str) -> list[MorphemeEntry]:
-    entries = []
+def _rows(lines: Iterable[str], origin: str, layout: str) -> Iterator[tuple[int, list[str]]]:
+    """Line number and stripped fields of each line with text outside a # comment."""
     for line_number, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        fields = body.split("|")
-        if len(fields) != 3:
-            raise ParseError(f"{origin} line {line_number}: expected MORPHEME|MEANING|TYPE")
-        morpheme, meaning, type_text = (f.strip() for f in fields)
+        fields = [f.strip() for f in body.split("|")]
+        if len(fields) != layout.count("|") + 1:
+            raise ParseError(f"{origin} line {line_number}: expected {layout}")
+        yield line_number, fields
+
+
+def _parse_morpheme_lines(lines: Iterable[str], origin: str) -> list[MorphemeEntry]:
+    entries = []
+    rows = _rows(lines, origin, "MORPHEME|MEANING|TYPE")
+    for line_number, (morpheme, meaning, type_text) in rows:
         try:
             mtype = MorphemeType(type_text.lower())
         except ValueError as exc:
@@ -222,17 +226,10 @@ def lemmatize_token(token: str, lexicon: LemmaLexicon) -> str:
 
 def _parse_lemma_lines(lines: Iterable[str], origin: str) -> dict[str, str]:
     exceptions: dict[str, str] = {}
-    for line_number, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        fields = body.split("|")
-        if len(fields) != 2:
-            raise ParseError(f"{origin} line {line_number}: expected SURFACE|LEMMA")
-        surface, lemma = (f.strip().lower() for f in fields)
+    for line_number, (surface, lemma) in _rows(lines, origin, "SURFACE|LEMMA"):
         if not surface or not lemma:
             raise ParseError(f"{origin} line {line_number}: empty surface or lemma")
-        exceptions[surface] = lemma
+        exceptions[surface.lower()] = lemma.lower()
     return exceptions
 
 
@@ -312,7 +309,7 @@ _PATTERNS: tuple[tuple[MorphemeType, ...], ...] = tuple(
 def decompose(
     word: str,
     lexicon: MorphemeLexicon,
-    min_length: int = DEFAULT_MIN_DECOMPOSE_LENGTH,
+    min_length: int = 6,
 ) -> Decomposition | None:
     """Exhaustive segmentation of a word over the combining-form lexicon.
 
@@ -397,12 +394,6 @@ class TransformChain:
         return all(s.kind is TransformKind.AUGMENTATION for s in self.specs)
 
 
-@dataclass(frozen=True)
-class TransformOutcome:
-    edited: str
-    extra_example: str | None = None
-
-
 def _edit_tokens(
     text: str, kind: TransformKind, value_for: Callable[[str], str | None]
 ) -> tuple[str, bool]:
@@ -430,7 +421,6 @@ def _value_fn(
     target: TransformTarget,
     lems: LemmaLexicon | None,
     morphs: MorphemeLexicon | None,
-    min_length: int,
     constituent_mode: bool,
 ) -> Callable[[str], str | None]:
     if target is TransformTarget.LEMMA:
@@ -449,7 +439,7 @@ def _value_fn(
     if target is TransformTarget.NEO_FORM:
 
         def form_value(token: str) -> str | None:
-            decomposition = decompose(token.lower(), morphs, min_length)
+            decomposition = decompose(token.lower(), morphs)
             if decomposition is None or len(decomposition.parts) == 1:
                 return None
             joined = " ".join(p.morpheme for p in decomposition.parts)
@@ -468,7 +458,7 @@ def _value_fn(
         return constituent_meaning
 
     def whole_word_meaning(token: str) -> str | None:
-        decomposition = decompose(token.lower(), morphs, min_length)
+        decomposition = decompose(token.lower(), morphs)
         if decomposition is None:
             return None
         return _match_first_case(meanings_of(decomposition), token)
@@ -476,34 +466,11 @@ def _value_fn(
     return whole_word_meaning
 
 
-def transform_text(
-    text: str,
-    spec: TransformSpec,
-    lems: LemmaLexicon | None = None,
-    morphs: MorphemeLexicon | None = None,
-    *,
-    min_decompose_length: int = DEFAULT_MIN_DECOMPOSE_LENGTH,
-) -> TransformOutcome:
-    """Apply a single transformation to the text.
-
-    Replacement and concatenation edit in line; augmentation returns the
-    original text plus a fully replaced variant when anything changed.
-    """
-    value_for = _value_fn(spec.target, lems, morphs, min_decompose_length, False)
-    if spec.kind is TransformKind.AUGMENTATION:
-        replaced, changed = _edit_tokens(text, TransformKind.REPLACEMENT, value_for)
-        return TransformOutcome(edited=text, extra_example=replaced if changed else None)
-    edited, _changed = _edit_tokens(text, spec.kind, value_for)
-    return TransformOutcome(edited=edited)
-
-
 def apply_chain(
     text: str,
     chain: TransformChain,
     lems: LemmaLexicon | None = None,
     morphs: MorphemeLexicon | None = None,
-    *,
-    min_decompose_length: int = DEFAULT_MIN_DECOMPOSE_LENGTH,
 ) -> list[tuple[str, bool]]:
     """Apply a chain sequentially; returns (text, is_new_example) variants.
 
@@ -516,7 +483,7 @@ def apply_chain(
     forms_expanded = False
     for spec in chain.specs:
         constituent_mode = spec.target is TransformTarget.NEO_MEANING and forms_expanded
-        value_for = _value_fn(spec.target, lems, morphs, min_decompose_length, constituent_mode)
+        value_for = _value_fn(spec.target, lems, morphs, constituent_mode)
         next_variants: list[tuple[str, bool]] = []
         for current, is_new in variants:
             if spec.kind is TransformKind.AUGMENTATION:
@@ -541,7 +508,6 @@ def transform_dataset(
     *,
     fields: tuple[str, ...] = ("question", "context"),
     bm25_params: Bm25Params = Bm25Params(),
-    min_decompose_length: int = DEFAULT_MIN_DECOMPOSE_LENGTH,
 ) -> list[YesNoInstance | QAPair]:
     """Transform the selected text fields of every instance.
 
@@ -556,7 +522,7 @@ def transform_dataset(
         raise ConfigError(f"unknown fields: {sorted(unknown)}")
 
     def chain_on(value: str) -> list[tuple[str, bool]]:
-        return apply_chain(value, chain, lems, morphs, min_decompose_length=min_decompose_length)
+        return apply_chain(value, chain, lems, morphs)
 
     out: list[YesNoInstance | QAPair] = []
     for instance in instances:

@@ -92,42 +92,24 @@ _YESNO_CHAINS: dict[str, tuple[tuple[TransformKind, TransformTarget], ...]] = {
 def builtin_schedules() -> list[Schedule]:
     """All 17 built-in schedules, in canonical order."""
     schedules = [
-        Schedule(
-            schedule_id=sid,
-            stages=tuple(
-                StageSpec(stage_index=i + 1, subset=DatasetSubsetId(subset))
-                for i, subset in enumerate(subsets)
-            ),
-        )
+        Schedule(sid, tuple(StageSpec(i + 1, DatasetSubsetId(s)) for i, s in enumerate(subsets)))
         for sid, subsets in _EXTRACTIVE_STAGES.items()
     ]
-    schedules.append(
-        Schedule(
-            schedule_id="baseline",
-            stages=tuple(
-                StageSpec(stage_index=i + 1, subset=s) for i, s in enumerate(YESNO_SUBSETS)
-            ),
-        )
-    )
-    for sid, pairs in _YESNO_CHAINS.items():
-        chain = TransformChain(tuple(TransformSpec(kind, target) for kind, target in pairs))
-        schedules.append(
-            Schedule(
-                schedule_id=sid,
-                stages=tuple(
-                    StageSpec(stage_index=i + 1, subset=s, chain=chain)
-                    for i, s in enumerate(YESNO_SUBSETS)
-                ),
-            )
-        )
+    for sid, pairs in {"baseline": (), **_YESNO_CHAINS}.items():
+        chain = TransformChain(tuple(TransformSpec(k, t) for k, t in pairs)) if pairs else None
+        stages = tuple(StageSpec(i + 1, s, chain) for i, s in enumerate(YESNO_SUBSETS))
+        schedules.append(Schedule(sid, stages))
     return schedules
 
 
+_BY_ID: dict[str, Schedule] = {s.schedule_id: s for s in builtin_schedules()}
+
+
 def get_schedule(schedule_id: str) -> Schedule:
-    for schedule in builtin_schedules():
-        if schedule.schedule_id == schedule_id:
-            return schedule
-    raise ConfigError(f"unknown schedule {schedule_id!r}")
+    schedule = _BY_ID.get(schedule_id)
+    if schedule is None:
+        raise ConfigError(f"unknown schedule {schedule_id!r}")
+    return schedule
 
 
 DEFAULT_HOLDOUT_FRACTIONS: dict[DatasetSubsetId, float] = {
@@ -280,13 +262,13 @@ def emit_schedule(
     lems: LemmaLexicon | None = None,
     morphs: MorphemeLexicon | None = None,
     provenance: Mapping[str, object] | None = None,
-) -> Path:
+) -> tuple[Path, list[dict]]:
     """Write the schedule manifest and one training file per stage.
 
     Stage files exclude every id in the target split's test pool; when folds
     are given, the human-labelled yes/no stage is restricted to the CV pool
     so the reserved test half never leaks into training. Returns the
-    manifest path.
+    manifest path and the manifest's stage rows.
     """
     out_dir = Path(out_dir)
     test_ids = split.test_ids if split is not None else frozenset()
@@ -340,4 +322,4 @@ def emit_schedule(
         }
     manifest_path = out_dir / "manifest.json"
     formats.write_json_atomic(manifest_path, manifest)
-    return manifest_path
+    return manifest_path, stages_json

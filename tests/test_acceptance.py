@@ -15,6 +15,7 @@ from medqakit import (
     TransformKind,
     TransformSpec,
     TransformTarget,
+    apply_chain,
     best_sentence,
     bm25_score,
     build_candidates,
@@ -33,7 +34,6 @@ from medqakit import (
     segment_sentences,
     token_f1,
     tokenize,
-    transform_text,
     weak_label,
 )
 from medqakit import Prediction, SplitSpec, YesNoInstance
@@ -67,28 +67,16 @@ def _report(name: str, started: float, budget: float | None = None) -> None:
 
 def test_golden_lemma_transforms(lemma_lexicon, morpheme_lexicon):
     started = time.perf_counter()
-    replaced = transform_text(
-        OPTOTYPE_ORIGINAL,
-        TransformSpec(TransformKind.REPLACEMENT, TransformTarget.LEMMA),
-        lemma_lexicon,
-        morpheme_lexicon,
-    )
-    assert replaced.edited == OPTOTYPE_LEMMAS_REPLACED
-    concatenated = transform_text(
-        OPTOTYPE_ORIGINAL,
-        TransformSpec(TransformKind.CONCATENATION, TransformTarget.LEMMA),
-        lemma_lexicon,
-        morpheme_lexicon,
-    )
-    assert concatenated.edited == OPTOTYPE_LEMMAS_CONCATENATED
-    augmented = transform_text(
-        OPTOTYPE_ORIGINAL,
-        TransformSpec(TransformKind.AUGMENTATION, TransformTarget.LEMMA),
-        lemma_lexicon,
-        morpheme_lexicon,
-    )
-    assert augmented.edited == OPTOTYPE_ORIGINAL
-    assert augmented.extra_example == OPTOTYPE_LEMMAS_REPLACED
+    def one_spec(kind):
+        chain = TransformChain((TransformSpec(kind, TransformTarget.LEMMA),))
+        return apply_chain(OPTOTYPE_ORIGINAL, chain, lemma_lexicon, morpheme_lexicon)
+
+    assert one_spec(TransformKind.REPLACEMENT) == [(OPTOTYPE_LEMMAS_REPLACED, False)]
+    assert one_spec(TransformKind.CONCATENATION) == [(OPTOTYPE_LEMMAS_CONCATENATED, False)]
+    assert one_spec(TransformKind.AUGMENTATION) == [
+        (OPTOTYPE_ORIGINAL, False),
+        (OPTOTYPE_LEMMAS_REPLACED, True),
+    ]
     _report("golden lemma transforms (replacement/concatenation/augmentation)", started, 1.0)
 
 
@@ -236,7 +224,7 @@ def test_schedule_golden_manifests(tmp_path):
     )
     lems, morphs = default_lemma_lexicon(), default_morpheme_lexicon()
     for schedule in schedules:
-        manifest_path = emit_schedule(
+        manifest_path, _stages = emit_schedule(
             schedule, datasets, split, tmp_path / schedule.schedule_id, lems=lems, morphs=morphs
         )
         manifest = json.loads(manifest_path.read_text())

@@ -301,6 +301,15 @@ class TestEvalCommand:
         assert main(["eval", str(root / "out" / "d1.json"), str(pred_path), "--task", "extractive"]) == 1
         assert "ghost" in capsys.readouterr().err
 
+    def test_malformed_gold_exits_1(self, tmp_path, capsys):
+        gold = tmp_path / "gold.json"
+        paragraph = {"context": "A.", "qas": [{"id": "q1"}]}
+        gold.write_text(json.dumps({"data": [{"paragraphs": [paragraph]}]}))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "q1", "predicted_text": "A."}\n')
+        assert main(["eval", str(gold), str(preds), "--task", "extractive"]) == 1
+        assert "qa 'q1'" in capsys.readouterr().err
+
 
 class TestDeterminismAndOverrides:
     def test_rerun_byte_identical(self, workspace):

@@ -132,3 +132,40 @@ class TestPredictionsReader:
         path.write_text('{"id":"a"}\n')
         with pytest.raises(ValidationError):
             read_predictions(path)
+
+
+def squad_file(tmp_path, paragraph):
+    article = {"title": "t", "paragraphs": [paragraph]}
+    path = tmp_path / "d1.json"
+    path.write_text(json.dumps({"version": "1.1", "data": [article]}))
+    return path
+
+
+GOOD_QA = {"id": "q1", "question": "What?", "answers": [{"text": "Alpha.", "answer_start": 0}]}
+
+
+def qa_without(key):
+    return {k: v for k, v in GOOD_QA.items() if k != key}
+
+
+class TestSquadBoundary:
+    @pytest.mark.parametrize(
+        "paragraph, message",
+        [
+            ({"qas": [GOOD_QA]}, "qa 'q1': its paragraph has no context"),
+            ({"context": "Alpha.", "qas": [qa_without("id")]}, "qa None: no id"),
+            ({"context": "Alpha.", "qas": [qa_without("question")]}, "qa 'q1': no question"),
+            ({"context": "Alpha.", "qas": [qa_without("answers")]}, "qa 'q1': no answers"),
+            ({"context": "Alpha.", "qas": [{**GOOD_QA, "answers": []}]}, "qa 'q1': no answers"),
+            (
+                {"context": "Alpha.", "qas": [{**GOOD_QA, "answers": [{"text": "Alpha."}]}]},
+                "qa 'q1': the first answer needs text and answer_start",
+            ),
+        ],
+    )
+    def test_unreadable_qa_names_file_and_id(self, tmp_path, paragraph, message):
+        path = squad_file(tmp_path, paragraph)
+        with pytest.raises(ParseError) as raised:
+            read_squad(path, subset=DatasetSubsetId.D1)
+        assert str(path) in str(raised.value)
+        assert message in str(raised.value)

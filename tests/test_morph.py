@@ -24,7 +24,6 @@ from medqakit import (
     load_morpheme_lexicon,
     meanings_of,
     transform_dataset,
-    transform_text,
 )
 
 from tests.conftest import (
@@ -192,46 +191,59 @@ class TestDecompose:
         assert decompose("Dacryoadenitis", morpheme_lexicon) is None
 
 
+def edited(text, spec, lems, morphs):
+    """The in-line result of a one-spec replacement or concatenation chain."""
+    [(result, is_new)] = apply_chain(text, TransformChain((spec,)), lems, morphs)
+    assert not is_new
+    return result
+
+
 class TestTransformText:
+    """Single transformations, as one-spec chains."""
+
     def test_golden_replacement(self, lemma_lexicon, morpheme_lexicon):
-        outcome = transform_text(OPTOTYPE_ORIGINAL, REPLACE_LEMMA, lemma_lexicon, morpheme_lexicon)
-        assert outcome.edited == OPTOTYPE_LEMMAS_REPLACED
-        assert outcome.extra_example is None
+        variants = apply_chain(
+            OPTOTYPE_ORIGINAL, TransformChain((REPLACE_LEMMA,)), lemma_lexicon, morpheme_lexicon
+        )
+        assert variants == [(OPTOTYPE_LEMMAS_REPLACED, False)]
 
     def test_golden_concatenation(self, lemma_lexicon, morpheme_lexicon):
-        outcome = transform_text(OPTOTYPE_ORIGINAL, CONCAT_LEMMA, lemma_lexicon, morpheme_lexicon)
-        assert outcome.edited == OPTOTYPE_LEMMAS_CONCATENATED
+        text = edited(OPTOTYPE_ORIGINAL, CONCAT_LEMMA, lemma_lexicon, morpheme_lexicon)
+        assert text == OPTOTYPE_LEMMAS_CONCATENATED
 
     def test_golden_augmentation(self, lemma_lexicon, morpheme_lexicon):
-        outcome = transform_text(OPTOTYPE_ORIGINAL, AUGMENT_LEMMA, lemma_lexicon, morpheme_lexicon)
-        assert outcome.edited == OPTOTYPE_ORIGINAL
-        assert outcome.extra_example == OPTOTYPE_LEMMAS_REPLACED
+        variants = apply_chain(
+            OPTOTYPE_ORIGINAL, TransformChain((AUGMENT_LEMMA,)), lemma_lexicon, morpheme_lexicon
+        )
+        assert variants == [(OPTOTYPE_ORIGINAL, False), (OPTOTYPE_LEMMAS_REPLACED, True)]
 
     def test_augmentation_suppressed_when_nothing_changes(self, lemma_lexicon, morpheme_lexicon):
-        outcome = transform_text("Stable text only.", AUGMENT_LEMMA, lemma_lexicon, morpheme_lexicon)
-        assert outcome.extra_example is None
+        variants = apply_chain(
+            "Stable text only.", TransformChain((AUGMENT_LEMMA,)), lemma_lexicon, morpheme_lexicon
+        )
+        assert variants == [("Stable text only.", False)]
 
     def test_form_replacement(self, lemma_lexicon, tiny_morpheme_lexicon):
         spec = TransformSpec(TransformKind.REPLACEMENT, TransformTarget.NEO_FORM)
-        outcome = transform_text("dacryoadenitis persists", spec, lemma_lexicon, tiny_morpheme_lexicon)
-        assert outcome.edited == "dacryo aden itis persists"
+        text = edited("dacryoadenitis persists", spec, lemma_lexicon, tiny_morpheme_lexicon)
+        assert text == "dacryo aden itis persists"
 
     def test_meaning_replacement_whole_word(self, lemma_lexicon, tiny_morpheme_lexicon):
         spec = TransformSpec(TransformKind.REPLACEMENT, TransformTarget.NEO_MEANING)
-        outcome = transform_text("dacryoadenitis persists", spec, lemma_lexicon, tiny_morpheme_lexicon)
-        assert outcome.edited == "tear gland inflammation persists"
+        text = edited("dacryoadenitis persists", spec, lemma_lexicon, tiny_morpheme_lexicon)
+        assert text == "tear gland inflammation persists"
 
     def test_punctuation_untouched(self, lemma_lexicon, morpheme_lexicon):
-        outcome = transform_text("It persists, mostly.", REPLACE_LEMMA, lemma_lexicon, morpheme_lexicon)
-        assert outcome.edited == "It persist, mostly."
+        text = edited("It persists, mostly.", REPLACE_LEMMA, lemma_lexicon, morpheme_lexicon)
+        assert text == "It persist, mostly."
 
     def test_concatenation_inserts_before_punctuation(self, lemma_lexicon, morpheme_lexicon):
-        outcome = transform_text("It persists.", CONCAT_LEMMA, lemma_lexicon, morpheme_lexicon)
-        assert outcome.edited == "It persists persist."
+        text = edited("It persists.", CONCAT_LEMMA, lemma_lexicon, morpheme_lexicon)
+        assert text == "It persists persist."
 
     def test_replacement_idempotent_on_golden(self, lemma_lexicon, morpheme_lexicon):
-        once = transform_text(OPTOTYPE_ORIGINAL, REPLACE_LEMMA, lemma_lexicon, morpheme_lexicon).edited
-        twice = transform_text(once, REPLACE_LEMMA, lemma_lexicon, morpheme_lexicon).edited
+        once = edited(OPTOTYPE_ORIGINAL, REPLACE_LEMMA, lemma_lexicon, morpheme_lexicon)
+        twice = edited(once, REPLACE_LEMMA, lemma_lexicon, morpheme_lexicon)
         assert twice == once
 
     @given(
@@ -247,8 +259,8 @@ class TestTransformText:
     @settings(max_examples=150)
     def test_replacement_idempotent_over_vocabulary(self, lemma_lexicon, morpheme_lexicon, words):
         text = " ".join(words).capitalize() + "."
-        once = transform_text(text, REPLACE_LEMMA, lemma_lexicon, morpheme_lexicon).edited
-        twice = transform_text(once, REPLACE_LEMMA, lemma_lexicon, morpheme_lexicon).edited
+        once = edited(text, REPLACE_LEMMA, lemma_lexicon, morpheme_lexicon)
+        twice = edited(once, REPLACE_LEMMA, lemma_lexicon, morpheme_lexicon)
         assert twice == once
 
     @given(
@@ -262,9 +274,9 @@ class TestTransformText:
     def test_untouched_tokens_keep_position(self, lemma_lexicon, tiny_morpheme_lexicon, words):
         text = " ".join(words)
         spec = TransformSpec(TransformKind.REPLACEMENT, TransformTarget.NEO_FORM)
-        edited = transform_text(text, spec, lemma_lexicon, tiny_morpheme_lexicon).edited
+        result = edited(text, spec, lemma_lexicon, tiny_morpheme_lexicon)
         kept = [w for w in text.split() if w != "dacryoadenitis"]
-        edited_kept = [w for w in edited.split() if w not in ("dacryo", "aden", "itis")]
+        edited_kept = [w for w in result.split() if w not in ("dacryo", "aden", "itis")]
         assert edited_kept == kept
 
 

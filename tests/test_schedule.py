@@ -234,7 +234,7 @@ class TestEmitSchedule:
              (DatasetSubsetId.D1, DatasetSubsetId.D3, DatasetSubsetId.D4)},
             SplitSpec(seed=13),
         )
-        return emit_schedule(
+        manifest_path, stages = emit_schedule(
             get_schedule(schedule_id),
             materialized,
             split,
@@ -243,7 +243,9 @@ class TestEmitSchedule:
             lems=default_lemma_lexicon(),
             morphs=default_morpheme_lexicon(),
             provenance={"seed": 13},
-        ), split
+        )
+        assert json.loads(manifest_path.read_text())["stages"] == stages
+        return manifest_path, split
 
     def test_schedule_4_stage_files_disjoint_from_test_pool(self, materialized, tmp_path):
         manifest_path, split = self._emit("4", materialized, tmp_path / "4")
