@@ -110,7 +110,17 @@ def _date(key: str, value: Any) -> str:
 def _fraction(key: str, value: Any) -> float:
     if key.rpartition(".")[2] not in _SUBSETS:
         raise ConfigError(f"config {key}: unknown subset; expected one of {_SUBSETS}")
-    return _NUMBER(key, value)
+    fraction = _NUMBER(key, value)
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"config {key}: expected a number in (0, 1), got {fraction}")
+    return fraction
+
+
+def _queue_depth(key: str, value: Any) -> int:
+    depth = _INTEGER(key, value)
+    if depth < 0:
+        raise ConfigError(f"config {key}: expected 0 or more, got {depth}")
+    return depth
 
 
 def _path_setting(key: str, value: Any) -> Any:
@@ -151,7 +161,7 @@ CONFIG_FIELDS = (
     ConfigField("bm25.b", _NUMBER, Bm25Params().b, flag="b"),
     ConfigField("covid_filter.phrases", _STRINGS, list(CovidFilterPolicy().phrases)),
     ConfigField("covid_filter.cutoff_date", _date, CovidFilterPolicy().cutoff_date.isoformat()),
-    ConfigField("curation.queue_depth", _INTEGER, 50),
+    ConfigField("curation.queue_depth", _queue_depth, 50),
     ConfigField(
         "split_fractions",
         _object_of(_fraction),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -29,12 +30,25 @@ SQUAD_VERSION = "1.1"
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file and rename so partial files never appear."""
+    """Write via a temp file and rename so partial files never appear.
+
+    The temp file gets a unique name in the target directory and is removed
+    if the write fails; the written file has the mode `Path.write_text`
+    gives a new file (0o666 less the umask).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def write_json_atomic(path: str | Path, obj: Any) -> None:
@@ -144,22 +158,39 @@ def write_squad(
     write_json_atomic(path, squad_dict(pairs, provenance))
 
 
-def _check_squad_qa(path: Path, paragraph: dict, qa: dict) -> None:
-    """Raise ParseError, naming the file and qa id, if the qa cannot be read."""
+_SUBSET_VALUES = tuple(s.value for s in DatasetSubsetId)
+_PROVENANCE_VALUES = tuple(p.value for p in Provenance)
+
+
+def _squad_qa_problem(paragraph: dict, qa: dict) -> str | None:
+    """Why the qa cannot be read, or None."""
     answers = qa.get("answers")
     if "id" not in qa:
-        problem = "no id"
-    elif "context" not in paragraph:
-        problem = "its paragraph has no context"
-    elif "question" not in qa:
-        problem = "no question"
-    elif not isinstance(answers, list) or not answers:
-        problem = "no answers"
-    elif not isinstance(answers[0], dict) or not {"text", "answer_start"} <= answers[0].keys():
-        problem = "the first answer needs text and answer_start"
-    else:
-        return
-    raise ParseError(f"{path}: qa {qa.get('id')!r}: {problem}")
+        return "no id"
+    if "context" not in paragraph:
+        return "its paragraph has no context"
+    if "question" not in qa:
+        return "no question"
+    if not isinstance(answers, list) or not answers:
+        return "no answers"
+    answer = answers[0]
+    if not isinstance(answer, dict) or not {"text", "answer_start"} <= answer.keys():
+        return "the first answer needs text and answer_start"
+    if type(answer["answer_start"]) is not int:
+        return f"answer_start must be an integer, got {answer['answer_start']!r}"
+    texts = {
+        "context": paragraph["context"],
+        "question": qa["question"],
+        "answer text": answer["text"],
+    }
+    for name, value in texts.items():
+        if not isinstance(value, str):
+            return f"{name} must be a string, got {value!r}"
+    if qa.get("subset") not in (None, *_SUBSET_VALUES):
+        return f"unknown subset {qa['subset']!r}"
+    if "provenance" in qa and qa["provenance"] not in _PROVENANCE_VALUES:
+        return f"unknown provenance {qa['provenance']!r}"
+    return None
 
 
 def read_squad(
@@ -182,7 +213,9 @@ def read_squad(
     for article in raw.get("data", ()):
         for paragraph in article.get("paragraphs", ()):
             for qa in paragraph.get("qas", ()):
-                _check_squad_qa(path, paragraph, qa)
+                problem = _squad_qa_problem(paragraph, qa)
+                if problem is not None:
+                    raise ParseError(f"{path}: qa {qa.get('id')!r}: {problem}")
                 context = paragraph["context"]
                 answer = qa["answers"][0]
                 qa_subset = qa.get("subset")
@@ -198,7 +231,7 @@ def read_squad(
                         question=qa["question"],
                         context=context,
                         answer_text=answer["text"],
-                        answer_start=int(answer["answer_start"]),
+                        answer_start=answer["answer_start"],
                         subset=resolved_subset,
                         provenance=Provenance(qa.get("provenance", provenance.value)),
                     )

@@ -53,7 +53,12 @@ class MorphemeEntry:
 
 
 class MorphemeLexicon:
-    """Combining-form entries indexed by (morpheme, type); immutable once built."""
+    """Combining-form entries indexed by (morpheme, type); immutable once built.
+
+    Each type also keeps the lengths its morphemes come in, so `decompose`
+    looks up only the substrings that can be entries, and a memo of
+    `decompose`'s result per word, shared by every caller of this instance.
+    """
 
     def __init__(self, entries: Iterable[MorphemeEntry]):
         self._by_type: dict[MorphemeType, dict[str, MorphemeEntry]] = {
@@ -68,6 +73,8 @@ class MorphemeLexicon:
                     entry.mtype.value,
                 )
             bucket[entry.morpheme] = entry
+        self._lengths = {t: sorted({len(m) for m in b}) for t, b in self._by_type.items()}
+        self._decompositions: dict[str, Decomposition | None] = {}
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._by_type.values())
@@ -75,9 +82,6 @@ class MorphemeLexicon:
     @property
     def entries(self) -> list[MorphemeEntry]:
         return [e for t in _TYPE_ORDER for e in self._by_type[t].values()]
-
-    def of_type(self, mtype: MorphemeType) -> dict[str, MorphemeEntry]:
-        return self._by_type[mtype]
 
     def get(self, morpheme: str, mtype: MorphemeType) -> MorphemeEntry | None:
         return self._by_type[mtype].get(morpheme)
@@ -88,6 +92,19 @@ class MorphemeLexicon:
             if entry is not None:
                 return entry
         return None
+
+    def starting_at(
+        self, word: str, pos: int, mtype: MorphemeType, end_limit: int
+    ) -> Iterator[MorphemeEntry]:
+        """Entries of `mtype` spelled by `word` from `pos`, ending by `end_limit`."""
+        bucket = self._by_type[mtype]
+        for length in self._lengths[mtype]:
+            end = pos + length
+            if end > end_limit:
+                return
+            entry = bucket.get(word[pos:end])
+            if entry is not None:
+                yield entry
 
 
 def _rows(lines: Iterable[str], origin: str, layout: str) -> Iterator[tuple[int, list[str]]]:
@@ -311,16 +328,22 @@ def decompose(
     lexicon: MorphemeLexicon,
     min_length: int = 6,
 ) -> Decomposition | None:
-    """Exhaustive segmentation of a word over the combining-form lexicon.
+    """Best segmentation of a word over the combining-form lexicon.
 
     Valid segmentations must cover the word exactly and match the pattern
     prefix? root root? terminal?. Among them the fewest parts win, then the
     longest first part, then longer subsequent parts. Words shorter than
-    min_length are never decomposed.
+    min_length are never decomposed. The result is memoized on the lexicon.
     """
     if len(word) < min_length or not word.isalpha() or word != word.lower():
         return None
+    memo = lexicon._decompositions
+    if word not in memo:
+        memo[word] = _best_segmentation(word, lexicon)
+    return memo[word]
 
+
+def _best_segmentation(word: str, lexicon: MorphemeLexicon) -> Decomposition | None:
     solutions: list[tuple[MorphemeEntry, ...]] = []
 
     def match(pattern: tuple[MorphemeType, ...], step: int, pos: int, parts: list[MorphemeEntry]) -> None:
@@ -328,23 +351,22 @@ def decompose(
             if pos == len(word):
                 solutions.append(tuple(parts))
             return
-        remaining = len(pattern) - step
-        for morpheme, entry in lexicon.of_type(pattern[step]).items():
-            end = pos + len(morpheme)
-            if end + (remaining - 1) > len(word):
-                continue
-            if word.startswith(morpheme, pos):
-                parts.append(entry)
-                match(pattern, step + 1, end, parts)
-                parts.pop()
+        # leave at least one letter for each later part
+        end_limit = len(word) - (len(pattern) - step - 1)
+        for entry in lexicon.starting_at(word, pos, pattern[step], end_limit):
+            parts.append(entry)
+            match(pattern, step + 1, pos + len(entry.morpheme), parts)
+            parts.pop()
 
     for pattern in _PATTERNS:
         match(pattern, 0, 0, [])
 
     if not solutions:
         return None
+    # No two segmentations share a key: equal part lengths spell equal
+    # morphemes, and a morpheme has one entry per type.
     best = min(
-        set(solutions),
+        solutions,
         key=lambda parts: (
             len(parts),
             tuple(-len(p.morpheme) for p in parts),

@@ -45,7 +45,7 @@ def test_json_numbers_and_dates_are_normalized(tmp_path, monkeypatch):
                 "output_dir": "out/./x/",
                 "bm25": {"k1": 2, "unused": "ignored"},
                 "covid_filter": {"cutoff_date": "20200101"},
-                "split_fractions": {"d1": 1},
+                "split_fractions": {"d1": 0.5},
                 "unused": [1, 2],
             }
         )
@@ -54,7 +54,7 @@ def test_json_numbers_and_dates_are_normalized(tmp_path, monkeypatch):
     assert echoed["output_dir"] == "out/x"
     assert echoed["bm25"] == {"k1": 2.0, "b": 0.75}
     assert echoed["covid_filter"]["cutoff_date"] == "2020-01-01"
-    assert echoed["split_fractions"] == {"d1": 1.0}
+    assert echoed["split_fractions"] == {"d1": 0.5}
     assert "unused" not in echoed
 
 
@@ -69,11 +69,15 @@ BAD_CONFIGS = [
     ({"covid_filter": {"phrases": []}}, "at least one phrase"),
     ({"covid_filter": "COVID"}, "config covid_filter: expected an object, got string"),
     ({"curation": {"queue_depth": "x"}}, "config curation.queue_depth: expected an integer"),
+    ({"curation": {"queue_depth": -1}}, "config curation.queue_depth: expected 0 or more, got -1"),
     ({"bm25": {"k1": "fast"}}, "config bm25.k1: expected a number, got string"),
     ({"bm25": None}, "config bm25: expected an object, got null"),
     ({"bm25": {"b": 2}}, "b must be in [0, 1]"),
     ({"split_fractions": {"d9": 0.1}}, "config split_fractions.d9: unknown subset"),
     ({"split_fractions": {"d1": "0.1"}}, "config split_fractions.d1: expected a number"),
+    ({"split_fractions": {"d1": 5.0}}, "config split_fractions.d1: expected a number in (0, 1)"),
+    ({"split_fractions": {"d3": 0}}, "config split_fractions.d3: expected a number in (0, 1)"),
+    ({"split_fractions": {"d4": 1}}, "config split_fractions.d4: expected a number in (0, 1)"),
     ({"split_fractions": [0.1]}, "config split_fractions: expected an object, got array"),
     ({"schedules": "baseline"}, "config schedules: expected an array of strings, got string"),
     ({"schedules": [1]}, "config schedules: expected an array of strings, got array"),
@@ -93,6 +97,14 @@ def test_bad_value_exits_1_naming_the_key(tmp_path, capsys, command, override, m
     assert code == 1
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_zero_queue_depth_exports_an_empty_queue(tmp_path):
+    write_sources(tmp_path)
+    write_corpus(tmp_path)
+    config = write_config(tmp_path, curation={"queue_depth": 0})
+    assert main(["curate", "templates-export", "--config", str(config)]) == 0
+    assert len((tmp_path / "out" / "review_queue.tsv").read_text().splitlines()) == 1
 
 
 @pytest.mark.parametrize(

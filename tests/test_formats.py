@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -17,6 +19,7 @@ from medqakit.formats import (
     read_squad,
     read_yesno,
     write_squad,
+    write_text_atomic,
     write_yesno,
 )
 
@@ -148,6 +151,10 @@ def qa_without(key):
     return {k: v for k, v in GOOD_QA.items() if k != key}
 
 
+def with_answer(**fields):
+    return {**GOOD_QA, "answers": [{**GOOD_QA["answers"][0], **fields}]}
+
+
 class TestSquadBoundary:
     @pytest.mark.parametrize(
         "paragraph, message",
@@ -161,6 +168,46 @@ class TestSquadBoundary:
                 {"context": "Alpha.", "qas": [{**GOOD_QA, "answers": [{"text": "Alpha."}]}]},
                 "qa 'q1': the first answer needs text and answer_start",
             ),
+            (
+                {"context": "Alpha.", "qas": [with_answer(answer_start="zero")]},
+                "qa 'q1': answer_start must be an integer, got 'zero'",
+            ),
+            (
+                {"context": "Alpha.", "qas": [with_answer(answer_start=0.0)]},
+                "qa 'q1': answer_start must be an integer, got 0.0",
+            ),
+            (
+                {"context": "Alpha.", "qas": [with_answer(answer_start=False)]},
+                "qa 'q1': answer_start must be an integer, got False",
+            ),
+            (
+                {"context": "Alpha.", "qas": [{**GOOD_QA, "subset": "d7"}]},
+                "qa 'q1': unknown subset 'd7'",
+            ),
+            (
+                {"context": "Alpha.", "qas": [{**GOOD_QA, "subset": ["d1"]}]},
+                "qa 'q1': unknown subset ['d1']",
+            ),
+            (
+                {"context": "Alpha.", "qas": [{**GOOD_QA, "provenance": "oracle"}]},
+                "qa 'q1': unknown provenance 'oracle'",
+            ),
+            (
+                {"context": "Alpha.", "qas": [{**GOOD_QA, "provenance": None}]},
+                "qa 'q1': unknown provenance None",
+            ),
+            (
+                {"context": "Alpha.", "qas": [with_answer(text=None)]},
+                "qa 'q1': answer text must be a string, got None",
+            ),
+            (
+                {"context": "Alpha.", "qas": [{**GOOD_QA, "question": 7}]},
+                "qa 'q1': question must be a string, got 7",
+            ),
+            (
+                {"context": ["Alpha."], "qas": [GOOD_QA]},
+                "qa 'q1': context must be a string, got ['Alpha.']",
+            ),
         ],
     )
     def test_unreadable_qa_names_file_and_id(self, tmp_path, paragraph, message):
@@ -169,3 +216,35 @@ class TestSquadBoundary:
             read_squad(path, subset=DatasetSubsetId.D1)
         assert str(path) in str(raised.value)
         assert message in str(raised.value)
+
+    def test_good_qa_reads(self, tmp_path):
+        qa = {**GOOD_QA, "subset": "d3", "provenance": "template_manual"}
+        [pair] = read_squad(squad_file(tmp_path, {"context": "Alpha.", "qas": [qa]}))
+        assert (pair.subset, pair.provenance) == (DatasetSubsetId.D3, Provenance.TEMPLATE_MANUAL)
+        assert (pair.answer_text, pair.answer_start) == ("Alpha.", 0)
+
+
+class TestWriteTextAtomic:
+    def test_other_tmp_file_untouched_and_no_temp_left(self, tmp_path):
+        stray = tmp_path / "out.json.tmp"
+        stray.write_text("another writer's")
+        write_text_atomic(tmp_path / "out.json", "new\n")
+        write_text_atomic(tmp_path / "out.json", "newer\n")
+        assert (tmp_path / "out.json").read_text() == "newer\n"
+        assert stray.read_text() == "another writer's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "out.json.tmp"]
+
+    def test_mode_is_what_write_text_gives(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_text_atomic(tmp_path / "atomic.txt", "x")
+            (tmp_path / "plain.txt").write_text("x")
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE((tmp_path / n).stat().st_mode) for n in ("atomic.txt", "plain.txt")}
+        assert modes == {0o640}
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(tmp_path / "out.txt", "lone surrogate \ud800")
+        assert list(tmp_path.iterdir()) == []

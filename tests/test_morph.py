@@ -1,3 +1,6 @@
+import itertools
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from medqakit import (
     ConfigError,
     DatasetSubsetId,
+    Decomposition,
     MorphemeEntry,
     MorphemeLexicon,
     MorphemeType,
@@ -19,6 +23,7 @@ from medqakit import (
     YesNoInstance,
     apply_chain,
     decompose,
+    default_morpheme_lexicon,
     lemmatize_token,
     load_lemma_lexicon,
     load_morpheme_lexicon,
@@ -134,6 +139,183 @@ class TestLemmatizer:
             assert lemmatize_token(lemma, lemma_lexicon) == lemma, (surface, lemma)
 
 
+PREFIX, ROOT, TERMINAL = MorphemeType.PREFIX, MorphemeType.ROOT, MorphemeType.TERMINAL
+GASTRO_ENTRIES = [
+    MorphemeEntry("gastro", "stomach", ROOT),
+    MorphemeEntry("enter", "intestine", ROOT),
+    MorphemeEntry("itis", "inflammation", TERMINAL),
+]
+CARDIO_ENTRIES = [
+    MorphemeEntry("cardio", "heart", ROOT),
+    MorphemeEntry("cardi", "heart", ROOT),
+    MorphemeEntry("o", "of", ROOT),
+    MorphemeEntry("megaly", "enlargement", TERMINAL),
+    MorphemeEntry("omegaly", "enlargement", TERMINAL),
+]
+THYROID_ENTRIES = [MorphemeEntry("thyroid", "thyroid gland", ROOT)]
+TINY_ENTRIES = [
+    MorphemeEntry("dacryo", "tear", ROOT),
+    MorphemeEntry("aden", "gland", ROOT),
+    MorphemeEntry("itis", "inflammation", TERMINAL),
+]
+# Entries spelling the same string under two types, and one-letter parts,
+# so segmentations of one word differ in their part count and types.
+OVERLAP_ENTRIES = [
+    MorphemeEntry("a", "without", PREFIX),
+    MorphemeEntry("a", "one", ROOT),
+    MorphemeEntry("hyper", "above", PREFIX),
+    MorphemeEntry("hyper", "excess", ROOT),
+    MorphemeEntry("emia", "blood", TERMINAL),
+    MorphemeEntry("em", "in", ROOT),
+    MorphemeEntry("ia", "condition", TERMINAL),
+    MorphemeEntry("glyc", "sugar", ROOT),
+]
+SMALL_LEXICONS = [GASTRO_ENTRIES, CARDIO_ENTRIES, THYROID_ENTRIES, TINY_ENTRIES, OVERLAP_ENTRIES]
+
+# Every combination of prefix? root root? terminal?, shortest first.
+EXHAUSTIVE_PATTERNS = (
+    (ROOT,),
+    (PREFIX, ROOT),
+    (ROOT, ROOT),
+    (ROOT, TERMINAL),
+    (PREFIX, ROOT, ROOT),
+    (PREFIX, ROOT, TERMINAL),
+    (ROOT, ROOT, TERMINAL),
+    (PREFIX, ROOT, ROOT, TERMINAL),
+)
+TYPE_ORDER = (PREFIX, ROOT, TERMINAL)
+
+
+def exhaustive_decompose(word, lexicon, min_length=6):
+    """Reference segmentation: each pattern step tries every entry of its type
+    with startswith, and the best of all full segmentations is kept."""
+    if len(word) < min_length or not word.isalpha() or word != word.lower():
+        return None
+    by_type = {t: {} for t in MorphemeType}
+    for entry in lexicon.entries:
+        by_type[entry.mtype][entry.morpheme] = entry
+    solutions = []
+
+    def match(pattern, step, pos, parts):
+        if step == len(pattern):
+            if pos == len(word):
+                solutions.append(tuple(parts))
+            return
+        remaining = len(pattern) - step
+        for morpheme, entry in by_type[pattern[step]].items():
+            end = pos + len(morpheme)
+            if end + (remaining - 1) > len(word):
+                continue
+            if word.startswith(morpheme, pos):
+                parts.append(entry)
+                match(pattern, step + 1, end, parts)
+                parts.pop()
+
+    for pattern in EXHAUSTIVE_PATTERNS:
+        match(pattern, 0, 0, [])
+    if not solutions:
+        return None
+    best = min(
+        set(solutions),
+        key=lambda parts: (
+            len(parts),
+            tuple(-len(p.morpheme) for p in parts),
+            tuple(TYPE_ORDER.index(p.mtype) for p in parts),
+        ),
+    )
+    return Decomposition(word=word, parts=best)
+
+
+PACKAGED = default_morpheme_lexicon()
+PACKAGED_MORPHEMES = sorted({e.morpheme for e in PACKAGED.entries})
+
+
+class TestDecomposeOracle:
+    """The indexed, memoized decompose against the exhaustive scan."""
+
+    @pytest.mark.parametrize("min_length", [1, 6])
+    def test_every_packaged_entry(self, min_length):
+        lexicon = default_morpheme_lexicon()
+        for morpheme in PACKAGED_MORPHEMES:
+            want = exhaustive_decompose(morpheme, lexicon, min_length)
+            assert decompose(morpheme, lexicon, min_length) == want, morpheme
+
+    @pytest.mark.parametrize("entries", SMALL_LEXICONS)
+    def test_small_lexicons(self, entries):
+        lexicon = MorphemeLexicon(entries)
+        morphemes = sorted({e.morpheme for e in entries})
+        words = {"".join(parts) for parts in itertools.product(morphemes, repeat=3)}
+        words |= set(morphemes) | {a + b for a in morphemes for b in morphemes}
+        words |= {"gastroenteritis", "cardiomegaly", "thyroid", "dacryoadenitis", "hyperglycemia"}
+        for word in sorted(words):
+            for min_length in (1, 6):
+                want = exhaustive_decompose(word, lexicon, min_length)
+                assert decompose(word, lexicon, min_length) == want, (word, min_length)
+
+    @given(
+        parts=st.lists(st.sampled_from(PACKAGED_MORPHEMES), min_size=1, max_size=4),
+        extra=st.none() | st.tuples(st.integers(0, 40), st.sampled_from(string.ascii_lowercase)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_concatenations_of_packaged_entries(self, parts, extra):
+        word = "".join(parts)
+        if extra is not None:
+            at = extra[0] % (len(word) + 1)
+            word = word[:at] + extra[1] + word[at:]
+        assert decompose(word, PACKAGED) == exhaustive_decompose(word, PACKAGED)
+
+    @given(
+        parts=st.lists(
+            st.sampled_from(sorted({e.morpheme for e in OVERLAP_ENTRIES + CARDIO_ENTRIES})),
+            min_size=1,
+            max_size=4,
+        ),
+        extra=st.none() | st.tuples(st.integers(0, 40), st.sampled_from("acegiory")),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_concatenations_of_overlapping_entries(self, parts, extra):
+        lexicon = MorphemeLexicon(OVERLAP_ENTRIES + CARDIO_ENTRIES)
+        word = "".join(parts)
+        if extra is not None:
+            at = extra[0] % (len(word) + 1)
+            word = word[:at] + extra[1] + word[at:]
+        assert decompose(word, lexicon, 1) == exhaustive_decompose(word, lexicon, 1)
+
+
+class TestDecomposeMemo:
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_lexicons_do_not_share_results(self, first):
+        lexicons = [
+            MorphemeLexicon(CARDIO_ENTRIES[:1] + CARDIO_ENTRIES[3:4]),  # cardio|megaly
+            MorphemeLexicon(CARDIO_ENTRIES[1:2] + CARDIO_ENTRIES[4:]),  # cardi|omegaly
+        ]
+        order = [first, 1 - first]
+        got = {i: decompose("cardiomegaly", lexicons[i]) for i in order}
+        assert [p.morpheme for p in got[0].parts] == ["cardio", "megaly"]
+        assert [p.morpheme for p in got[1].parts] == ["cardi", "omegaly"]
+
+    def test_conflicting_meanings(self):
+        tear = MorphemeLexicon(TINY_ENTRIES)
+        tear_duct = MorphemeLexicon(
+            TINY_ENTRIES[1:] + [MorphemeEntry("dacryo", "tear duct", ROOT)]
+        )
+        assert meanings_of(decompose("dacryoadenitis", tear)) == "tear gland inflammation"
+        assert meanings_of(decompose("dacryoadenitis", tear_duct)) == "tear duct gland inflammation"
+        assert meanings_of(decompose("dacryoadenitis", tear)) == "tear gland inflammation"
+
+    def test_length_gate_applies_to_memoized_words(self):
+        lexicon = MorphemeLexicon(TINY_ENTRIES)
+        assert decompose("dacryoadenitis", lexicon, min_length=6) is not None
+        assert decompose("dacryoadenitis", lexicon, min_length=20) is None
+        assert decompose("dacryoadenitis", lexicon, min_length=6) is not None
+
+    def test_repeated_calls_are_equal(self):
+        lexicon = default_morpheme_lexicon()
+        for word in ("dacryoadenitis", "thrombocytopenia", "patient", "hyperglycemia"):
+            runs = [decompose(word, lexicon) for _ in range(3)]
+            assert runs[0] == runs[1] == runs[2] == exhaustive_decompose(word, lexicon)
+
+
 class TestDecompose:
     def test_dacryoadenitis(self, morpheme_lexicon):
         decomposition = decompose("dacryoadenitis", morpheme_lexicon)
@@ -144,14 +326,7 @@ class TestDecompose:
         ]
 
     def test_gastroenteritis_with_three_entry_lexicon(self):
-        lexicon = MorphemeLexicon(
-            [
-                MorphemeEntry("gastro", "stomach", MorphemeType.ROOT),
-                MorphemeEntry("enter", "intestine", MorphemeType.ROOT),
-                MorphemeEntry("itis", "inflammation", MorphemeType.TERMINAL),
-            ]
-        )
-        decomposition = decompose("gastroenteritis", lexicon)
+        decomposition = decompose("gastroenteritis", MorphemeLexicon(GASTRO_ENTRIES))
         assert [p.morpheme for p in decomposition.parts] == ["gastro", "enter", "itis"]
         assert meanings_of(decomposition) == "stomach intestine inflammation"
 
@@ -169,22 +344,12 @@ class TestDecompose:
             assert any(p.mtype is MorphemeType.ROOT for p in decomposition.parts)
 
     def test_fewest_parts_then_longest_first_preferred(self):
-        lexicon = MorphemeLexicon(
-            [
-                MorphemeEntry("cardio", "heart", MorphemeType.ROOT),
-                MorphemeEntry("cardi", "heart", MorphemeType.ROOT),
-                MorphemeEntry("o", "of", MorphemeType.ROOT),
-                MorphemeEntry("megaly", "enlargement", MorphemeType.TERMINAL),
-                MorphemeEntry("omegaly", "enlargement", MorphemeType.TERMINAL),
-            ]
-        )
-        decomposition = decompose("cardiomegaly", lexicon)
+        decomposition = decompose("cardiomegaly", MorphemeLexicon(CARDIO_ENTRIES))
         # two 2-part segmentations tie on count; the longer first part wins
         assert [p.morpheme for p in decomposition.parts] == ["cardio", "megaly"]
 
     def test_meanings_of_single_root(self):
-        lexicon = MorphemeLexicon([MorphemeEntry("thyroid", "thyroid gland", MorphemeType.ROOT)])
-        decomposition = decompose("thyroid", lexicon)
+        decomposition = decompose("thyroid", MorphemeLexicon(THYROID_ENTRIES))
         assert meanings_of(decomposition) == "thyroid gland"
 
     def test_uppercase_input_not_decomposed(self, morpheme_lexicon):
