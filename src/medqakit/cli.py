@@ -386,6 +386,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
     print(f"{'schedule':<10} {'stage':>5} {'subset':<7} {'n':>7}")
     manifest_index = []
+    emitted: dict = {}
     for schedule in schedules:
         schedule_dir = config.output_dir / "schedules" / schedule.schedule_id
         manifest_path, stages = emit_schedule(
@@ -397,6 +398,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             lems=lems,
             morphs=morphs,
             provenance=config.provenance,
+            emitted=emitted,
         )
         for stage in stages:
             print(

@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import (
     DatasetSubsetId,
@@ -29,19 +29,20 @@ from .weak_label import SourceInstance
 SQUAD_VERSION = "1.1"
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
+def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     """Write via a temp file and rename so partial files never appear.
 
-    The temp file gets a unique name in the target directory and is removed
-    if the write fails; the written file has the mode `Path.write_text`
-    gives a new file (0o666 less the umask).
+    `text` is one string or an iterable of string chunks, written as they
+    come. The temp file gets a unique name in the target directory and is
+    removed if the write fails; the written file has the mode
+    `Path.write_text` gives a new file (0o666 less the umask).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines((text,) if isinstance(text, str) else text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -49,6 +50,13 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
+
+
+def read_text_chunks(path: str | Path) -> Iterator[str]:
+    """The text of a UTF-8 file in chunks of up to 1 MiB characters, line
+    endings as stored."""
+    with Path(path).open(encoding="utf-8", newline="") as handle:
+        yield from iter(lambda: handle.read(1 << 20), "")
 
 
 def write_json_atomic(path: str | Path, obj: Any) -> None:
@@ -84,16 +92,29 @@ def _jsonl_objects(path: Path, required: Sequence[str]) -> Iterator[tuple[int, d
 
 
 def read_source_instances(path: str | Path) -> list[SourceInstance]:
-    """Load raw yes/no-style source records; degenerate contexts are allowed."""
-    return [
-        SourceInstance(
-            id=str(raw["id"]),
-            question=str(raw["question"]),
-            context=str(raw["context"]),
-            label=None if raw.get("label") is None else str(raw["label"]),
+    """Load raw yes/no-style source records; degenerate contexts are allowed.
+
+    id, question and context must be JSON strings; label a string, null or
+    absent.
+    """
+    path = Path(path)
+    instances = []
+    for line_number, raw in _jsonl_objects(path, ("id", "question", "context")):
+        for field in ("id", "question", "context", "label"):
+            value = raw.get(field)
+            if not isinstance(value, str) and not (field == "label" and value is None):
+                raise ParseError(
+                    f"{path} line {line_number}: field {field!r} must be a string, got {value!r}"
+                )
+        instances.append(
+            SourceInstance(
+                id=raw["id"],
+                question=raw["question"],
+                context=raw["context"],
+                label=raw.get("label"),
+            )
         )
-        for _, raw in _jsonl_objects(Path(path), ("id", "question", "context"))
-    ]
+    return instances
 
 
 def read_yesno(path: str | Path) -> list[YesNoInstance]:
@@ -111,51 +132,85 @@ def read_yesno(path: str | Path) -> list[YesNoInstance]:
 
 
 def write_yesno(path: str | Path, instances: Sequence[YesNoInstance]) -> None:
-    lines = [
-        json.dumps(
-            {"id": i.id, "question": i.question, "context": i.context, "label": i.label},
-            ensure_ascii=False,
-        )
-        for i in instances
-    ]
-    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_text_atomic(
+        path,
+        (
+            json.dumps(
+                {"id": i.id, "question": i.question, "context": i.context, "label": i.label},
+                ensure_ascii=False,
+            )
+            + "\n"
+            for i in instances
+        ),
+    )
 
 
-def squad_dict(pairs: Sequence[QAPair], provenance: Mapping[str, Any] | None = None) -> dict:
-    """Render pairs in the SQuAD shape: one article per pair, title = pair id."""
-    data = []
-    for pair in pairs:
-        data.append(
+# One SQuAD article per pair, laid out as json.dumps(..., indent=2,
+# sort_keys=True) lays it out as an item of the top-level "data" list.
+_SQUAD_ARTICLE = """
+    {
+      "paragraphs": [
+        {
+          "context": %s,
+          "qas": [
             {
-                "title": pair.id,
-                "paragraphs": [
-                    {
-                        "context": pair.context,
-                        "qas": [
-                            {
-                                "id": pair.id,
-                                "question": pair.question,
-                                "answers": [
-                                    {"text": pair.answer_text, "answer_start": pair.answer_start}
-                                ],
-                                "subset": pair.subset.value,
-                                "provenance": pair.provenance.value,
-                            }
-                        ],
-                    }
-                ],
+              "answers": [
+                {
+                  "answer_start": %d,
+                  "text": %s
+                }
+              ],
+              "id": %s,
+              "provenance": %s,
+              "question": %s,
+              "subset": %s
             }
+          ]
+        }
+      ],
+      "title": %s
+    }"""
+
+
+def _squad_chunks(pairs: Sequence[QAPair], provenance: Mapping[str, Any] | None) -> Iterator[str]:
+    """The text of `json.dumps(document, ensure_ascii=False, indent=2, sort_keys=True)`
+    plus a newline, one article per chunk.
+
+    With `indent`, json.dumps puts every value through its pure-Python
+    encoder and builds the whole text before it returns; here only the
+    string leaves are encoded, by json's own (C) string encoder.
+    """
+    enc = json.encoder.encode_basestring
+    yield '{\n  "data": ['
+    separator = ""
+    for pair in pairs:
+        yield separator + _SQUAD_ARTICLE % (
+            enc(pair.context),
+            pair.answer_start,
+            enc(pair.answer_text),
+            enc(pair.id),
+            enc(pair.provenance.value),
+            enc(pair.question),
+            enc(pair.subset.value),
+            enc(pair.id),
         )
-    out: dict[str, Any] = {"version": SQUAD_VERSION, "data": data}
+        separator = ","
+    yield "\n  ]," if separator else "],"
     if provenance is not None:
-        out["provenance"] = dict(provenance)
-    return out
+        block = json.dumps(dict(provenance), ensure_ascii=False, indent=2, sort_keys=True)
+        yield '\n  "provenance": ' + block.replace("\n", "\n  ") + ","
+    yield f'\n  "version": "{SQUAD_VERSION}"\n}}\n'
 
 
 def write_squad(
     path: str | Path, pairs: Sequence[QAPair], provenance: Mapping[str, Any] | None = None
 ) -> None:
-    write_json_atomic(path, squad_dict(pairs, provenance))
+    """Write pairs in the SQuAD shape: one article per pair, title = pair id.
+
+    The bytes are those of the whole document put through
+    `json.dumps(..., ensure_ascii=False, indent=2, sort_keys=True)`.
+    """
+    write_text_atomic(path, _squad_chunks(pairs, provenance))
 
 
 _SUBSET_VALUES = tuple(s.value for s in DatasetSubsetId)
@@ -193,6 +248,19 @@ def _squad_qa_problem(paragraph: dict, qa: dict) -> str | None:
     return None
 
 
+def _squad_objects(path: Path, parent: dict, key: str) -> list[dict]:
+    """`parent[key]`, which must be absent or a list of JSON objects."""
+    items = parent.get(key, [])
+    if not isinstance(items, list):
+        raise ParseError(f"{path}: {key!r} must be a list, got {type(items).__name__}")
+    for item in items:
+        if not isinstance(item, dict):
+            raise ParseError(
+                f"{path}: each {key!r} entry must be a JSON object, got {type(item).__name__}"
+            )
+    return items
+
+
 def read_squad(
     path: str | Path,
     *,
@@ -209,10 +277,12 @@ def read_squad(
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: the top level must be a JSON object, got {type(raw).__name__}")
     pairs = []
-    for article in raw.get("data", ()):
-        for paragraph in article.get("paragraphs", ()):
-            for qa in paragraph.get("qas", ()):
+    for article in _squad_objects(path, raw, "data"):
+        for paragraph in _squad_objects(path, article, "paragraphs"):
+            for qa in _squad_objects(path, paragraph, "qas"):
                 problem = _squad_qa_problem(paragraph, qa)
                 if problem is not None:
                     raise ParseError(f"{path}: qa {qa.get('id')!r}: {problem}")

@@ -262,6 +262,7 @@ def emit_schedule(
     lems: LemmaLexicon | None = None,
     morphs: MorphemeLexicon | None = None,
     provenance: Mapping[str, object] | None = None,
+    emitted: dict[tuple[DatasetSubsetId, TransformChain | None], tuple[Path, int]] | None = None,
 ) -> tuple[Path, list[dict]]:
     """Write the schedule manifest and one training file per stage.
 
@@ -269,9 +270,17 @@ def emit_schedule(
     are given, the human-labelled yes/no stage is restricted to the CV pool
     so the reserved test half never leaks into training. Returns the
     manifest path and the manifest's stage rows.
+
+    `emitted` maps each (subset, chain) whose stage file was already written
+    to that file and its instance count. A stage found there is copied from
+    the file instead of being filtered, transformed and rendered again; each
+    stage written here is added. Share one mapping only between calls with
+    the same datasets, split, folds, lexicons and provenance.
     """
     out_dir = Path(out_dir)
     test_ids = split.test_ids if split is not None else frozenset()
+    if emitted is None:
+        emitted = {}
     stages_json = []
     for stage in schedule.stages:
         data = datasets.get(stage.subset)
@@ -280,26 +289,33 @@ def emit_schedule(
                 f"schedule {schedule.schedule_id}: dataset for subset "
                 f"{stage.subset.value!r} is not materialized"
             )
-        instances = list(data)
-        if folds is not None and stage.subset is DatasetSubsetId.PQA_L:
-            pool = set(folds.pool)
-            instances = [i for i in instances if i.id in pool]
-        instances = [i for i in instances if i.id not in test_ids]
-        if stage.chain is not None:
-            instances = transform_dataset(instances, stage.chain, lems, morphs)
         filename = _stage_filename(stage)
         path = out_dir / filename
-        if stage.subset in YESNO_SUBSETS:
-            formats.write_yesno(path, instances)
+        key = (stage.subset, stage.chain)
+        if key in emitted:
+            source, n_instances = emitted[key]
+            formats.write_text_atomic(path, formats.read_text_chunks(source))
         else:
-            formats.write_squad(path, instances, provenance)
+            instances = list(data)
+            if folds is not None and stage.subset is DatasetSubsetId.PQA_L:
+                pool = set(folds.pool)
+                instances = [i for i in instances if i.id in pool]
+            instances = [i for i in instances if i.id not in test_ids]
+            if stage.chain is not None:
+                instances = transform_dataset(instances, stage.chain, lems, morphs)
+            if stage.subset in YESNO_SUBSETS:
+                formats.write_yesno(path, instances)
+            else:
+                formats.write_squad(path, instances, provenance)
+            n_instances = len(instances)
+            emitted[key] = (path, n_instances)
         stages_json.append(
             {
                 "stage_index": stage.stage_index,
                 "subset": stage.subset.value,
                 "transform_chain": _chain_json(stage.chain),
                 "dataset_path": filename,
-                "n_instances": len(instances),
+                "n_instances": n_instances,
             }
         )
     manifest: dict[str, object] = {

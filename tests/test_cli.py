@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from medqakit import formats
 from medqakit.cli import main
 from medqakit.formats import file_sha256
 
@@ -190,6 +191,23 @@ class TestScheduleCommand:
             for stage in manifest["stages"]:
                 assert (root / "out" / "schedules" / schedule_id / stage["dataset_path"]).exists()
 
+    def test_each_extractive_stage_rendered_once(self, workspace, monkeypatch):
+        root, config = workspace
+        run_pipeline(root, config)
+        schedules = root / "out" / "schedules"
+        first = {p: p.read_bytes() for p in schedules.rglob("*") if p.is_file()}
+        rendered = []
+        write_squad = formats.write_squad
+        monkeypatch.setattr(
+            formats, "write_squad", lambda path, *a: rendered.append(path) or write_squad(path, *a)
+        )
+        assert main(["schedule", "--config", str(config)]) == 0
+        assert len(rendered) == 4
+        assert {p: p.read_bytes() for p in schedules.rglob("*") if p.is_file()} == first
+        d1 = (schedules / "1" / "stage1_d1.json").read_bytes()
+        for sid, stage in (("2", 2), ("3", 2), ("4", 2)):
+            assert (schedules / sid / f"stage{stage}_d1.json").read_bytes() == d1
+
     def test_missing_subset_exits_nonzero(self, workspace, capsys):
         root, config = workspace
         assert main(["label", "--config", str(config)]) == 0
@@ -309,6 +327,29 @@ class TestEvalCommand:
         preds.write_text('{"id": "q1", "predicted_text": "A."}\n')
         assert main(["eval", str(gold), str(preds), "--task", "extractive"]) == 1
         assert "qa 'q1'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "task, gold_text, message",
+        [
+            ("extractive", "[]", "the top level must be a JSON object"),
+            ("extractive", '{"data": [1]}', "each 'data' entry must be a JSON object"),
+            (
+                "yesno",
+                '{"id": "q1", "question": null, "context": "A.", "label": "yes"}\n',
+                "line 1: field 'question' must be a string, got None",
+            ),
+        ],
+    )
+    def test_malformed_gold_shape_exits_1(self, tmp_path, capsys, task, gold_text, message):
+        gold = tmp_path / "gold.json"
+        gold.write_text(gold_text)
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "q1", "predicted_text": "A.", "predicted_label": "yes"}\n')
+        assert main(["eval", str(gold), str(preds), "--task", task]) == 1
+        err = capsys.readouterr().err
+        assert str(gold) in err and message in err
+        assert "Traceback" not in err
 
 
 class TestDeterminismAndOverrides:

@@ -3,6 +3,8 @@ import os
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medqakit import (
     DatasetSubsetId,
@@ -13,6 +15,7 @@ from medqakit import (
     YesNoInstance,
 )
 from medqakit.formats import (
+    SQUAD_VERSION,
     read_abstracts,
     read_predictions,
     read_source_instances,
@@ -34,6 +37,117 @@ def make_pair(i=0):
         subset=DatasetSubsetId.D1,
         provenance=Provenance.BM25_WEAK,
     )
+
+
+def squad_dict(pairs, provenance=None):
+    """The SQuAD document of `pairs` as a dict: one article per pair, title = pair id."""
+    data = []
+    for pair in pairs:
+        data.append(
+            {
+                "title": pair.id,
+                "paragraphs": [
+                    {
+                        "context": pair.context,
+                        "qas": [
+                            {
+                                "id": pair.id,
+                                "question": pair.question,
+                                "answers": [
+                                    {"text": pair.answer_text, "answer_start": pair.answer_start}
+                                ],
+                                "subset": pair.subset.value,
+                                "provenance": pair.provenance.value,
+                            }
+                        ],
+                    }
+                ],
+            }
+        )
+    out = {"version": SQUAD_VERSION, "data": data}
+    if provenance is not None:
+        out["provenance"] = dict(provenance)
+    return out
+
+
+def squad_oracle_bytes(pairs, provenance=None):
+    """What write_squad must write: the whole document through json.dumps."""
+    text = json.dumps(squad_dict(pairs, provenance), ensure_ascii=False, indent=2, sort_keys=True)
+    return (text + "\n").encode("utf-8")
+
+
+# Characters json escapes or writes as they are: quotes, backslashes,
+# control characters, line and paragraph separators, non-ASCII text.
+TRICKY_TEXT = st.text(
+    st.sampled_from(list('ab .\'"\\/\n\r\t\x00\x08\x1f\x7f\u2028\u2029é漢😀'))
+    | st.characters(blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=30,
+)
+
+
+@st.composite
+def tricky_pairs(draw):
+    pairs = []
+    for i in range(draw(st.integers(0, 4))):
+        context = draw(TRICKY_TEXT)
+        start = draw(st.integers(0, len(context) - 1))
+        end = draw(st.integers(start, len(context)))
+        pairs.append(
+            QAPair(
+                id=draw(st.one_of(st.just(f"p{i}"), TRICKY_TEXT)),
+                question="Q" + draw(TRICKY_TEXT),
+                context=context,
+                answer_text=context[start:end],
+                answer_start=start,
+                subset=draw(st.sampled_from(list(DatasetSubsetId))),
+                provenance=draw(st.sampled_from(list(Provenance))),
+            )
+        )
+    return pairs
+
+
+class TestStreamedSquadWriter:
+    @pytest.mark.parametrize("n_pairs", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "provenance",
+        [
+            None,
+            {},
+            {"seed": 13, "config_hash": "abc"},
+            {"seed": 13, "run": {"paths": ["a", "b"], "empty": {}, "none": [], "x": None}},
+            {"é": "line\nbreak \u2028", "n": [1, 2.5, True, {"k": [{}]}]},
+        ],
+    )
+    def test_bytes_equal_json_dumps(self, tmp_path, n_pairs, provenance):
+        pairs = [make_pair(i) for i in range(n_pairs)]
+        write_squad(tmp_path / "d1.json", pairs, provenance)
+        assert (tmp_path / "d1.json").read_bytes() == squad_oracle_bytes(pairs, provenance)
+
+    @given(
+        pairs=tricky_pairs(),
+        provenance=st.none() | st.dictionaries(TRICKY_TEXT, TRICKY_TEXT, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_json_dumps_on_tricky_text(self, tmp_path_factory, pairs, provenance):
+        path = tmp_path_factory.getbasetemp() / "tricky.json"
+        write_squad(path, pairs, provenance)
+        assert path.read_bytes() == squad_oracle_bytes(pairs, provenance)
+        assert read_squad(path) == pairs
+
+    def test_lone_surrogate_fails_and_leaves_no_file(self, tmp_path):
+        bad = QAPair(
+            id="bad",
+            question="Why?",
+            context="Broken \ud800 text.",
+            answer_text="Broken",
+            answer_start=0,
+            subset=DatasetSubsetId.D1,
+            provenance=Provenance.BM25_WEAK,
+        )
+        with pytest.raises(UnicodeEncodeError):
+            write_squad(tmp_path / "d1.json", [make_pair(0), bad, make_pair(1)], {"seed": 13})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSquadRoundTrip:
@@ -103,6 +217,50 @@ class TestYesNoRoundTrip:
         path = tmp_path / "src.jsonl"
         path.write_text('{"id":"a","question":"q?","context":""}\n')
         assert read_source_instances(path)[0].context == ""
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_lines_equal_joined_json_dumps(self, tmp_path, n):
+        instances = [
+            YesNoInstance(id=f"y{i}", question='q "\u2028?', context="é\n", label="no")
+            for i in range(n)
+        ]
+        write_yesno(tmp_path / "yn.jsonl", instances)
+        lines = [
+            json.dumps(
+                {"id": i.id, "question": i.question, "context": i.context, "label": i.label},
+                ensure_ascii=False,
+            )
+            for i in instances
+        ]
+        expected = "\n".join(lines) + ("\n" if lines else "")
+        assert (tmp_path / "yn.jsonl").read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"id": 7}, "field 'id' must be a string, got 7"),
+            ({"question": None}, "field 'question' must be a string, got None"),
+            ({"context": ["c"]}, "field 'context' must be a string, got ['c']"),
+            ({"label": True}, "field 'label' must be a string, got True"),
+            ({"label": 1}, "field 'label' must be a string, got 1"),
+        ],
+    )
+    def test_non_string_fields_rejected(self, tmp_path, fields, message):
+        good = {"id": "a", "question": "q?", "context": "c", "label": "yes"}
+        path = tmp_path / "yn.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **fields}) + "\n")
+        for read in (read_source_instances, read_yesno):
+            with pytest.raises(ParseError) as raised:
+                read(path)
+            assert f"{path} line 2: {message}" in str(raised.value)
+
+    def test_null_or_absent_label_is_a_source_without_label(self, tmp_path):
+        path = tmp_path / "src.jsonl"
+        path.write_text(
+            '{"id":"a","question":"q?","context":"c","label":null}\n'
+            '{"id":"b","question":"q?","context":"c"}\n'
+        )
+        assert [s.label for s in read_source_instances(path)] == [None, None]
 
 
 class TestAbstractsReader:
@@ -217,6 +375,30 @@ class TestSquadBoundary:
         assert str(path) in str(raised.value)
         assert message in str(raised.value)
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ([], "the top level must be a JSON object, got list"),
+            ("data", "the top level must be a JSON object, got str"),
+            ({"data": [1]}, "each 'data' entry must be a JSON object, got int"),
+            ({"data": {"title": "t"}}, "'data' must be a list, got dict"),
+            ({"data": [{"paragraphs": [[]]}]}, "each 'paragraphs' entry must be a JSON object"),
+            ({"data": [{"paragraphs": "p"}]}, "'paragraphs' must be a list, got str"),
+            (
+                {"data": [{"paragraphs": [{"context": "A.", "qas": [None]}]}]},
+                "each 'qas' entry must be a JSON object, got NoneType",
+            ),
+            ({"data": [{"paragraphs": [{"context": "A.", "qas": 3}]}]}, "'qas' must be a list"),
+        ],
+    )
+    def test_non_object_entries_name_file(self, tmp_path, document, message):
+        path = tmp_path / "gold.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ParseError) as raised:
+            read_squad(path, subset=DatasetSubsetId.D1)
+        assert str(raised.value).startswith(f"{path}: ")
+        assert message in str(raised.value)
+
     def test_good_qa_reads(self, tmp_path):
         qa = {**GOOD_QA, "subset": "d3", "provenance": "template_manual"}
         [pair] = read_squad(squad_file(tmp_path, {"context": "Alpha.", "qas": [qa]}))
@@ -243,6 +425,19 @@ class TestWriteTextAtomic:
             os.umask(old)
         modes = {stat.S_IMODE((tmp_path / n).stat().st_mode) for n in ("atomic.txt", "plain.txt")}
         assert modes == {0o640}
+
+    def test_chunks_written_in_order(self, tmp_path):
+        write_text_atomic(tmp_path / "out.txt", (c for c in ["a", "", "bc\n", "é"]))
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "abc\né"
+
+    def test_failing_chunk_source_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "written first\n"
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_text_atomic(tmp_path / "out.txt", chunks())
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         with pytest.raises(UnicodeEncodeError):

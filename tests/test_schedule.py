@@ -20,6 +20,7 @@ from medqakit import (
     make_folds,
     make_target_split,
 )
+from medqakit import formats
 from medqakit.formats import file_sha256
 from medqakit.schedule import get_schedule
 
@@ -228,7 +229,7 @@ def materialized():
 
 
 class TestEmitSchedule:
-    def _emit(self, schedule_id, materialized, out_dir, folds=None):
+    def _emit(self, schedule_id, materialized, out_dir, folds=None, emitted=None):
         split = make_target_split(
             {s: [i.id for i in materialized[s]] for s in
              (DatasetSubsetId.D1, DatasetSubsetId.D3, DatasetSubsetId.D4)},
@@ -243,6 +244,7 @@ class TestEmitSchedule:
             lems=default_lemma_lexicon(),
             morphs=default_morpheme_lexicon(),
             provenance={"seed": 13},
+            emitted=emitted,
         )
         assert json.loads(manifest_path.read_text())["stages"] == stages
         return manifest_path, split
@@ -307,3 +309,28 @@ class TestEmitSchedule:
             p.name: file_sha256(p) for p in sorted((tmp_path / "XII").iterdir())
         }
         assert hashes_before == hashes_after
+
+    def test_shared_stages_rendered_once_with_equal_bytes(
+        self, materialized, tmp_path, monkeypatch
+    ):
+        schedule_ids = ("1", "2", "3", "4", "baseline")
+        for sid in schedule_ids:
+            self._emit(sid, materialized, tmp_path / "alone" / sid)
+        rendered = []
+        write_squad = formats.write_squad
+        monkeypatch.setattr(
+            formats, "write_squad", lambda path, *a: rendered.append(path) or write_squad(path, *a)
+        )
+        emitted = {}
+        for sid in schedule_ids:
+            self._emit(sid, materialized, tmp_path / "shared" / sid, emitted=emitted)
+        assert [p.name for p in rendered] == [
+            "stage1_d1.json", "stage1_d2.json", "stage3_d3.json", "stage4_d4.json"
+        ]
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        alone, shared = tree(tmp_path / "alone"), tree(tmp_path / "shared")
+        assert len(shared) == 10 + 2 + len(schedule_ids)
+        assert shared == alone
