@@ -4,7 +4,7 @@ morphological augmentation, and staged fine-tuning manifests."""
 
 __version__ = "0.1.0"
 
-from .bm25 import Bm25Params, CandidateSet, best_sentence, bm25_score, build_candidates, tokenize
+from .bm25 import Bm25Params, best_sentence, tokenize
 from .corpus import (
     AbstractSection,
     DatasetSubsetId,

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Sentence
-from .errors import ContractViolation, ValidationError
+from .errors import ValidationError
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
@@ -36,61 +35,6 @@ class Bm25Params:
             raise ValidationError(f"b must be in [0, 1], got {self.b}")
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Tokenized candidates with the statistics BM25 needs; immutable."""
-
-    docs: tuple[tuple[str, ...], ...]
-    df: dict[str, int]
-    avgdl: float
-    n: int
-
-
-def build_candidates(sentences: Sequence[Sentence | str]) -> CandidateSet:
-    """Tokenize candidates and derive df/avgdl over exactly these sentences."""
-    docs = tuple(
-        tuple(tokenize(s.text if isinstance(s, Sentence) else s)) for s in sentences
-    )
-    df: Counter[str] = Counter()
-    for doc in docs:
-        df.update(set(doc))
-    n = len(docs)
-    avgdl = sum(len(d) for d in docs) / n if n else 0.0
-    return CandidateSet(docs=docs, df=dict(df), avgdl=avgdl, n=n)
-
-
-def bm25_score(
-    query_tokens: Sequence[str],
-    doc_index: int,
-    candidates: CandidateSet,
-    params: Bm25Params = Bm25Params(),
-) -> float:
-    """Score one candidate against the query tokens.
-
-    Uses the smoothed idf ln(1 + (n - df + 0.5) / (df + 0.5)), which keeps
-    every term weight positive; tokens absent from the candidate contribute
-    nothing, so scores are always >= 0.
-    """
-    if not 0 <= doc_index < candidates.n:
-        raise ContractViolation(
-            f"doc_index {doc_index} out of range for {candidates.n} candidates"
-        )
-    doc = candidates.docs[doc_index]
-    tf = Counter(doc)
-    dl = len(doc)
-    rel_len = dl / candidates.avgdl if candidates.avgdl else 0.0
-    norm = params.k1 * (1.0 - params.b + params.b * rel_len)
-    score = 0.0
-    for token in query_tokens:
-        freq = tf.get(token, 0)
-        if freq == 0:
-            continue
-        df = candidates.df[token]
-        idf = math.log(1.0 + (candidates.n - df + 0.5) / (df + 0.5))
-        score += idf * (freq * (params.k1 + 1.0)) / (freq + norm)
-    return score
-
-
 def best_sentence(
     question: str,
     sentences: Sequence[Sentence | str],
@@ -100,18 +44,43 @@ def best_sentence(
 ) -> tuple[int, float]:
     """Return (index, score) of the highest-scoring sentence.
 
-    Ties break toward the smallest index. An optional stopword set is
-    applied to the query tokens only; candidate statistics are untouched.
+    Each candidate is scored against the query tokens with the smoothed idf
+    ln(1 + (n - df + 0.5) / (df + 0.5)), which keeps every term weight
+    positive; tokens absent from a candidate contribute nothing, so scores
+    are always >= 0. A score adds its terms in query order, duplicates
+    included. Ties break toward the smallest index. An optional stopword
+    set is applied to the query tokens only; candidate statistics are
+    untouched.
     """
     if not sentences:
         raise ValidationError("no candidates")
     query = tokenize(question)
     if stopwords:
         query = [t for t in query if t not in stopwords]
-    candidates = build_candidates(sentences)
-    best_index, best_score = 0, bm25_score(query, 0, candidates, params)
-    for i in range(1, candidates.n):
-        score = bm25_score(query, i, candidates, params)
-        if score > best_score:
+    docs = [tokenize(s.text if isinstance(s, Sentence) else s) for s in sentences]
+    n = len(docs)
+    avgdl = sum(len(d) for d in docs) / n
+
+    # idf and the frequency in each candidate, once per distinct query token
+    stats: dict[str, tuple[float, list[int]]] = {}
+    for token in query:
+        if token not in stats:
+            counts = [doc.count(token) for doc in docs]
+            df = n - counts.count(0)
+            stats[token] = (math.log(1.0 + (n - df + 0.5) / (df + 0.5)), counts)
+    terms = [stats[token] for token in query]
+
+    k1, b = params.k1, params.b
+    k1_plus_1 = k1 + 1.0
+    best_index, best_score = 0, 0.0
+    for i, doc in enumerate(docs):
+        rel_len = len(doc) / avgdl if avgdl else 0.0
+        norm = k1 * (1.0 - b + b * rel_len)
+        score = 0.0
+        for idf, counts in terms:
+            freq = counts[i]
+            if freq:
+                score += idf * (freq * k1_plus_1) / (freq + norm)
+        if i == 0 or score > best_score:
             best_index, best_score = i, score
     return best_index, best_score

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 import string
+import sys
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -150,10 +151,13 @@ def parse_abstract_record(record: str, line_number: int | None = None) -> Struct
     for i, sec in enumerate(raw_sections):
         if not isinstance(sec, dict):
             raise ValidationError(f"{where}: sections[{i}] is not an object")
-        label = str(sec.get("label", "")).strip().upper()
+        label, text = sec.get("label", ""), sec.get("text", "")
+        if not (isinstance(label, str) and isinstance(text, str)):
+            _reject_non_string(sec, ("label", "text"), f"{where}: sections[{i}]")
+        label = label.strip().upper()
         if not label:
             raise ValidationError(f"{where}: sections[{i}] has an empty label")
-        sections.append(AbstractSection(label=label, text=str(sec.get("text", ""))))
+        sections.append(AbstractSection(label=label, text=text))
 
     pub_date = None
     raw_date = raw.get("pub_date")
@@ -163,14 +167,31 @@ def parse_abstract_record(record: str, line_number: int | None = None) -> Struct
         except ValueError as exc:
             raise ValidationError(f"{where}: invalid 'pub_date' {raw_date!r}") from exc
 
-    keywords = tuple(str(k) for k in raw.get("keywords") or ())
+    title = raw.get("title", "")
+    if not isinstance(title, str):
+        _reject_non_string(raw, ("title",), where)
+    keywords = raw.get("keywords")
+    if keywords is None:
+        keywords = ()
+    elif not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
+        raise ValidationError(
+            f"{where}: field 'keywords' must be an array of strings, got {keywords!r}"
+        )
     return StructuredAbstract(
         pmid=pmid,
-        title=str(raw.get("title", "")),
+        title=title,
         pub_date=pub_date,
-        keywords=keywords,
+        keywords=tuple(keywords),
         sections=tuple(sections),
     )
+
+
+def _reject_non_string(obj: dict, fields: tuple[str, ...], where: str) -> None:
+    """Raise for the first of fields that is present but not a JSON string."""
+    for field in fields:
+        value = obj.get(field, "")
+        if not isinstance(value, str):
+            raise ValidationError(f"{where}: field {field!r} must be a string, got {value!r}")
 
 
 def serialize_abstract_record(abstract: StructuredAbstract) -> str:
@@ -212,19 +233,44 @@ DEFAULT_ABBREVIATIONS: tuple[str, ...] = (
     "approx.",
 )
 
-_TERMINATORS = ".?!"
+# The characters the segmenter acts on: parentheses, and a terminator that
+# whitespace follows. On Python 3, `\s` matches exactly the characters for
+# which str.isspace() is true (tests/test_corpus.py checks every code point).
+# The pattern starts with one character class so the regex engine can skip
+# ahead to the next candidate character.
+_BOUNDARY_RE = re.compile(r"[().?!](?:(?<=[()])|(?=\s))")
+_SPACE_RUN_RE = re.compile(r"\s+")
 
 
-def _ends_with_abbreviation(text: str, dot_index: int, abbreviations: tuple[str, ...]) -> bool:
-    chunk = text[: dot_index + 1]
-    lowered = chunk.lower()
-    for abbr in abbreviations:
-        a = abbr.lower()
-        if not lowered.endswith(a):
-            continue
-        boundary = len(chunk) - len(a) - 1
-        if boundary < 0 or not chunk[boundary].isalnum():
-            return True
+def _abbreviation_rule(abbreviations: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
+    """The lowered abbreviations and how many characters ending at a dot to lower.
+
+    str.lower() maps each character on its own, except that a capital sigma
+    looks back past any window for a cased letter (final sigma), so an
+    abbreviation holding a sigma is checked against the whole prefix.
+    """
+    lowered = tuple(a.lower() for a in abbreviations)
+    if any("σ" in a or "ς" in a for a in lowered):
+        return lowered, sys.maxsize
+    return lowered, max(map(len, lowered), default=0) + 1
+
+
+_DEFAULT_ABBREVIATION_RULE = _abbreviation_rule(DEFAULT_ABBREVIATIONS)
+
+
+def _ends_with_abbreviation(
+    text: str, dot_index: int, lowered: tuple[str, ...], width: int
+) -> bool:
+    """True when text[: dot_index + 1], lowered, ends with an abbreviation
+    that is not the tail of a longer alphanumeric word."""
+    tail = text[max(0, dot_index + 1 - width) : dot_index + 1].lower()
+    if not tail.endswith(lowered):
+        return False
+    for a in lowered:
+        if tail.endswith(a):
+            boundary = dot_index - len(a)
+            if boundary < 0 or not text[boundary].isalnum():
+                return True
     return False
 
 
@@ -240,26 +286,25 @@ def segment_sentences(
     The returned spans are non-overlapping, in order, and slicing the input
     by each span reproduces the sentence text exactly.
     """
+    if abbreviations is DEFAULT_ABBREVIATIONS:
+        lowered, width = _DEFAULT_ABBREVIATION_RULE
+    else:
+        lowered, width = _abbreviation_rule(abbreviations)
     n = len(text)
     boundaries: list[int] = []
     depth = 0
-    for i, ch in enumerate(text):
+    for match in _BOUNDARY_RE.finditer(text):
+        j = match.end()
+        ch = text[j - 1]
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth = max(0, depth - 1)
-        elif ch in _TERMINATORS and depth == 0:
-            j = i + 1
-            if j >= n or not text[j].isspace():
+        elif depth == 0:
+            k = _SPACE_RUN_RE.match(text, j).end()
+            if k >= n or not (text[k].isupper() or text[k].isdigit()):
                 continue
-            k = j
-            while k < n and text[k].isspace():
-                k += 1
-            if k >= n:
-                continue
-            if not (text[k].isupper() or text[k].isdigit()):
-                continue
-            if ch == "." and _ends_with_abbreviation(text, i, abbreviations):
+            if ch == "." and _ends_with_abbreviation(text, j - 1, lowered, width):
                 continue
             boundaries.append(j)
 

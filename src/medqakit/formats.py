@@ -310,16 +310,30 @@ def read_squad(
 
 
 def read_predictions(path: str | Path) -> list[Prediction]:
-    """Load predictions JSONL: {id, predicted_text} or {id, predicted_label}."""
+    """Load predictions JSONL: {id, predicted_text} or {id, predicted_label}.
+
+    id and predicted_text must be JSON strings, predicted_label "yes" or "no".
+    """
     out = []
     for line_number, raw in _jsonl_objects(Path(path), ("id",)):
         if "predicted_text" not in raw and "predicted_label" not in raw:
             raise ValidationError(
                 f"{path} line {line_number}: need predicted_text or predicted_label"
             )
+        for field in ("id", "predicted_text"):
+            if field in raw and not isinstance(raw[field], str):
+                raise ParseError(
+                    f"{path} line {line_number}: field {field!r} must be a string, "
+                    f"got {raw[field]!r}"
+                )
+        if "predicted_label" in raw and raw["predicted_label"] not in ("yes", "no"):
+            raise ParseError(
+                f"{path} line {line_number}: field 'predicted_label' must be 'yes' or 'no', "
+                f"got {raw['predicted_label']!r}"
+            )
         out.append(
             Prediction(
-                id=str(raw["id"]),
+                id=raw["id"],
                 predicted_text=raw.get("predicted_text"),
                 predicted_label=raw.get("predicted_label"),
             )

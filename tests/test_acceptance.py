@@ -17,8 +17,6 @@ from medqakit import (
     TransformTarget,
     apply_chain,
     best_sentence,
-    bm25_score,
-    build_candidates,
     build_prime_subset,
     builtin_schedules,
     covid_filter,
@@ -50,7 +48,7 @@ from tests.conftest import (
     OPTOTYPE_ORIGINAL,
     make_corpus_lines,
 )
-from tests.test_bm25 import brute_force_scores
+from tests.test_bm25 import bm25_score, brute_force_scores, build_candidates
 from tests.test_covid import CONCLUSION_LABEL_TABLE, abstract
 from tests.test_cli import run_pipeline, write_config, write_corpus, write_sources
 from tests.test_schedule import EXPECTED_CHAINS, EXPECTED_STAGE_ORDERS

@@ -1,5 +1,8 @@
 import math
 import random
+from collections import Counter
+from dataclasses import dataclass
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +11,79 @@ from hypothesis import strategies as st
 from medqakit import (
     Bm25Params,
     ContractViolation,
+    Sentence,
     ValidationError,
     best_sentence,
-    bm25_score,
-    build_candidates,
     tokenize,
 )
+
+
+# The per-candidate scoring path `best_sentence` replaced; it is the oracle
+# the one-pass scoring must match bit for bit.
+@dataclass(frozen=True)
+class CandidateSet:
+    """Tokenized candidates with the statistics BM25 needs; immutable."""
+
+    docs: tuple[tuple[str, ...], ...]
+    df: dict[str, int]
+    avgdl: float
+    n: int
+
+
+def build_candidates(sentences: Sequence[Sentence | str]) -> CandidateSet:
+    """Tokenize candidates and derive df/avgdl over exactly these sentences."""
+    docs = tuple(
+        tuple(tokenize(s.text if isinstance(s, Sentence) else s)) for s in sentences
+    )
+    df: Counter[str] = Counter()
+    for doc in docs:
+        df.update(set(doc))
+    n = len(docs)
+    avgdl = sum(len(d) for d in docs) / n if n else 0.0
+    return CandidateSet(docs=docs, df=dict(df), avgdl=avgdl, n=n)
+
+
+def bm25_score(
+    query_tokens: Sequence[str],
+    doc_index: int,
+    candidates: CandidateSet,
+    params: Bm25Params = Bm25Params(),
+) -> float:
+    """Score one candidate against the query tokens."""
+    if not 0 <= doc_index < candidates.n:
+        raise ContractViolation(
+            f"doc_index {doc_index} out of range for {candidates.n} candidates"
+        )
+    doc = candidates.docs[doc_index]
+    tf = Counter(doc)
+    dl = len(doc)
+    rel_len = dl / candidates.avgdl if candidates.avgdl else 0.0
+    norm = params.k1 * (1.0 - params.b + params.b * rel_len)
+    score = 0.0
+    for token in query_tokens:
+        freq = tf.get(token, 0)
+        if freq == 0:
+            continue
+        df = candidates.df[token]
+        idf = math.log(1.0 + (candidates.n - df + 0.5) / (df + 0.5))
+        score += idf * (freq * (params.k1 + 1.0)) / (freq + norm)
+    return score
+
+
+def reference_best_sentence(question, sentences, params=Bm25Params(), *, stopwords=None):
+    """`best_sentence` as it was: one bm25_score call per candidate."""
+    if not sentences:
+        raise ValidationError("no candidates")
+    query = tokenize(question)
+    if stopwords:
+        query = [t for t in query if t not in stopwords]
+    candidates = build_candidates(sentences)
+    best_index, best_score = 0, bm25_score(query, 0, candidates, params)
+    for i in range(1, candidates.n):
+        score = bm25_score(query, i, candidates, params)
+        if score > best_score:
+            best_index, best_score = i, score
+    return best_index, best_score
 
 
 def brute_force_scores(query_tokens, docs_tokens, k1=1.2, b=0.75):
@@ -184,3 +254,55 @@ def test_monotonicity_extra_query_token_occurrence():
         winner = max(range(n_docs), key=lambda i: (after[i], -i))
         if winner != target:
             assert before[winner] >= before[target]
+
+
+def assert_same_as_reference(question, sentences, params, stopwords=None):
+    index, score = best_sentence(question, sentences, params, stopwords=stopwords)
+    ref_index, ref_score = reference_best_sentence(
+        question, sentences, params, stopwords=stopwords
+    )
+    assert index == ref_index
+    assert repr(score) == repr(ref_score)
+
+
+class TestOnePassMatchesPerCandidateScoring:
+    """`best_sentence` gives the same index and the same float bits as the
+    per-candidate path it replaced."""
+
+    @pytest.mark.parametrize(
+        "question, sentences",
+        [
+            ("alpha alpha beta", ["alpha beta", "beta alpha alpha", "gamma"]),  # duplicates
+            ("alpha", ["", "alpha", "..."]),  # candidates with no tokens
+            ("alpha", ["", "", ""]),  # no candidate has a token
+            ("", ["alpha beta", "gamma"]),  # empty query
+            ("beta", ["alpha beta", "beta alpha", "beta"]),  # ties
+            ("alpha beta", ["alpha beta", "alpha beta"]),
+        ],
+    )
+    @pytest.mark.parametrize("k1", [0.0, 1.2, 2.0])
+    @pytest.mark.parametrize("b", [0.0, 0.75, 1.0])
+    def test_hand_cases(self, question, sentences, k1, b):
+        assert_same_as_reference(question, sentences, Bm25Params(k1=k1, b=b))
+
+    def test_sentence_objects_and_stopwords(self):
+        text = "The dose of the drug. The drug worked"
+        sentences = [Sentence(text[:21], 0, 21), Sentence(text[22:], 22, len(text))]
+        stopwords = frozenset({"the", "of"})
+        for sw in (None, stopwords):
+            assert_same_as_reference("the drug dose of the day", sentences, Bm25Params(), sw)
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from("abcdefg"), max_size=8).map(" ".join),
+            min_size=1,
+            max_size=8,
+        ),
+        st.lists(st.sampled_from("abcdefgh"), max_size=8).map(" ".join),
+        st.sampled_from([0.0, 0.5, 1.2, 2.0]),
+        st.sampled_from([0.0, 0.3, 0.75, 1.0]),
+        st.sampled_from([None, frozenset(), frozenset({"a", "b"})]),
+    )
+    @settings(max_examples=500)
+    def test_random_candidate_sets(self, sentences, question, k1, b, stopwords):
+        assert_same_as_reference(question, sentences, Bm25Params(k1=k1, b=b), stopwords)

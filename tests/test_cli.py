@@ -179,6 +179,28 @@ class TestCurateCommand:
                     assert qa["subset"] == "d3"
 
 
+    @pytest.mark.parametrize("command", ["artificial", "templates-export"])
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"sections": [{"label": "conclusions", "text": None}]}, "'text'"),
+            ({"title": None}, "'title'"),
+            ({"keywords": "COVID"}, "'keywords'"),
+        ],
+    )
+    def test_mistyped_abstract_field_exits_1(self, tmp_path, capsys, command, record, field):
+        write_sources(tmp_path)
+        write_corpus(tmp_path, n=3)
+        base = {"pmid": "bad", "sections": [{"label": "conclusions", "text": "A."}]}
+        with (tmp_path / "covid.jsonl").open("a") as handle:
+            handle.write(json.dumps({**base, **record}) + "\n")
+        config = write_config(tmp_path)
+        assert main(["curate", command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "covid.jsonl: line 4: " in err and f"field {field} must be" in err
+        assert "Traceback" not in err
+
+
 class TestScheduleCommand:
     def test_full_pipeline_then_schedules(self, workspace):
         root, config = workspace
@@ -349,6 +371,30 @@ class TestEvalCommand:
         assert main(["eval", str(gold), str(preds), "--task", task]) == 1
         err = capsys.readouterr().err
         assert str(gold) in err and message in err
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "task, row, field",
+        [
+            ("extractive", '{"id": "q1", "predicted_text": 7}', "predicted_text"),
+            ("yesno", '{"id": "q1", "predicted_label": 7}', "predicted_label"),
+            ("yesno", '{"id": 1, "predicted_label": "yes"}', "id"),
+        ],
+    )
+    def test_mistyped_prediction_exits_1(self, tmp_path, capsys, task, row, field):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"id": "q1", "question": "Q?", "context": "A.", "label": "yes"}\n')
+        if task == "extractive":
+            gold = tmp_path / "gold.json"
+            qa = {"id": "q1", "question": "Q?", "answers": [{"text": "A.", "answer_start": 0}]}
+            paragraph = {"context": "A.", "qas": [qa]}
+            gold.write_text(json.dumps({"data": [{"paragraphs": [paragraph]}]}))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(row + "\n")
+        assert main(["eval", str(gold), str(preds), "--task", task]) == 1
+        err = capsys.readouterr().err
+        assert f"preds.jsonl line 1: field {field!r}" in err
         assert "Traceback" not in err
 
 

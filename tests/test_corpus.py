@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from medqakit import (
     ParseError,
     Provenance,
     QAPair,
+    Sentence,
     ValidationError,
     YesNoInstance,
     normalize_answer,
@@ -14,6 +18,7 @@ from medqakit import (
     segment_sentences,
     serialize_abstract_record,
 )
+from medqakit.corpus import DEFAULT_ABBREVIATIONS
 
 MINIMAL = '{"pmid":"1","title":"T?","pub_date":"2020-03-01","keywords":[],"sections":[{"label":"conclusions","text":"A."}]}'
 
@@ -64,6 +69,30 @@ class TestParseAbstractRecord:
     def test_degenerate_section_retained_and_flagged(self):
         abstract = parse_abstract_record('{"pmid":"1","sections":[{"label":"X","text":" "}]}')
         assert abstract.sections[0].is_degenerate
+
+    def test_absent_title_text_and_keywords_default_to_empty(self):
+        abstract = parse_abstract_record(
+            '{"pmid":"1","keywords":null,"sections":[{"label":"X"}]}'
+        )
+        assert (abstract.title, abstract.keywords, abstract.sections[0].text) == ("", (), "")
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ('{"pmid":"1","sections":[{"label":"X","text":null}]}', "'text'"),
+            ('{"pmid":"1","sections":[{"label":"X","text":3}]}', "'text'"),
+            ('{"pmid":"1","sections":[{"label":null,"text":"x"}]}', "'label'"),
+            ('{"pmid":"1","sections":[{"label":7,"text":"x"}]}', "'label'"),
+            ('{"pmid":"1","title":null,"sections":[]}', "'title'"),
+            ('{"pmid":"1","title":["T"],"sections":[]}', "'title'"),
+            ('{"pmid":"1","keywords":"COVID","sections":[]}', "'keywords'"),
+            ('{"pmid":"1","keywords":["COVID",1],"sections":[]}', "'keywords'"),
+            ('{"pmid":"1","keywords":{"a":"b"},"sections":[]}', "'keywords'"),
+        ],
+    )
+    def test_non_string_fields_rejected_with_line_and_field(self, record, field):
+        with pytest.raises(ValidationError, match=f"line 4: .*{field}"):
+            parse_abstract_record(record, line_number=4)
 
 
 class TestSegmentSentences:
@@ -132,6 +161,128 @@ class TestSegmentSentences:
     def test_resegmenting_a_sentence_yields_one_sentence(self, text):
         for sentence in segment_sentences(text):
             assert len(segment_sentences(sentence.text)) == 1
+
+
+def reference_ends_with_abbreviation(text, dot_index, abbreviations):
+    chunk = text[: dot_index + 1]
+    lowered = chunk.lower()
+    for abbr in abbreviations:
+        a = abbr.lower()
+        if not lowered.endswith(a):
+            continue
+        boundary = len(chunk) - len(a) - 1
+        if boundary < 0 or not chunk[boundary].isalnum():
+            return True
+    return False
+
+
+def reference_segment_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
+    """The per-character segmenter the regex-driven one replaced."""
+    n = len(text)
+    boundaries = []
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        elif ch in ".?!" and depth == 0:
+            j = i + 1
+            if j >= n or not text[j].isspace():
+                continue
+            k = j
+            while k < n and text[k].isspace():
+                k += 1
+            if k >= n:
+                continue
+            if not (text[k].isupper() or text[k].isdigit()):
+                continue
+            if ch == "." and reference_ends_with_abbreviation(text, i, abbreviations):
+                continue
+            boundaries.append(j)
+
+    sentences = []
+    start = 0
+    for bound in boundaries + [n]:
+        lo, hi = start, bound
+        while lo < hi and text[lo].isspace():
+            lo += 1
+        while hi > lo and text[hi - 1].isspace():
+            hi -= 1
+        if lo < hi:
+            sentences.append(Sentence(text=text[lo:hi], char_start=lo, char_end=hi))
+        start = bound
+    return sentences
+
+
+def spans(sentences):
+    return [(s.text, s.char_start, s.char_end) for s in sentences]
+
+
+def mixed_case(word):
+    return st.tuples(*(st.sampled_from((c.lower(), c.upper())) for c in word)).map("".join)
+
+
+# Pieces the segmenter's rules turn on: parentheses, every default
+# abbreviation in mixed case, decimals, terminators, Unicode whitespace,
+# characters whose lowercase form is longer (U+0130) or depends on context
+# (U+03A3), the Kelvin sign, non-ASCII digits and uppercase letters.
+SEGMENTER_PIECES = st.one_of(
+    st.sampled_from(["(", ")", "((", "))", ".", "?", "!", "3.5", "x.", "Ab.", "é."]),
+    st.sampled_from([" ", "  ", "\t", "\n", "\u00a0", "\u2028", "\u001c", "\u3000"]),
+    st.sampled_from(["\u0130", "\u03a3", "\u03c3", "\u03c2", "\u212a", "'", "\u0307"]),
+    st.sampled_from(["\u00b2", "\u00b9", "\u0663", "\u0967", "\uff13", "7"]),
+    st.sampled_from(["A", "Z", "a", "z", "\u00c9", "\u0416", "\u0394", "\u01c5"]),
+    st.sampled_from(DEFAULT_ABBREVIATIONS).flatmap(mixed_case),
+    st.text(max_size=3),
+)
+SEGMENTER_TEXTS = st.lists(SEGMENTER_PIECES, max_size=30).map("".join)
+
+
+class TestSegmenterMatchesReference:
+    def test_whitespace_class_is_str_isspace(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        matched = {m.start() for m in re.finditer(r"\s", every)}
+        assert matched == {i for i, ch in enumerate(every) if ch.isspace()}
+
+    @given(SEGMENTER_TEXTS)
+    @settings(max_examples=500)
+    def test_default_abbreviations(self, text):
+        assert spans(segment_sentences(text)) == spans(reference_segment_sentences(text))
+
+    @given(
+        SEGMENTER_TEXTS,
+        st.lists(
+            st.sampled_from(
+                ["", ".", "no.", "Nr.", "a.b.", "\u0130.", "\u212a.", "x\u03a3.", "\u03c2.", "3."]
+            ),
+            max_size=4,
+        ).map(tuple),
+    )
+    @settings(max_examples=300)
+    def test_custom_abbreviations(self, text, abbreviations):
+        assert spans(segment_sentences(text, abbreviations)) == spans(
+            reference_segment_sentences(text, abbreviations)
+        )
+
+    @pytest.mark.parametrize(
+        "text, abbreviations",
+        [
+            ("Smith et al. Reported. E.G. No. \u0130. X", DEFAULT_ABBREVIATIONS),
+            ("b'\u03a3. Next", ("\u03c2.",)),  # final sigma looks back past the window
+            ("A\u0130. B", ("\u0130.",)),  # U+0130 lowers to two characters
+            (" i\u0307. B", ("\u0130.",)),  # ... which the text may hold as they are
+            ("x. Y. \u212a. Z", ("k.",)),  # the Kelvin sign lowers to k
+            ("One. Two", ()),
+            ("One. Two", ("",)),
+            ("(a. B (c. D)) e. F) g. H", DEFAULT_ABBREVIATIONS),
+            ("Dose 3.\u00b2 x. \u00b2 y. \u0663 z.\u2028Q", DEFAULT_ABBREVIATIONS),
+        ],
+    )
+    def test_hand_cases(self, text, abbreviations):
+        assert spans(segment_sentences(text, abbreviations)) == spans(
+            reference_segment_sentences(text, abbreviations)
+        )
 
 
 class TestNormalizeAnswer:

@@ -294,6 +294,26 @@ class TestPredictionsReader:
         with pytest.raises(ValidationError):
             read_predictions(path)
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ('{"id":1,"predicted_text":"x"}', "'id'"),
+            ('{"id":null,"predicted_label":"yes"}', "'id'"),
+            ('{"id":"q1","predicted_text":7}', "'predicted_text'"),
+            ('{"id":"q1","predicted_text":null}', "'predicted_text'"),
+            ('{"id":"q1","predicted_text":["x"]}', "'predicted_text'"),
+            ('{"id":"q1","predicted_label":7}', "'predicted_label'"),
+            ('{"id":"q1","predicted_label":"maybe"}', "'predicted_label'"),
+            ('{"id":"q1","predicted_label":"Yes"}', "'predicted_label'"),
+            ('{"id":"q1","predicted_text":"x","predicted_label":true}', "'predicted_label'"),
+        ],
+    )
+    def test_mistyped_field_names_file_line_and_field(self, tmp_path, row, field):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"id":"a","predicted_text":"x"}\n' + row + "\n")
+        with pytest.raises(ParseError, match=f"preds.jsonl line 2: field {field}"):
+            read_predictions(path)
+
 
 def squad_file(tmp_path, paragraph):
     article = {"title": "t", "paragraphs": [paragraph]}
