@@ -16,7 +16,6 @@ from .corpus import (
     normalize_answer,
     parse_abstract_record,
     segment_sentences,
-    serialize_abstract_record,
 )
 from .covid import (
     CovidFilterPolicy,
@@ -67,7 +66,6 @@ from .schedule import (
 from .weak_label import (
     SourceInstance,
     WeakLabelRecord,
-    agreement_score,
     build_prime_subset,
     select_answer_sentence,
     weak_label,

@@ -16,14 +16,13 @@ import json
 import logging
 import os
 import sys
-from datetime import date
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__, formats
 from .bm25 import Bm25Params
-from .corpus import DatasetSubsetId
+from .corpus import DatasetSubsetId, parse_iso_date
 from .covid import (
     CovidFilterPolicy,
     alias_lookup,
@@ -102,8 +101,8 @@ def _is_path(value: Any) -> bool:
 
 def _date(key: str, value: Any) -> str:
     try:
-        return date.fromisoformat(value).isoformat()
-    except (TypeError, ValueError):
+        return parse_iso_date(value).isoformat()
+    except ValueError:
         raise _expected(key, "an ISO date such as 2019-11-01", value) from None
 
 
@@ -185,7 +184,7 @@ class RunConfig:
         self.bm25 = Bm25Params(k1=values["bm25.k1"], b=values["bm25.b"])
         self.covid_policy = CovidFilterPolicy(
             phrases=tuple(values["covid_filter.phrases"]),
-            cutoff_date=date.fromisoformat(values["covid_filter.cutoff_date"]),
+            cutoff_date=parse_iso_date(values["covid_filter.cutoff_date"]),
         )
         self.queue_depth: int = values["curation.queue_depth"]
         self.split_fractions: dict[str, float] = values["split_fractions"]

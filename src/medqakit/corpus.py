@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 import string
-import sys
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -42,16 +41,12 @@ class AbstractSection:
     """One labelled section of a structured abstract.
 
     Labels are canonical (uppercased, trimmed) after parsing. Empty sections
-    are kept and flagged degenerate rather than dropped, so curation rules
-    can reject the abstract deterministically.
+    are kept rather than dropped, so curation rules can reject the abstract
+    deterministically.
     """
 
     label: str
     text: str
-
-    @property
-    def is_degenerate(self) -> bool:
-        return not self.text.strip()
 
 
 @dataclass(frozen=True)
@@ -128,6 +123,20 @@ class YesNoInstance:
             raise ValidationError(f"{self.id}: context is empty")
 
 
+_ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_iso_date(value: object) -> date:
+    """A string of the form YYYY-MM-DD as a date; ValueError for anything else.
+
+    date.fromisoformat accepts more on Python 3.11 and later ("20200301",
+    the week date "2020-W10"), so the form is checked first.
+    """
+    if not isinstance(value, str) or not _ISO_DATE_RE.fullmatch(value):
+        raise ValueError(f"expected a YYYY-MM-DD string, got {value!r}")
+    return date.fromisoformat(value)
+
+
 def parse_abstract_record(record: str, line_number: int | None = None) -> StructuredAbstract:
     """Parse one JSON-line abstract record into a validated StructuredAbstract."""
     where = f"line {line_number}" if line_number is not None else "record"
@@ -163,7 +172,7 @@ def parse_abstract_record(record: str, line_number: int | None = None) -> Struct
     raw_date = raw.get("pub_date")
     if raw_date not in (None, ""):
         try:
-            pub_date = date.fromisoformat(str(raw_date))
+            pub_date = parse_iso_date(raw_date)
         except ValueError as exc:
             raise ValidationError(f"{where}: invalid 'pub_date' {raw_date!r}") from exc
 
@@ -192,18 +201,6 @@ def _reject_non_string(obj: dict, fields: tuple[str, ...], where: str) -> None:
         value = obj.get(field, "")
         if not isinstance(value, str):
             raise ValidationError(f"{where}: field {field!r} must be a string, got {value!r}")
-
-
-def serialize_abstract_record(abstract: StructuredAbstract) -> str:
-    """Inverse of parse_abstract_record; parse(serialize(a)) == a."""
-    obj = {
-        "pmid": abstract.pmid,
-        "title": abstract.title,
-        "pub_date": abstract.pub_date.isoformat() if abstract.pub_date else None,
-        "keywords": list(abstract.keywords),
-        "sections": [{"label": s.label, "text": s.text} for s in abstract.sections],
-    }
-    return json.dumps(obj, ensure_ascii=False)
 
 
 def iter_abstract_records(lines: Iterable[str]) -> Iterator[StructuredAbstract]:
@@ -241,32 +238,20 @@ DEFAULT_ABBREVIATIONS: tuple[str, ...] = (
 _BOUNDARY_RE = re.compile(r"[().?!](?:(?<=[()])|(?=\s))")
 _SPACE_RUN_RE = re.compile(r"\s+")
 
-
-def _abbreviation_rule(abbreviations: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
-    """The lowered abbreviations and how many characters ending at a dot to lower.
-
-    str.lower() maps each character on its own, except that a capital sigma
-    looks back past any window for a cased letter (final sigma), so an
-    abbreviation holding a sigma is checked against the whole prefix.
-    """
-    lowered = tuple(a.lower() for a in abbreviations)
-    if any("σ" in a or "ς" in a for a in lowered):
-        return lowered, sys.maxsize
-    return lowered, max(map(len, lowered), default=0) + 1
+# How many characters ending at a dot to lower for the abbreviation test.
+# str.lower() maps each character on its own except a capital sigma, and no
+# abbreviation holds a sigma, so this window decides as the whole prefix would.
+_LOWERED_ABBREVIATIONS = tuple(a.lower() for a in DEFAULT_ABBREVIATIONS)
+_ABBREVIATION_WINDOW = max(map(len, _LOWERED_ABBREVIATIONS)) + 1
 
 
-_DEFAULT_ABBREVIATION_RULE = _abbreviation_rule(DEFAULT_ABBREVIATIONS)
-
-
-def _ends_with_abbreviation(
-    text: str, dot_index: int, lowered: tuple[str, ...], width: int
-) -> bool:
+def _ends_with_abbreviation(text: str, dot_index: int) -> bool:
     """True when text[: dot_index + 1], lowered, ends with an abbreviation
     that is not the tail of a longer alphanumeric word."""
-    tail = text[max(0, dot_index + 1 - width) : dot_index + 1].lower()
-    if not tail.endswith(lowered):
+    tail = text[max(0, dot_index + 1 - _ABBREVIATION_WINDOW) : dot_index + 1].lower()
+    if not tail.endswith(_LOWERED_ABBREVIATIONS):
         return False
-    for a in lowered:
+    for a in _LOWERED_ABBREVIATIONS:
         if tail.endswith(a):
             boundary = dot_index - len(a)
             if boundary < 0 or not text[boundary].isalnum():
@@ -274,9 +259,7 @@ def _ends_with_abbreviation(
     return False
 
 
-def segment_sentences(
-    text: str, abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS
-) -> list[Sentence]:
+def segment_sentences(text: str) -> list[Sentence]:
     """Split text into sentences with exact character offsets.
 
     A sentence boundary is a '.', '?' or '!' immediately followed by
@@ -286,10 +269,6 @@ def segment_sentences(
     The returned spans are non-overlapping, in order, and slicing the input
     by each span reproduces the sentence text exactly.
     """
-    if abbreviations is DEFAULT_ABBREVIATIONS:
-        lowered, width = _DEFAULT_ABBREVIATION_RULE
-    else:
-        lowered, width = _abbreviation_rule(abbreviations)
     n = len(text)
     boundaries: list[int] = []
     depth = 0
@@ -304,7 +283,7 @@ def segment_sentences(
             k = _SPACE_RUN_RE.match(text, j).end()
             if k >= n or not (text[k].isupper() or text[k].isdigit()):
                 continue
-            if ch == "." and _ends_with_abbreviation(text, j - 1, lowered, width):
+            if ch == "." and _ends_with_abbreviation(text, j - 1):
                 continue
             boundaries.append(j)
 

@@ -15,8 +15,9 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from . import formats
 from .bm25 import Bm25Params
 from .corpus import (
     AbstractSection,
@@ -34,8 +35,8 @@ log = logging.getLogger(__name__)
 
 _SLOT_RE = re.compile(r"\[([A-Z][A-Z_]*)\]")
 
+CONCLUSION_INCLUDE_KEYWORDS = ("ANSWER", "CONCLUSION", "CONCULSION", "CONLUSION")
 CONCLUSION_EXCLUDE_KEYWORDS = ("RESULT", "SUMMARY", "FINDING", "DISCUSSION")
-DEFAULT_CONCLUSION_MISSPELLINGS = ("CONCULSION", "CONLUSION")
 
 REVIEW_QUEUE_COLUMNS = ("question", "pmid", "sentence_index", "sentence_text", "selected")
 
@@ -141,32 +142,85 @@ def _dedupe_case_insensitive(values: Iterable) -> tuple:
     return tuple(out)
 
 
+def _is_string(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _is_strings(value: object) -> bool:
+    return isinstance(value, list) and all(map(_is_string, value))
+
+
+def _is_values(value: object) -> bool:
+    return isinstance(value, list) and all(_is_string(v) or _is_strings(v) for v in value)
+
+
+def _is_aliases(value: object) -> bool:
+    return value is None or (isinstance(value, dict) and all(map(_is_strings, value.values())))
+
+
+_REQUIRED = object()
+
+
+def _field(entry: dict, name: str, what: str, ok: Callable[[object], bool], default=_REQUIRED):
+    """entry[name], or `default` when it is absent; ConfigError unless ok(value)."""
+    value = entry.get(name, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"missing field {name!r}")
+    if not ok(value):
+        raise ConfigError(f"field {name!r} must be {what}, got {json.dumps(value)}")
+    return value
+
+
+def _template(entry: dict) -> QuestionTemplate:
+    return QuestionTemplate(
+        template_id=_field(entry, "template_id", "a string", _is_string),
+        pattern=_field(entry, "pattern", "a string", _is_string),
+        slot_types=tuple(_field(entry, "slot_types", "an array of strings", _is_strings, [])),
+    )
+
+
+def _vocabulary(entry: dict) -> ParameterVocabulary:
+    values = _field(entry, "values", "an array of strings or string arrays", _is_values, [])
+    aliases = _field(entry, "aliases", "an object of string arrays", _is_aliases, None)
+    return ParameterVocabulary(
+        name=_field(entry, "name", "a string", _is_string),
+        values=tuple(tuple(v) if isinstance(v, list) else v for v in values),
+        aliases={value: tuple(alts) for value, alts in (aliases or {}).items()},
+    )
+
+
+def _config_entries(path: Path, raw: dict, key: str, build: Callable[[dict], Any]) -> list:
+    """build(entry) for each object of the array raw[key]; errors name the entry."""
+    entries = raw.get(key, [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"{path}: {key!r} must be an array, got {json.dumps(entries)}")
+    built = []
+    for i, entry in enumerate(entries):
+        try:
+            if not isinstance(entry, dict):
+                raise ConfigError(f"expected an object, got {json.dumps(entry)}")
+            built.append(build(entry))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {key}[{i}]: {exc}") from None
+    return built
+
+
 def load_template_config(path: str | Path) -> tuple[list[QuestionTemplate], list[ParameterVocabulary]]:
-    """Load templates and vocabularies from the JSON config format."""
+    """Load templates and vocabularies from the JSON config format.
+
+    Every field is type-checked; an error names the file, the template or
+    vocabulary index, and the field.
+    """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        with formats.open_text(path) as handle:
+            raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON: {exc}") from exc
-    templates = [
-        QuestionTemplate(
-            template_id=str(t["template_id"]),
-            pattern=str(t["pattern"]),
-            slot_types=tuple(str(s) for s in t.get("slot_types", ())),
-        )
-        for t in raw.get("templates", ())
-    ]
-    vocabs = []
-    for v in raw.get("vocabularies", ()):
-        values = tuple(
-            tuple(str(x) for x in item) if isinstance(item, list) else str(item)
-            for item in v.get("values", ())
-        )
-        aliases = {
-            str(k): tuple(str(a) for a in alts)
-            for k, alts in (v.get("aliases") or {}).items()
-        }
-        vocabs.append(ParameterVocabulary(name=str(v["name"]), values=values, aliases=aliases))
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    templates = _config_entries(path, raw, "templates", _template)
+    vocabs = _config_entries(path, raw, "vocabularies", _vocabulary)
     if not templates:
         raise ConfigError(f"{path}: no templates defined")
     return templates, vocabs
@@ -258,18 +312,15 @@ def extract_question(abstract: StructuredAbstract) -> str | None:
     return None
 
 
-def extract_conclusion_section(
-    abstract: StructuredAbstract,
-    misspellings: tuple[str, ...] = DEFAULT_CONCLUSION_MISSPELLINGS,
-) -> AbstractSection | None:
+def extract_conclusion_section(abstract: StructuredAbstract) -> AbstractSection | None:
     """First section labelled as an answer/conclusion without exclusion words.
 
-    A label qualifies when it contains ANSWER or CONCLUSION (or a configured
-    misspelling) and contains none of RESULT, SUMMARY, FINDING, DISCUSSION.
+    A label qualifies when it contains ANSWER or CONCLUSION (or the
+    misspelling CONCULSION or CONLUSION) and contains none of RESULT,
+    SUMMARY, FINDING, DISCUSSION.
     """
-    include = ("ANSWER", "CONCLUSION") + tuple(m.upper() for m in misspellings)
     for section in abstract.sections:
-        if any(k in section.label for k in include) and not any(
+        if any(k in section.label for k in CONCLUSION_INCLUDE_KEYWORDS) and not any(
             k in section.label for k in CONCLUSION_EXCLUDE_KEYWORDS
         ):
             return section
@@ -429,7 +480,8 @@ def import_review_queue(path: str | Path) -> tuple[list[QAPair], list[tuple[str,
     anchored at the selected sentence's offset in that context.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    with formats.open_text(path) as handle:
+        lines = handle.read().splitlines()
     if not lines or tuple(lines[0].split("\t")) != REVIEW_QUEUE_COLUMNS:
         raise ParseError(f"{path}: missing or invalid review queue header")
 

@@ -11,8 +11,9 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .corpus import (
     DatasetSubsetId,
@@ -59,6 +60,17 @@ def read_text_chunks(path: str | Path) -> Iterator[str]:
         yield from iter(lambda: handle.read(1 << 20), "")
 
 
+@contextmanager
+def open_text(path: Path) -> Iterator[TextIO]:
+    """An input file opened as UTF-8 text. Reading bytes that are not UTF-8
+    raises a ParseError naming the file."""
+    with path.open(encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def write_json_atomic(path: str | Path, obj: Any) -> None:
     write_text_atomic(path, json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
 
@@ -66,7 +78,7 @@ def write_json_atomic(path: str | Path, obj: Any) -> None:
 def read_abstracts(path: str | Path) -> list[StructuredAbstract]:
     """Load a JSONL abstract corpus, enforcing pmid uniqueness."""
     path = Path(path)
-    with path.open(encoding="utf-8") as handle:
+    with open_text(path) as handle:
         try:
             return list(iter_abstract_records(handle))
         except ValidationError as exc:
@@ -75,7 +87,7 @@ def read_abstracts(path: str | Path) -> list[StructuredAbstract]:
 
 def _jsonl_objects(path: Path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
     """Line number and object of each non-blank line; the required fields must be present."""
-    with path.open(encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -274,7 +286,8 @@ def read_squad(
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        with open_text(path) as handle:
+            raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):

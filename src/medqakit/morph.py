@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .bm25 import Bm25Params
-from .corpus import QAPair, YesNoInstance
+from . import formats
+from .corpus import YesNoInstance
 from .errors import ConfigError, ParseError, ValidationError
-from .weak_label import QUERY_STOPWORDS, select_answer_sentence
 
 log = logging.getLogger(__name__)
 
@@ -139,10 +138,9 @@ def load_morpheme_lexicon(*paths: str | Path) -> MorphemeLexicon:
         raise ConfigError("no morpheme lexicon paths given")
     entries: list[MorphemeEntry] = []
     for path in paths:
-        path = Path(path)
-        entries.extend(
-            _parse_morpheme_lines(path.read_text(encoding="utf-8").splitlines(), str(path))
-        )
+        with formats.open_text(Path(path)) as handle:
+            lines = handle.read().splitlines()
+        entries.extend(_parse_morpheme_lines(lines, str(path)))
     return MorphemeLexicon(entries)
 
 
@@ -264,10 +262,9 @@ def load_lemma_lexicon(*paths: str | Path) -> LemmaLexicon:
     """Load SURFACE|LEMMA exception files; every lemma must be a fixed point."""
     exceptions: dict[str, str] = {}
     for path in paths:
-        path = Path(path)
-        exceptions.update(
-            _parse_lemma_lines(path.read_text(encoding="utf-8").splitlines(), str(path))
-        )
+        with formats.open_text(Path(path)) as handle:
+            lines = handle.read().splitlines()
+        exceptions.update(_parse_lemma_lines(lines, str(path)))
     lexicon = LemmaLexicon(exceptions=exceptions)
     _validate_fixed_points(lexicon)
     return lexicon
@@ -411,10 +408,6 @@ class TransformChain:
             if targets.index(TransformTarget.NEO_FORM) > targets.index(TransformTarget.NEO_MEANING):
                 raise ConfigError("form expansion must precede meaning substitution")
 
-    @property
-    def is_augmentation_only(self) -> bool:
-        return all(s.kind is TransformKind.AUGMENTATION for s in self.specs)
-
 
 def _edit_tokens(
     text: str, kind: TransformKind, value_for: Callable[[str], str | None]
@@ -523,79 +516,27 @@ def apply_chain(
 
 
 def transform_dataset(
-    instances: Sequence[YesNoInstance | QAPair],
+    instances: Sequence[YesNoInstance],
     chain: TransformChain,
     lems: LemmaLexicon | None = None,
     morphs: MorphemeLexicon | None = None,
-    *,
-    fields: tuple[str, ...] = ("question", "context"),
-    bm25_params: Bm25Params = Bm25Params(),
-) -> list[YesNoInstance | QAPair]:
-    """Transform the selected text fields of every instance.
+) -> list[YesNoInstance]:
+    """Transform the question and context of every yes/no instance.
 
-    Yes/no instances are edited in line (same count) and augmentation
-    variants are appended with ids "{id}#aug{k}". Extractive pairs accept
-    in-line edits on the question only; context transformation must be
-    augmentation-only, and each new context is re-labelled so the answer
-    span stays anchored.
+    Each instance is edited in line (same count), and its augmentation
+    variants follow it with ids "{id}#aug{k}".
     """
-    unknown = set(fields) - {"question", "context"}
-    if unknown:
-        raise ConfigError(f"unknown fields: {sorted(unknown)}")
-
-    def chain_on(value: str) -> list[tuple[str, bool]]:
-        return apply_chain(value, chain, lems, morphs)
-
-    out: list[YesNoInstance | QAPair] = []
+    out: list[YesNoInstance] = []
     for instance in instances:
-        is_pair = isinstance(instance, QAPair)
-        if is_pair and "context" in fields and not chain.is_augmentation_only:
-            raise ValidationError(
-                f"{instance.id}: in-line context edits would break answer anchoring; "
-                "use an augmentation-only chain for extractive pairs"
-            )
-        q_variants = chain_on(instance.question) if "question" in fields else [(instance.question, False)]
-        c_variants = chain_on(instance.context) if "context" in fields else [(instance.context, False)]
-        base_question, base_context = q_variants[0][0], c_variants[0][0]
-
-        if is_pair:
-            if base_question != instance.question:
-                out.append(dc_replace(instance, question=base_question))
-            else:
-                out.append(instance)
-        else:
+        questions = [text for text, _new in apply_chain(instance.question, chain, lems, morphs)]
+        contexts = [text for text, _new in apply_chain(instance.context, chain, lems, morphs)]
+        for k in range(max(len(questions), len(contexts))):
             out.append(
                 YesNoInstance(
-                    id=instance.id,
-                    question=base_question,
-                    context=base_context,
+                    id=f"{instance.id}#aug{k}" if k else instance.id,
+                    question=questions[k] if k < len(questions) else questions[0],
+                    context=contexts[k] if k < len(contexts) else contexts[0],
                     label=instance.label,
                 )
             )
-
-        n_extra = max(len(q_variants), len(c_variants)) - 1
-        for k in range(1, n_extra + 1):
-            question_k = q_variants[k][0] if k < len(q_variants) else base_question
-            context_k = c_variants[k][0] if k < len(c_variants) else base_context
-            new_id = f"{instance.id}#aug{k}"
-            if is_pair:
-                sentence, _score, _n = select_answer_sentence(
-                    question_k, context_k, bm25_params, stopwords=QUERY_STOPWORDS
-                )
-                out.append(
-                    dc_replace(
-                        instance,
-                        id=new_id,
-                        question=question_k,
-                        context=context_k,
-                        answer_text=sentence.text,
-                        answer_start=sentence.char_start,
-                    )
-                )
-            else:
-                out.append(
-                    YesNoInstance(
-                        id=new_id, question=question_k, context=context_k, label=instance.label
-                    )
-                )
     return out

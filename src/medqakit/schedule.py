@@ -44,6 +44,11 @@ class StageSpec:
     def __post_init__(self) -> None:
         if self.stage_index < 1:
             raise ValidationError("stage_index starts at 1")
+        if self.chain is not None and self.subset not in YESNO_SUBSETS:
+            raise ValidationError(
+                f"stage {self.stage_index}: transform chains apply to yes/no subsets only, "
+                f"not {self.subset.value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,7 @@ _YESNO_CHAINS: dict[str, tuple[tuple[TransformKind, TransformTarget], ...]] = {
 }
 
 
-def builtin_schedules() -> list[Schedule]:
-    """All 17 built-in schedules, in canonical order."""
+def _build_schedules() -> dict[str, Schedule]:
     schedules = [
         Schedule(sid, tuple(StageSpec(i + 1, DatasetSubsetId(s)) for i, s in enumerate(subsets)))
         for sid, subsets in _EXTRACTIVE_STAGES.items()
@@ -99,10 +103,15 @@ def builtin_schedules() -> list[Schedule]:
         chain = TransformChain(tuple(TransformSpec(k, t) for k, t in pairs)) if pairs else None
         stages = tuple(StageSpec(i + 1, s, chain) for i, s in enumerate(YESNO_SUBSETS))
         schedules.append(Schedule(sid, stages))
-    return schedules
+    return {s.schedule_id: s for s in schedules}
 
 
-_BY_ID: dict[str, Schedule] = {s.schedule_id: s for s in builtin_schedules()}
+_BY_ID: dict[str, Schedule] = _build_schedules()
+
+
+def builtin_schedules() -> list[Schedule]:
+    """All 17 built-in schedules, in canonical order."""
+    return list(_BY_ID.values())
 
 
 def get_schedule(schedule_id: str) -> Schedule:

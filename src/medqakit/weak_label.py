@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .bm25 import Bm25Params, best_sentence
 from .corpus import (
@@ -19,7 +19,6 @@ from .corpus import (
     Provenance,
     QAPair,
     Sentence,
-    normalize_answer,
     segment_sentences,
 )
 from .errors import ValidationError
@@ -60,8 +59,6 @@ def select_answer_sentence(
     question: str,
     context: str,
     params: Bm25Params = Bm25Params(),
-    *,
-    stopwords: frozenset[str] | None = QUERY_STOPWORDS,
 ) -> tuple[Sentence, float, int]:
     """Pick the best-matching context sentence; raises on degenerate context."""
     if not context.strip():
@@ -69,7 +66,7 @@ def select_answer_sentence(
     sentences = segment_sentences(context)
     if not sentences:
         raise ValidationError("degenerate context: no sentences found")
-    index, score = best_sentence(question, sentences, params, stopwords=stopwords)
+    index, score = best_sentence(question, sentences, params, stopwords=QUERY_STOPWORDS)
     return sentences[index], score, len(sentences)
 
 
@@ -80,14 +77,11 @@ def weak_label(
     *,
     pair_id: str,
     source_subset: DatasetSubsetId = DatasetSubsetId.PQA_L,
-    stopwords: frozenset[str] | None = QUERY_STOPWORDS,
 ) -> WeakLabelRecord:
     """Label one record: context = conclusions verbatim, answer = best sentence."""
     if source_subset not in PRIME_SUBSET:
         raise ValidationError(f"source subset must be pqa_l or pqa_a, got {source_subset}")
-    sentence, score, n_candidates = select_answer_sentence(
-        question, conclusions_text, params, stopwords=stopwords
-    )
+    sentence, score, n_candidates = select_answer_sentence(question, conclusions_text, params)
     pair = QAPair(
         id=pair_id,
         question=question,
@@ -106,8 +100,6 @@ def build_prime_subset(
     instances: Iterable[SourceInstance],
     subset: DatasetSubsetId,
     params: Bm25Params = Bm25Params(),
-    *,
-    stopwords: frozenset[str] | None = QUERY_STOPWORDS,
 ) -> tuple[list[WeakLabelRecord], int]:
     """Weak-label a whole source subset, preserving input order.
 
@@ -131,7 +123,6 @@ def build_prime_subset(
                     params,
                     pair_id=instance.id,
                     source_subset=subset,
-                    stopwords=stopwords,
                 )
             )
         except ValidationError as exc:
@@ -139,21 +130,3 @@ def build_prime_subset(
             skipped += 1
     return records, skipped
 
-
-def agreement_score(gold: Sequence[QAPair], predicted: Sequence[QAPair]) -> float:
-    """Fraction of ids whose answers match after normalization."""
-    gold_by_id = {p.id: p for p in gold}
-    pred_by_id = {p.id: p for p in predicted}
-    if len(gold_by_id) != len(gold) or len(pred_by_id) != len(predicted):
-        raise ValidationError("duplicate ids in gold or predicted answers")
-    unmatched = sorted(set(gold_by_id) ^ set(pred_by_id))
-    if unmatched:
-        raise ValidationError(f"gold/predicted ids do not align: {unmatched}")
-    if not gold_by_id:
-        raise ValidationError("nothing to compare: empty answer lists")
-    same = sum(
-        1
-        for pair_id, g in gold_by_id.items()
-        if normalize_answer(g.answer_text) == normalize_answer(pred_by_id[pair_id].answer_text)
-    )
-    return same / len(gold_by_id)

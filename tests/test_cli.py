@@ -200,6 +200,18 @@ class TestCurateCommand:
         assert "covid.jsonl: line 4: " in err and f"field {field} must be" in err
         assert "Traceback" not in err
 
+    def test_malformed_template_config_exits_1(self, tmp_path, capsys):
+        write_sources(tmp_path)
+        write_corpus(tmp_path, n=3)
+        templates = tmp_path / "templates.json"
+        templates.write_text(json.dumps({"templates": [{"pattern": "Is [X] risky?"}]}))
+        paths = {"covid_corpus": str(tmp_path / "covid.jsonl"), "templates": str(templates)}
+        config = write_config(tmp_path, paths=paths)
+        assert main(["curate", "templates-export", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{templates}: templates[0]: missing field 'template_id'" in err
+        assert "Traceback" not in err
+
 
 class TestScheduleCommand:
     def test_full_pipeline_then_schedules(self, workspace):
@@ -431,3 +443,37 @@ class TestDeterminismAndOverrides:
         assert main(["label", "--config", str(config), "--seed", "99"]) == 0
         echoed = json.loads((root / "out" / "config.json").read_text())
         assert echoed["seed"] == 99
+
+
+# (config key or role, file name, command); "{file}" stands for the file's path.
+NON_UTF8_INPUTS = [
+    ("covid_corpus", "covid.jsonl", ["curate", "artificial"]),
+    ("pqa_l", "pqa_l.jsonl", ["label"]),
+    ("pqa_a", "pqa_a.jsonl", ["schedule", "--schedule", "baseline"]),
+    ("morpheme_lexicon", "forms.txt", ["schedule", "--schedule", "I"]),
+    ("lemma_exceptions", "lemmas.txt", ["schedule", "--schedule", "I"]),
+    ("templates", "templates.json", ["curate", "templates-export"]),
+    ("review_queue", "reviewed.tsv", ["curate", "templates-import", "--review", "{file}"]),
+    ("gold", "gold.json", ["eval", "{file}", "predictions.jsonl", "--task", "extractive"]),
+    ("predictions", "predictions.jsonl", ["eval", "gold.json", "{file}", "--task", "yesno"]),
+]
+
+
+@pytest.mark.parametrize("key, name, command", NON_UTF8_INPUTS, ids=[c[0] for c in NON_UTF8_INPUTS])
+def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, monkeypatch, key, name, command):
+    write_sources(tmp_path)
+    write_corpus(tmp_path, n=3)
+    (tmp_path / "predictions.jsonl").write_text('{"id": "q1", "predicted_text": "A."}\n')
+    bad = tmp_path / name
+    paths = {k: str(tmp_path / f"{k}.jsonl") for k in ("pqa_l", "pqa_a")}
+    paths.update({"covid_corpus": str(tmp_path / "covid.jsonl"), key: str(bad)})
+    config = write_config(tmp_path, paths=paths)
+    bad.write_bytes(b'{"id": "caf\xe9"}\n')
+    argv = [arg.replace("{file}", str(bad)) for arg in command]
+    if argv[0] != "eval":
+        argv += ["--config", str(config)]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: not UTF-8 text" in err
+    assert "Traceback" not in err

@@ -44,7 +44,7 @@ def test_json_numbers_and_dates_are_normalized(tmp_path, monkeypatch):
             {
                 "output_dir": "out/./x/",
                 "bm25": {"k1": 2, "unused": "ignored"},
-                "covid_filter": {"cutoff_date": "20200101"},
+                "covid_filter": {"cutoff_date": "2020-01-01"},
                 "split_fractions": {"d1": 0.5},
                 "unused": [1, 2],
             }
@@ -65,6 +65,8 @@ BAD_CONFIGS = [
     ({"output_dir": None}, "config output_dir: expected a path, got null"),
     ({"covid_filter": {"cutoff_date": "2019-13-01"}}, "config covid_filter.cutoff_date"),
     ({"covid_filter": {"cutoff_date": 20191101}}, "config covid_filter.cutoff_date"),
+    ({"covid_filter": {"cutoff_date": "20200101"}}, "config covid_filter.cutoff_date"),
+    ({"covid_filter": {"cutoff_date": "2019-W44"}}, "config covid_filter.cutoff_date"),
     ({"covid_filter": {"phrases": "COVID"}}, "config covid_filter.phrases: expected an array"),
     ({"covid_filter": {"phrases": []}}, "at least one phrase"),
     ({"covid_filter": "COVID"}, "config covid_filter: expected an object, got string"),

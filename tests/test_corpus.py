@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medqakit import (
+    AbstractSection,
     DatasetSubsetId,
     ParseError,
     Provenance,
@@ -16,7 +17,6 @@ from medqakit import (
     normalize_answer,
     parse_abstract_record,
     segment_sentences,
-    serialize_abstract_record,
 )
 from medqakit.corpus import DEFAULT_ABBREVIATIONS
 
@@ -57,18 +57,16 @@ class TestParseAbstractRecord:
         abstract = parse_abstract_record('{"pmid":"1","sections":[]}')
         assert abstract.pub_date is None
 
-    def test_bad_pub_date_rejected(self):
+    @pytest.mark.parametrize(
+        "pub_date", ['"03/01/2020"', "20200301", '"20200301"', '"2020-W10"', '"2020-3-1"', "[]"]
+    )
+    def test_bad_pub_date_rejected(self, pub_date):
         with pytest.raises(ValidationError, match="pub_date"):
-            parse_abstract_record('{"pmid":"1","pub_date":"03/01/2020","sections":[]}')
-
-    def test_roundtrip_identity(self):
-        first = parse_abstract_record(MINIMAL)
-        again = parse_abstract_record(serialize_abstract_record(first))
-        assert again == first
+            parse_abstract_record(f'{{"pmid":"1","pub_date":{pub_date},"sections":[]}}')
 
     def test_degenerate_section_retained_and_flagged(self):
         abstract = parse_abstract_record('{"pmid":"1","sections":[{"label":"X","text":" "}]}')
-        assert abstract.sections[0].is_degenerate
+        assert abstract.sections == (AbstractSection(label="X", text=" "),)
 
     def test_absent_title_text_and_keywords_default_to_empty(self):
         abstract = parse_abstract_record(
@@ -163,10 +161,10 @@ class TestSegmentSentences:
             assert len(segment_sentences(sentence.text)) == 1
 
 
-def reference_ends_with_abbreviation(text, dot_index, abbreviations):
+def reference_ends_with_abbreviation(text, dot_index):
     chunk = text[: dot_index + 1]
     lowered = chunk.lower()
-    for abbr in abbreviations:
+    for abbr in DEFAULT_ABBREVIATIONS:
         a = abbr.lower()
         if not lowered.endswith(a):
             continue
@@ -176,7 +174,7 @@ def reference_ends_with_abbreviation(text, dot_index, abbreviations):
     return False
 
 
-def reference_segment_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
+def reference_segment_sentences(text):
     """The per-character segmenter the regex-driven one replaced."""
     n = len(text)
     boundaries = []
@@ -197,7 +195,7 @@ def reference_segment_sentences(text, abbreviations=DEFAULT_ABBREVIATIONS):
                 continue
             if not (text[k].isupper() or text[k].isdigit()):
                 continue
-            if ch == "." and reference_ends_with_abbreviation(text, i, abbreviations):
+            if ch == "." and reference_ends_with_abbreviation(text, i):
                 continue
             boundaries.append(j)
 
@@ -250,39 +248,16 @@ class TestSegmenterMatchesReference:
     def test_default_abbreviations(self, text):
         assert spans(segment_sentences(text)) == spans(reference_segment_sentences(text))
 
-    @given(
-        SEGMENTER_TEXTS,
-        st.lists(
-            st.sampled_from(
-                ["", ".", "no.", "Nr.", "a.b.", "\u0130.", "\u212a.", "x\u03a3.", "\u03c2.", "3."]
-            ),
-            max_size=4,
-        ).map(tuple),
-    )
-    @settings(max_examples=300)
-    def test_custom_abbreviations(self, text, abbreviations):
-        assert spans(segment_sentences(text, abbreviations)) == spans(
-            reference_segment_sentences(text, abbreviations)
-        )
-
     @pytest.mark.parametrize(
-        "text, abbreviations",
+        "text",
         [
-            ("Smith et al. Reported. E.G. No. \u0130. X", DEFAULT_ABBREVIATIONS),
-            ("b'\u03a3. Next", ("\u03c2.",)),  # final sigma looks back past the window
-            ("A\u0130. B", ("\u0130.",)),  # U+0130 lowers to two characters
-            (" i\u0307. B", ("\u0130.",)),  # ... which the text may hold as they are
-            ("x. Y. \u212a. Z", ("k.",)),  # the Kelvin sign lowers to k
-            ("One. Two", ()),
-            ("One. Two", ("",)),
-            ("(a. B (c. D)) e. F) g. H", DEFAULT_ABBREVIATIONS),
-            ("Dose 3.\u00b2 x. \u00b2 y. \u0663 z.\u2028Q", DEFAULT_ABBREVIATIONS),
+            "Smith et al. Reported. E.G. No. \u0130. X",
+            "(a. B (c. D)) e. F) g. H",
+            "Dose 3.\u00b2 x. \u00b2 y. \u0663 z.\u2028Q",
         ],
     )
-    def test_hand_cases(self, text, abbreviations):
-        assert spans(segment_sentences(text, abbreviations)) == spans(
-            reference_segment_sentences(text, abbreviations)
-        )
+    def test_hand_cases(self, text):
+        assert spans(segment_sentences(text)) == spans(reference_segment_sentences(text))
 
 
 class TestNormalizeAnswer:

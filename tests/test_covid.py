@@ -450,3 +450,72 @@ class TestQueriesAndCandidates:
         assert "What risks does a person with diabetes face with respect to COVID-19?" in texts
         assert "What adverse effects are associated with Dexamethasone?" in texts
         assert len(questions) == 5 + 6 + 3
+
+
+GOOD_TEMPLATE = {"template_id": "t", "pattern": "Is [X] risky?", "slot_types": ["xs"]}
+GOOD_VOCABULARY = {"name": "xs", "values": ["a", "b"], "aliases": {"a": ["A"]}}
+PAIRED_VOCABULARY = {"name": "pairs", "values": [["b", "c"]]}
+
+
+class TestLoadTemplateConfig:
+    def write(self, tmp_path, raw):
+        path = tmp_path / "templates.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    def test_fields_read_as_given(self, tmp_path):
+        raw = {"templates": [GOOD_TEMPLATE], "vocabularies": [GOOD_VOCABULARY, PAIRED_VOCABULARY]}
+        templates, vocabs = load_template_config(self.write(tmp_path, raw))
+        assert templates == [QuestionTemplate("t", "Is [X] risky?", ("xs",))]
+        assert [(v.name, v.values, v.aliases) for v in vocabs] == [
+            ("xs", ("a", "b"), {"a": ("A",)}),
+            ("pairs", (("b", "c"),), {}),
+        ]
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([GOOD_TEMPLATE], "expected a JSON object, got list"),
+            ({"templates": GOOD_TEMPLATE}, "'templates' must be an array"),
+            ({"templates": [GOOD_TEMPLATE, "t"]}, "templates[1]: expected an object"),
+            ({"templates": [{"pattern": "Is [X]?"}]}, "templates[0]: missing field 'template_id'"),
+            (
+                {"templates": [dict(GOOD_TEMPLATE, pattern=None)]},
+                "templates[0]: field 'pattern' must be a string, got null",
+            ),
+            (
+                {"templates": [dict(GOOD_TEMPLATE, template_id=7)]},
+                "templates[0]: field 'template_id' must be a string, got 7",
+            ),
+            (
+                {"templates": [dict(GOOD_TEMPLATE, slot_types="xs")]},
+                "templates[0]: field 'slot_types' must be an array of strings",
+            ),
+            (
+                {"templates": [dict(GOOD_TEMPLATE, slot_types=[])]},
+                "templates[0]: template t: 1 slots in pattern but 0 slot types declared",
+            ),
+            (
+                {"templates": [GOOD_TEMPLATE], "vocabularies": [{"values": ["a"]}]},
+                "vocabularies[0]: missing field 'name'",
+            ),
+            (
+                {"templates": [GOOD_TEMPLATE], "vocabularies": [dict(GOOD_VOCABULARY, values=[1])]},
+                "vocabularies[0]: field 'values' must be an array of strings or string arrays",
+            ),
+            (
+                {"templates": [GOOD_TEMPLATE], "vocabularies": [dict(GOOD_VOCABULARY, aliases=[])]},
+                "vocabularies[0]: field 'aliases' must be an object of string arrays",
+            ),
+            (
+                {"templates": [GOOD_TEMPLATE], "vocabularies": [dict(GOOD_VOCABULARY, values=[])]},
+                "vocabularies[0]: vocabulary 'xs' has no values",
+            ),
+        ],
+    )
+    def test_malformed_config_names_file_entry_and_field(self, tmp_path, raw, message):
+        path = self.write(tmp_path, raw)
+        with pytest.raises(ValidationError) as info:
+            load_template_config(path)
+        assert str(path) in str(info.value)
+        assert message in str(info.value)

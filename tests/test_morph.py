@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from medqakit import (
     ConfigError,
-    DatasetSubsetId,
     Decomposition,
     MorphemeEntry,
     MorphemeLexicon,
     MorphemeType,
     ParseError,
-    Provenance,
-    QAPair,
     TransformChain,
     TransformKind,
     TransformSpec,
@@ -543,39 +540,3 @@ class TestTransformDataset:
         out = transform_dataset(instances, chain, lemma_lexicon, morpheme_lexicon)
         assert out[0] == instances[0]
         assert out[1] != instances[0]
-
-    def _pair(self):
-        return QAPair(
-            id="p0",
-            question="Does treatment help patients?",
-            context="Patients improved with treatment. Side effects were rare.",
-            answer_text="Patients improved with treatment.",
-            answer_start=0,
-            subset=DatasetSubsetId.D1,
-            provenance=Provenance.BM25_WEAK,
-        )
-
-    def test_inline_context_edit_rejected_for_pairs(self, lemma_lexicon, morpheme_lexicon):
-        chain = TransformChain((REPLACE_LEMMA,))
-        with pytest.raises(ValidationError, match="anchoring"):
-            transform_dataset([self._pair()], chain, lemma_lexicon, morpheme_lexicon)
-
-    def test_question_only_inline_edit_allowed_for_pairs(self, lemma_lexicon, morpheme_lexicon):
-        chain = TransformChain((REPLACE_LEMMA,))
-        out = transform_dataset(
-            [self._pair()], chain, lemma_lexicon, morpheme_lexicon, fields=("question",)
-        )
-        assert out[0].question == "Do treatment help patient?"
-        assert out[0].context == self._pair().context
-
-    def test_augmented_pairs_are_reanchored(self, lemma_lexicon, morpheme_lexicon):
-        chain = TransformChain((AUGMENT_LEMMA,))
-        out = transform_dataset([self._pair()], chain, lemma_lexicon, morpheme_lexicon)
-        assert len(out) == 2
-        original, augmented = out
-        assert original == self._pair()
-        assert augmented.id == "p0#aug1"
-        span = augmented.context[
-            augmented.answer_start : augmented.answer_start + len(augmented.answer_text)
-        ]
-        assert span == augmented.answer_text

@@ -92,6 +92,12 @@ class TestBuiltinSchedules:
                 ),
             )
 
+    @pytest.mark.parametrize("subset", ["d1", "d2", "d3", "d4"])
+    def test_chain_on_extractive_stage_rejected(self, subset):
+        chain = get_schedule("III").stages[0].chain
+        with pytest.raises(ValidationError, match="yes/no subsets only"):
+            StageSpec(stage_index=1, subset=DatasetSubsetId(subset), chain=chain)
+
 
 def ids(prefix, n):
     return [f"{prefix}{i:04d}" for i in range(n)]

@@ -4,10 +4,8 @@ from medqakit import (
     Bm25Params,
     DatasetSubsetId,
     Provenance,
-    QAPair,
     SourceInstance,
     ValidationError,
-    agreement_score,
     build_prime_subset,
     segment_sentences,
     weak_label,
@@ -92,42 +90,3 @@ class TestBuildPrimeSubset:
         with pytest.raises(ValidationError):
             build_prime_subset([], DatasetSubsetId.D3)
 
-
-def _pair(pair_id, answer):
-    context = f"{answer} Trailing filler."
-    return QAPair(
-        id=pair_id,
-        question="q?",
-        context=context,
-        answer_text=answer,
-        answer_start=0,
-        subset=DatasetSubsetId.D1,
-        provenance=Provenance.BM25_WEAK,
-    )
-
-
-class TestAgreementScore:
-    def test_self_agreement(self):
-        pairs = [_pair(f"p{i}", f"Answer number {i}.") for i in range(5)]
-        assert agreement_score(pairs, pairs) == 1.0
-
-    def test_four_of_five(self):
-        gold = [_pair(f"p{i}", f"Answer number {i}.") for i in range(5)]
-        predicted = gold[:4] + [_pair("p4", "Different text entirely.")]
-        assert agreement_score(gold, predicted) == pytest.approx(0.8)
-
-    def test_disjoint_answers(self):
-        gold = [_pair("p0", "Left side.")]
-        predicted = [_pair("p0", "Right side.")]
-        assert agreement_score(gold, predicted) == 0.0
-
-    def test_normalization_applied(self):
-        gold = [_pair("p0", "The outcome improved.")]
-        predicted = [_pair("p0", "outcome improved")]
-        assert agreement_score(gold, predicted) == 1.0
-
-    def test_id_mismatch_lists_ids(self):
-        gold = [_pair("p0", "A sentence."), _pair("p1", "B sentence.")]
-        predicted = [_pair("p0", "A sentence."), _pair("p9", "B sentence.")]
-        with pytest.raises(ValidationError, match="p1"):
-            agreement_score(gold, predicted)
