@@ -34,7 +34,15 @@ from .covid import (
     instantiate_templates,
     load_template_config,
 )
-from .errors import ConfigError, ContractViolation, ValidationError
+from .errors import (
+    INTEGER,
+    STRINGS,
+    ConfigError,
+    ContractViolation,
+    ValidationError,
+    check,
+    expected,
+)
 from .metrics import evaluate
 from .morph import (
     default_lemma_lexicon,
@@ -64,78 +72,54 @@ EXIT_IO = 2
 EXIT_INTERNAL = 3
 
 
-def _json_kind(value: Any) -> str:
-    kinds = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string"}
-    return kinds.get(type(value), "array" if isinstance(value, list) else "object")
-
-
-def _expected(key: str, what: str, value: Any) -> ConfigError:
-    return ConfigError(f"config {key}: expected {what}, got {_json_kind(value)}")
-
-
-def _check(what: str, ok: Callable[[Any], bool], convert: Callable[[Any], Any] = lambda v: v):
-    """A field check: ConfigError naming the key unless ok(value), else convert(value)."""
-
-    def check(key: str, value: Any) -> Any:
-        if not ok(value):
-            raise _expected(key, what, value)
-        return convert(value)
-
-    return check
-
-
 def _object_of(entry: Callable[[str, Any], Any]):
-    """A field check for an object whose values `entry` checks as key.name."""
+    """A field check for an object whose values `entry` checks as `where.name`."""
 
-    def check(key: str, value: Any) -> dict:
+    def checked(where: str, value: Any) -> dict:
         if not isinstance(value, dict):
-            raise _expected(key, "an object", value)
-        return {name: entry(f"{key}.{name}", v) for name, v in value.items()}
+            raise expected(where, "an object", value)
+        return {name: entry(f"{where}.{name}", v) for name, v in value.items()}
 
-    return check
+    return checked
 
 
 def _is_path(value: Any) -> bool:
     return isinstance(value, str) and "\0" not in value
 
 
-def _date(key: str, value: Any) -> str:
+def _date(where: str, value: Any) -> str:
     try:
         return parse_iso_date(value).isoformat()
     except ValueError:
-        raise _expected(key, "an ISO date such as 2019-11-01", value) from None
+        raise expected(where, "an ISO date such as 2019-11-01", value) from None
 
 
-def _fraction(key: str, value: Any) -> float:
-    if key.rpartition(".")[2] not in _SUBSETS:
-        raise ConfigError(f"config {key}: unknown subset; expected one of {_SUBSETS}")
-    fraction = _NUMBER(key, value)
+def _fraction(where: str, value: Any) -> float:
+    if where.rpartition(".")[2] not in _SUBSETS:
+        raise ConfigError(f"{where}: unknown subset; expected one of {_SUBSETS}")
+    fraction = _NUMBER(where, value)
     if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"config {key}: expected a number in (0, 1), got {fraction}")
+        raise ConfigError(f"{where}: expected a number in (0, 1), got {fraction}")
     return fraction
 
 
-def _queue_depth(key: str, value: Any) -> int:
-    depth = _INTEGER(key, value)
+def _queue_depth(where: str, value: Any) -> int:
+    depth = INTEGER(where, value)
     if depth < 0:
-        raise ConfigError(f"config {key}: expected 0 or more, got {depth}")
+        raise ConfigError(f"{where}: expected 0 or more, got {depth}")
     return depth
 
 
-def _path_setting(key: str, value: Any) -> Any:
-    lexicon = key.rpartition(".")[2] in ("morpheme_lexicon", "lemma_exceptions")
-    return (_LEXICON if lexicon else _FILE)(key, value)
+def _path_setting(where: str, value: Any) -> Any:
+    lexicon = where.rpartition(".")[2] in ("morpheme_lexicon", "lemma_exceptions")
+    return (_LEXICON if lexicon else _FILE)(where, value)
 
 
 _SUBSETS = [s.value for s in DatasetSubsetId]
-_INTEGER = _check("an integer", lambda v: type(v) is int)
-_NUMBER = _check("a number", lambda v: type(v) in (int, float), float)
-_STRINGS = _check(
-    "an array of strings", lambda v: type(v) is list and all(type(s) is str for s in v), list
-)
-_DIRECTORY = _check("a path", _is_path, lambda v: str(Path(v)))
-_FILE = _check("a path or null", lambda v: v is None or _is_path(v))
-_LEXICON = _check(
+_NUMBER = check("a number", lambda v: type(v) in (int, float), float)
+_DIRECTORY = check("a path", _is_path, lambda v: str(Path(v)))
+_FILE = check("a path or null", lambda v: v is None or _is_path(v))
+_LEXICON = check(
     "a path, an array of paths or null",
     lambda v: v is None or _is_path(v) or (isinstance(v, list) and all(map(_is_path, v))),
 )
@@ -143,8 +127,9 @@ _LEXICON = _check(
 
 class ConfigField(NamedTuple):
     """A run-config key. Its flag wins over its environment variable, which
-    wins over the config file, which wins over the default; `check` turns the
-    winner into the JSON value echoed to config.json."""
+    wins over the config file, which wins over the default; `check`, given
+    `config KEY` as where, turns the winner into the JSON value echoed to
+    config.json."""
 
     key: str  # dotted: "bm25.k1" is {"bm25": {"k1": ...}} in the file
     check: Callable[[str, Any], Any]
@@ -154,11 +139,11 @@ class ConfigField(NamedTuple):
 
 
 CONFIG_FIELDS = (
-    ConfigField("seed", _INTEGER, 13, flag="seed"),
+    ConfigField("seed", INTEGER, 13, flag="seed"),
     ConfigField("output_dir", _DIRECTORY, "out", flag="output_dir", env=ENV_OUTPUT_DIR),
     ConfigField("bm25.k1", _NUMBER, Bm25Params().k1, flag="k1"),
     ConfigField("bm25.b", _NUMBER, Bm25Params().b, flag="b"),
-    ConfigField("covid_filter.phrases", _STRINGS, list(CovidFilterPolicy().phrases)),
+    ConfigField("covid_filter.phrases", STRINGS, list(CovidFilterPolicy().phrases)),
     ConfigField("covid_filter.cutoff_date", _date, CovidFilterPolicy().cutoff_date.isoformat()),
     ConfigField("curation.queue_depth", _queue_depth, 50),
     ConfigField(
@@ -167,7 +152,7 @@ CONFIG_FIELDS = (
         {s.value: f for s, f in DEFAULT_HOLDOUT_FRACTIONS.items()},
     ),
     ConfigField(
-        "schedules", _STRINGS, [s.schedule_id for s in builtin_schedules()], flag="schedules"
+        "schedules", STRINGS, [s.schedule_id for s in builtin_schedules()], flag="schedules"
     ),
     ConfigField("paths", _object_of(_path_setting), {}),
 )
@@ -214,21 +199,13 @@ def _file_value(raw: dict, key: str, default: Any) -> Any:
     if group:
         raw = raw.get(group, {})
         if not isinstance(raw, dict):
-            raise _expected(group, "an object", raw)
+            raise expected(f"config {group}", "an object", raw)
     return raw.get(name, default)
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     """Resolve every CONFIG_FIELDS key from the flags, environment and config file."""
-    raw: Any = {}
-    if args.config:
-        path = Path(args.config)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: expected a JSON object, got {_json_kind(raw)}")
+    raw = formats.read_json(Path(args.config)) if args.config else {}
     values = {}
     for field in CONFIG_FIELDS:
         value = _file_value(raw, field.key, field.default)
@@ -236,7 +213,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, field.flag, None) if field.flag else None
         # flags win; the env var sits between flags and the config file
         value = flag if flag not in (None, "") else env or value
-        values[field.key] = field.check(field.key, value)
+        values[field.key] = field.check(f"config {field.key}", value)
     return RunConfig(values)
 
 
@@ -280,12 +257,17 @@ def cmd_label(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_templates(config: RunConfig):
+def _template_questions(config: RunConfig):
+    """The questions instantiated from the configured (or packaged) template
+    file, and its vocabularies; errors name the file."""
     templates_path = config.paths.get("templates")
-    if templates_path:
-        return load_template_config(Path(templates_path))
-    with resources.as_file(resources.files("medqakit.data") / "covid_templates.json") as path:
-        return load_template_config(path)
+    with resources.as_file(resources.files("medqakit.data") / "covid_templates.json") as builtin:
+        path = Path(templates_path) if templates_path else builtin
+        templates, vocabs = load_template_config(path)
+        try:
+            return instantiate_templates(templates, vocabs), vocabs
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
@@ -302,8 +284,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.mode == "templates-export":
-        templates, vocabs = _load_templates(config)
-        questions = instantiate_templates(templates, vocabs)
+        questions, vocabs = _template_questions(config)
         lookup = alias_lookup(vocabs)
         queries = build_search_queries(questions, config.covid_policy, term_lookup=lookup)
         queries_path = config.output_dir / "search_queries.txt"
@@ -415,7 +396,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         golds = formats.read_squad(Path(args.gold), subset=DatasetSubsetId.D1)
     else:
         golds = formats.read_yesno(Path(args.gold))
-    report = evaluate(golds, predictions, args.task)
+    try:
+        report = evaluate(golds, predictions, args.task)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.predictions} against {args.gold}: {exc}") from exc
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -8,15 +8,13 @@ in this module, so changing them changes every derived dataset.
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Iterable, Iterator
 
-from .errors import ParseError, ValidationError
+from .errors import STRING, ValidationError, check, expected, is_strings
 
 
 class DatasetSubsetId(str, Enum):
@@ -137,83 +135,43 @@ def parse_iso_date(value: object) -> date:
     return date.fromisoformat(value)
 
 
-def parse_abstract_record(record: str, line_number: int | None = None) -> StructuredAbstract:
-    """Parse one JSON-line abstract record into a validated StructuredAbstract."""
-    where = f"line {line_number}" if line_number is not None else "record"
-    try:
-        raw = json.loads(record)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}: malformed JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError(f"{where}: expected a JSON object")
+_NON_EMPTY_STRING = check("a non-empty string", lambda v: type(v) is str and bool(v.strip()))
+_SECTIONS = check("an array", lambda v: type(v) is list)
+_KEYWORDS = check("an array of strings or null", lambda v: v is None or is_strings(v))
 
-    pmid = raw.get("pmid")
-    if not isinstance(pmid, str) or not pmid.strip():
-        raise ValidationError(f"{where}: missing or empty field 'pmid'")
-    pmid = pmid.strip()
 
-    raw_sections = raw.get("sections")
-    if not isinstance(raw_sections, list):
-        raise ValidationError(f"{where}: missing field 'sections'")
+def parse_abstract_record(raw: dict) -> StructuredAbstract:
+    """One decoded abstract record as a validated StructuredAbstract.
 
+    Errors name the field; the file reader adds the file and line.
+    """
+    pmid = _NON_EMPTY_STRING("field 'pmid'", raw.get("pmid")).strip()
     sections = []
-    for i, sec in enumerate(raw_sections):
-        if not isinstance(sec, dict):
-            raise ValidationError(f"{where}: sections[{i}] is not an object")
+    for i, sec in enumerate(_SECTIONS("field 'sections'", raw.get("sections"))):
+        if type(sec) is not dict:
+            raise expected(f"field 'sections[{i}]'", "a JSON object", sec)
         label, text = sec.get("label", ""), sec.get("text", "")
-        if not (isinstance(label, str) and isinstance(text, str)):
-            _reject_non_string(sec, ("label", "text"), f"{where}: sections[{i}]")
-        label = label.strip().upper()
-        if not label:
-            raise ValidationError(f"{where}: sections[{i}] has an empty label")
-        sections.append(AbstractSection(label=label, text=text))
+        if type(label) is not str or type(text) is not str or not label.strip():
+            # the where strings are built only for a section that fails
+            _NON_EMPTY_STRING(f"field 'sections[{i}].label'", label)
+            STRING(f"field 'sections[{i}].text'", text)
+        sections.append(AbstractSection(label=label.strip().upper(), text=text))
 
     pub_date = None
     raw_date = raw.get("pub_date")
     if raw_date not in (None, ""):
         try:
             pub_date = parse_iso_date(raw_date)
-        except ValueError as exc:
-            raise ValidationError(f"{where}: invalid 'pub_date' {raw_date!r}") from exc
+        except ValueError:
+            raise expected("field 'pub_date'", "a YYYY-MM-DD string", raw_date) from None
 
-    title = raw.get("title", "")
-    if not isinstance(title, str):
-        _reject_non_string(raw, ("title",), where)
-    keywords = raw.get("keywords")
-    if keywords is None:
-        keywords = ()
-    elif not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
-        raise ValidationError(
-            f"{where}: field 'keywords' must be an array of strings, got {keywords!r}"
-        )
     return StructuredAbstract(
         pmid=pmid,
-        title=title,
+        title=STRING("field 'title'", raw.get("title", "")),
         pub_date=pub_date,
-        keywords=tuple(keywords),
+        keywords=tuple(_KEYWORDS("field 'keywords'", raw.get("keywords")) or ()),
         sections=tuple(sections),
     )
-
-
-def _reject_non_string(obj: dict, fields: tuple[str, ...], where: str) -> None:
-    """Raise for the first of fields that is present but not a JSON string."""
-    for field in fields:
-        value = obj.get(field, "")
-        if not isinstance(value, str):
-            raise ValidationError(f"{where}: field {field!r} must be a string, got {value!r}")
-
-
-def iter_abstract_records(lines: Iterable[str]) -> Iterator[StructuredAbstract]:
-    """Parse JSONL lines, enforcing pmid uniqueness; blank lines are skipped."""
-    seen: set[str] = set()
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        abstract = parse_abstract_record(line, line_number)
-        if abstract.pmid in seen:
-            raise ValidationError(f"line {line_number}: duplicate pmid {abstract.pmid!r}")
-        seen.add(abstract.pmid)
-        yield abstract
 
 
 # Dotted tokens that end with '.' without ending a sentence.

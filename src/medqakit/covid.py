@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import logging
 import re
 from dataclasses import dataclass, field
@@ -28,7 +27,16 @@ from .corpus import (
     StructuredAbstract,
     segment_sentences,
 )
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import (
+    STRING,
+    STRINGS,
+    ConfigError,
+    ParseError,
+    ValidationError,
+    check,
+    expected,
+    is_strings,
+)
 from .weak_label import select_answer_sentence
 
 log = logging.getLogger(__name__)
@@ -39,6 +47,8 @@ CONCLUSION_INCLUDE_KEYWORDS = ("ANSWER", "CONCLUSION", "CONCULSION", "CONLUSION"
 CONCLUSION_EXCLUDE_KEYWORDS = ("RESULT", "SUMMARY", "FINDING", "DISCUSSION")
 
 REVIEW_QUEUE_COLUMNS = ("question", "pmid", "sentence_index", "sentence_text", "selected")
+# A tab, or a character str.splitlines splits on: such a TSV field cannot be read back.
+_TSV_BREAK_RE = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True)
@@ -119,15 +129,6 @@ class CurationCandidate:
     pmid: str
     context: str
     candidate_sentences: tuple[Sentence, ...]
-    selected_index: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.selected_index is not None and not (
-            0 <= self.selected_index < len(self.candidate_sentences)
-        ):
-            raise ValidationError(
-                f"candidate {self.pmid}: selected_index {self.selected_index} out of range"
-            )
 
 
 def _dedupe_case_insensitive(values: Iterable) -> tuple:
@@ -142,67 +143,45 @@ def _dedupe_case_insensitive(values: Iterable) -> tuple:
     return tuple(out)
 
 
-def _is_string(value: object) -> bool:
-    return isinstance(value, str)
-
-
-def _is_strings(value: object) -> bool:
-    return isinstance(value, list) and all(map(_is_string, value))
-
-
-def _is_values(value: object) -> bool:
-    return isinstance(value, list) and all(_is_string(v) or _is_strings(v) for v in value)
-
-
-def _is_aliases(value: object) -> bool:
-    return value is None or (isinstance(value, dict) and all(map(_is_strings, value.values())))
-
-
-_REQUIRED = object()
-
-
-def _field(entry: dict, name: str, what: str, ok: Callable[[object], bool], default=_REQUIRED):
-    """entry[name], or `default` when it is absent; ConfigError unless ok(value)."""
-    value = entry.get(name, default)
-    if value is _REQUIRED:
-        raise ConfigError(f"missing field {name!r}")
-    if not ok(value):
-        raise ConfigError(f"field {name!r} must be {what}, got {json.dumps(value)}")
-    return value
+_VALUES = check(
+    "an array of strings or string arrays",
+    lambda v: type(v) is list and all(type(x) is str or is_strings(x) for x in v),
+)
+_ALIASES = check(
+    "an object of string arrays",
+    lambda v: v is None or (type(v) is dict and all(map(is_strings, v.values()))),
+)
 
 
 def _template(entry: dict) -> QuestionTemplate:
     return QuestionTemplate(
-        template_id=_field(entry, "template_id", "a string", _is_string),
-        pattern=_field(entry, "pattern", "a string", _is_string),
-        slot_types=tuple(_field(entry, "slot_types", "an array of strings", _is_strings, [])),
+        template_id=STRING("field 'template_id'", entry["template_id"]),
+        pattern=STRING("field 'pattern'", entry["pattern"]),
+        slot_types=tuple(STRINGS("field 'slot_types'", entry.get("slot_types", []))),
     )
 
 
 def _vocabulary(entry: dict) -> ParameterVocabulary:
-    values = _field(entry, "values", "an array of strings or string arrays", _is_values, [])
-    aliases = _field(entry, "aliases", "an object of string arrays", _is_aliases, None)
+    values = _VALUES("field 'values'", entry.get("values", []))
+    aliases = _ALIASES("field 'aliases'", entry.get("aliases"))
     return ParameterVocabulary(
-        name=_field(entry, "name", "a string", _is_string),
+        name=STRING("field 'name'", entry["name"]),
         values=tuple(tuple(v) if isinstance(v, list) else v for v in values),
         aliases={value: tuple(alts) for value, alts in (aliases or {}).items()},
     )
 
 
-def _config_entries(path: Path, raw: dict, key: str, build: Callable[[dict], Any]) -> list:
+def _config_entries(
+    path: Path, raw: dict, key: str, required: tuple[str, ...], build: Callable[[dict], Any]
+) -> list:
     """build(entry) for each object of the array raw[key]; errors name the entry."""
     entries = raw.get(key, [])
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path}: {key!r} must be an array, got {json.dumps(entries)}")
-    built = []
-    for i, entry in enumerate(entries):
-        try:
-            if not isinstance(entry, dict):
-                raise ConfigError(f"expected an object, got {json.dumps(entry)}")
-            built.append(build(entry))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {key}[{i}]: {exc}") from None
-    return built
+    if type(entries) is not list:
+        raise expected(f"{path}: field {key!r}", "an array", entries)
+    return [
+        formats.read_object(f"{path}: {key}[{i}]", entry, required, build)
+        for i, entry in enumerate(entries)
+    ]
 
 
 def load_template_config(path: str | Path) -> tuple[list[QuestionTemplate], list[ParameterVocabulary]]:
@@ -212,15 +191,9 @@ def load_template_config(path: str | Path) -> tuple[list[QuestionTemplate], list
     vocabulary index, and the field.
     """
     path = Path(path)
-    try:
-        with formats.open_text(path) as handle:
-            raw = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: expected a JSON object, got {type(raw).__name__}")
-    templates = _config_entries(path, raw, "templates", _template)
-    vocabs = _config_entries(path, raw, "vocabularies", _vocabulary)
+    raw = formats.read_json(path)
+    templates = _config_entries(path, raw, "templates", ("template_id", "pattern"), _template)
+    vocabs = _config_entries(path, raw, "vocabularies", ("name",), _vocabulary)
     if not templates:
         raise ConfigError(f"{path}: no templates defined")
     return templates, vocabs
@@ -270,6 +243,11 @@ def instantiate_templates(
                     params[pos] = value[offset]
             filled = list(params)
             question = _SLOT_RE.sub(lambda _m: filled.pop(0), template.pattern)
+            if _TSV_BREAK_RE.search(question):
+                raise ConfigError(
+                    f"template {template.template_id}: question {question!r} holds a tab or "
+                    "line break, so it cannot be one line of the search queries or the TSV queue"
+                )
             out.append(
                 InstantiatedQuestion(
                     question=question,
@@ -450,19 +428,24 @@ def alias_lookup(vocabs: Sequence[ParameterVocabulary]) -> dict[str, tuple[str, 
 
 
 def export_review_queue(candidates: Sequence[CurationCandidate], path: str | Path) -> None:
-    """Write the manual-selection TSV; one row per candidate sentence."""
-    for candidate in candidates:
-        if candidate.selected_index is not None:
-            raise ValidationError(
-                f"candidate ({candidate.question!r}, {candidate.pmid}) already reviewed"
-            )
+    """Write the manual-selection TSV; one row per candidate sentence.
+
+    A question, pmid or sentence holding a tab or a line break (anything
+    str.splitlines splits on) could not be read back, so it raises a
+    ValidationError and leaves any earlier file in place.
+    """
     lines = ["\t".join(REVIEW_QUEUE_COLUMNS)]
     for candidate in candidates:
-        for i, sentence in enumerate(candidate.candidate_sentences):
-            lines.append(
-                "\t".join((candidate.question, candidate.pmid, str(i), sentence.text, ""))
+        sentences = candidate.candidate_sentences
+        fields = (candidate.question, candidate.pmid, *(s.text for s in sentences))
+        if any(_TSV_BREAK_RE.search(field) for field in fields):
+            raise ValidationError(
+                f"{path}: question {candidate.question!r}, pmid {candidate.pmid!r}: "
+                "a tab or line break cannot be written to a TSV field"
             )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for i, sentence in enumerate(sentences):
+            lines.append("\t".join((candidate.question, candidate.pmid, str(i), sentence.text, "")))
+    formats.write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _pair_id(pmid: str, question: str) -> str:
@@ -508,7 +491,7 @@ def import_review_queue(path: str | Path) -> tuple[list[QAPair], list[tuple[str,
         rows.sort(key=lambda r: r[0])
         if [r[0] for r in rows] != list(range(len(rows))):
             raise ValidationError(
-                f"review queue group ({question!r}, {pmid}): sentence indices are not contiguous"
+                f"{path}: group ({question!r}, {pmid}): sentence indices are not contiguous"
             )
         marked = [r for r in rows if r[2]]
         if not marked:
@@ -521,8 +504,8 @@ def import_review_queue(path: str | Path) -> tuple[list[QAPair], list[tuple[str,
         context = " ".join(texts)
         selected_index = marked[0][0]
         answer_start = sum(len(t) + 1 for t in texts[:selected_index])
-        pairs.append(
-            QAPair(
+        try:
+            pair = QAPair(
                 id=_pair_id(pmid, question),
                 question=question,
                 context=context,
@@ -531,9 +514,11 @@ def import_review_queue(path: str | Path) -> tuple[list[QAPair], list[tuple[str,
                 subset=DatasetSubsetId.D3,
                 provenance=Provenance.TEMPLATE_MANUAL,
             )
-        )
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: group ({question!r}, {pmid}): {exc}") from exc
+        pairs.append(pair)
     if offenders:
-        raise ValidationError(f"multiple selections for: {offenders}")
+        raise ValidationError(f"{path}: multiple selections for: {offenders}")
     return pairs, unreviewed
 
 

@@ -1,8 +1,13 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one field check every
+reader of outside input uses.
 
 The CLI maps these to exit codes: ValidationError (and subclasses) -> 1,
 OSError -> 2, ContractViolation -> 3.
 """
+
+from __future__ import annotations
+
+from typing import Any, Callable
 
 
 class ValidationError(ValueError):
@@ -10,7 +15,8 @@ class ValidationError(ValueError):
 
 
 class ParseError(ValidationError):
-    """A source file could not be parsed; message carries file/line context."""
+    """An input file or config value does not have its documented form; the
+    message names the file, the line or entry, and the field (or the key)."""
 
 
 class ConfigError(ValidationError):
@@ -19,3 +25,35 @@ class ConfigError(ValidationError):
 
 class ContractViolation(RuntimeError):
     """An internal invariant was broken; indicates a bug, not bad input."""
+
+
+def json_kind(value: Any) -> str:
+    """The JSON name of a decoded value's type."""
+    kinds = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string"}
+    return kinds.get(type(value), "array" if isinstance(value, list) else "object")
+
+
+def expected(where: str, what: str, value: Any) -> ParseError:
+    """The one form of a field error: `{where}: expected {what}, got {json kind}`."""
+    return ParseError(f"{where}: expected {what}, got {json_kind(value)}")
+
+
+def check(what: str, ok: Callable[[Any], bool], convert: Callable[[Any], Any] = lambda v: v):
+    """A field check: check(where, value) is convert(value) when ok(value),
+    else it raises `expected(where, what, value)`."""
+
+    def checked(where: str, value: Any) -> Any:
+        if not ok(value):
+            raise expected(where, what, value)
+        return convert(value)
+
+    return checked
+
+
+def is_strings(value: Any) -> bool:
+    return type(value) is list and all(type(s) is str for s in value)
+
+
+STRING = check("a string", lambda v: type(v) is str)
+STRINGS = check("an array of strings", is_strings, list)
+INTEGER = check("an integer", lambda v: type(v) is int)

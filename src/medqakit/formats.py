@@ -13,21 +13,17 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
-from .corpus import (
-    DatasetSubsetId,
-    Provenance,
-    QAPair,
-    StructuredAbstract,
-    YesNoInstance,
-    iter_abstract_records,
-)
-from .errors import ParseError, ValidationError
+from . import corpus
+from .corpus import DatasetSubsetId, Provenance, QAPair, StructuredAbstract, YesNoInstance
+from .errors import INTEGER, STRING, ParseError, ValidationError, check, expected
 from .metrics import Prediction
 from .weak_label import SourceInstance
 
 SQUAD_VERSION = "1.1"
+
+T = TypeVar("T")
 
 
 def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
@@ -75,32 +71,77 @@ def write_json_atomic(path: str | Path, obj: Any) -> None:
     write_text_atomic(path, json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
 
 
-def read_abstracts(path: str | Path) -> list[StructuredAbstract]:
-    """Load a JSONL abstract corpus, enforcing pmid uniqueness."""
+def read_json(path: str | Path) -> dict:
+    """The JSON object a UTF-8 file holds. Bytes that are not UTF-8, text
+    that is not JSON and a top level that is not an object each raise a
+    ParseError naming the file."""
     path = Path(path)
     with open_text(path) as handle:
         try:
-            return list(iter_abstract_records(handle))
-        except ValidationError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: malformed JSON: {exc}") from exc
+    if type(raw) is not dict:
+        raise expected(str(path), "a JSON object", raw)
+    return raw
 
 
-def _jsonl_objects(path: Path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
-    """Line number and object of each non-blank line; the required fields must be present."""
+def read_object(where: str, raw: Any, required: Sequence[str], build: Callable[[dict], T]) -> T:
+    """build(raw) for a JSON object holding every required field. Each error,
+    a ValidationError that build raises included, starts with `where`."""
+    if type(raw) is not dict:
+        raise expected(where, "a JSON object", raw)
+    try:
+        for field in required:
+            if field not in raw:
+                raise ParseError(f"missing field {field!r}")
+        return build(raw)
+    except ValidationError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _read_jsonl(path: Path, required: Sequence[str], build: Callable[[dict], T]) -> list[T]:
+    """build(object) for the object on each non-blank line; every error
+    names the file and the line."""
+    out = []
     with open_text(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            where = f"{path} line {line_number}"
             try:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"{path} line {line_number}: malformed JSON: {exc}") from exc
-            if not isinstance(raw, dict):
-                raise ParseError(f"{path} line {line_number}: expected a JSON object")
-            for field in required:
-                if field not in raw:
-                    raise ValidationError(f"{path} line {line_number}: missing field {field!r}")
-            yield line_number, raw
+                raise ParseError(f"{where}: malformed JSON: {exc}") from exc
+            out.append(read_object(where, raw, required, build))
+    return out
+
+
+def read_abstracts(path: str | Path) -> list[StructuredAbstract]:
+    """Load a JSONL abstract corpus, enforcing pmid uniqueness."""
+    seen: set[str] = set()
+
+    def build(raw: dict) -> StructuredAbstract:
+        # looked up on the module for each record, so a wrapper set there sees every one
+        abstract = corpus.parse_abstract_record(raw)
+        if abstract.pmid in seen:
+            raise ValidationError(f"duplicate pmid {abstract.pmid!r}")
+        seen.add(abstract.pmid)
+        return abstract
+
+    return _read_jsonl(Path(path), ("pmid", "sections"), build)
+
+
+_OPTIONAL_STRING = check("a string or null", lambda v: v is None or type(v) is str)
+
+
+def _source_instance(raw: dict) -> SourceInstance:
+    return SourceInstance(
+        id=STRING("field 'id'", raw["id"]),
+        question=STRING("field 'question'", raw["question"]),
+        context=STRING("field 'context'", raw["context"]),
+        label=_OPTIONAL_STRING("field 'label'", raw.get("label")),
+    )
 
 
 def read_source_instances(path: str | Path) -> list[SourceInstance]:
@@ -109,24 +150,7 @@ def read_source_instances(path: str | Path) -> list[SourceInstance]:
     id, question and context must be JSON strings; label a string, null or
     absent.
     """
-    path = Path(path)
-    instances = []
-    for line_number, raw in _jsonl_objects(path, ("id", "question", "context")):
-        for field in ("id", "question", "context", "label"):
-            value = raw.get(field)
-            if not isinstance(value, str) and not (field == "label" and value is None):
-                raise ParseError(
-                    f"{path} line {line_number}: field {field!r} must be a string, got {value!r}"
-                )
-        instances.append(
-            SourceInstance(
-                id=raw["id"],
-                question=raw["question"],
-                context=raw["context"],
-                label=raw.get("label"),
-            )
-        )
-    return instances
+    return _read_jsonl(Path(path), ("id", "question", "context"), _source_instance)
 
 
 def read_yesno(path: str | Path) -> list[YesNoInstance]:
@@ -227,99 +251,92 @@ def write_squad(
 
 _SUBSET_VALUES = tuple(s.value for s in DatasetSubsetId)
 _PROVENANCE_VALUES = tuple(p.value for p in Provenance)
+_SUBSET = check("one of " + ", ".join(_SUBSET_VALUES), lambda v: v in _SUBSET_VALUES)
+_PROVENANCE = check("one of " + ", ".join(_PROVENANCE_VALUES), lambda v: v in _PROVENANCE_VALUES)
 
 
-def _squad_qa_problem(paragraph: dict, qa: dict) -> str | None:
-    """Why the qa cannot be read, or None."""
-    answers = qa.get("answers")
-    if "id" not in qa:
-        return "no id"
-    if "context" not in paragraph:
-        return "its paragraph has no context"
-    if "question" not in qa:
-        return "no question"
-    if not isinstance(answers, list) or not answers:
-        return "no answers"
-    answer = answers[0]
-    if not isinstance(answer, dict) or not {"text", "answer_start"} <= answer.keys():
-        return "the first answer needs text and answer_start"
-    if type(answer["answer_start"]) is not int:
-        return f"answer_start must be an integer, got {answer['answer_start']!r}"
-    texts = {
-        "context": paragraph["context"],
-        "question": qa["question"],
-        "answer text": answer["text"],
-    }
-    for name, value in texts.items():
-        if not isinstance(value, str):
-            return f"{name} must be a string, got {value!r}"
-    if qa.get("subset") not in (None, *_SUBSET_VALUES):
-        return f"unknown subset {qa['subset']!r}"
-    if "provenance" in qa and qa["provenance"] not in _PROVENANCE_VALUES:
-        return f"unknown provenance {qa['provenance']!r}"
-    return None
-
-
-def _squad_objects(path: Path, parent: dict, key: str) -> list[dict]:
-    """`parent[key]`, which must be absent or a list of JSON objects."""
+def _squad_objects(where: str, parent: dict, key: str) -> list[dict]:
+    """`parent[key]`, which must be absent or an array of JSON objects;
+    `where`, ending in ": ", names the file and `parent`."""
     items = parent.get(key, [])
-    if not isinstance(items, list):
-        raise ParseError(f"{path}: {key!r} must be a list, got {type(items).__name__}")
-    for item in items:
-        if not isinstance(item, dict):
-            raise ParseError(
-                f"{path}: each {key!r} entry must be a JSON object, got {type(item).__name__}"
-            )
+    if type(items) is not list:
+        raise expected(f"{where}field {key!r}", "an array", items)
+    for i, item in enumerate(items):
+        if type(item) is not dict:
+            raise expected(f"{where}{key}[{i}]", "a JSON object", item)
     return items
 
 
-def read_squad(
-    path: str | Path,
-    *,
-    subset: DatasetSubsetId | None = None,
-    provenance: Provenance = Provenance.BM25_WEAK,
-) -> list[QAPair]:
+def _squad_pair(paragraph: dict, qa: dict, subset: DatasetSubsetId | None) -> QAPair:
+    """The pair of one qa; errors name the field, the reader adds the file and qa."""
+    if "id" not in qa:
+        raise ParseError("no id")
+    if "context" not in paragraph:
+        raise ParseError("its paragraph has no context")
+    if "question" not in qa:
+        raise ParseError("no question")
+    answers = qa.get("answers")
+    if not isinstance(answers, list) or not answers:
+        raise ParseError("no answers")
+    answer = answers[0]
+    if not isinstance(answer, dict) or not {"text", "answer_start"} <= answer.keys():
+        raise ParseError("the first answer needs text and answer_start")
+    answer_start = INTEGER("field 'answers[0].answer_start'", answer["answer_start"])
+    context = STRING("field 'context'", paragraph["context"])
+    question = STRING("field 'question'", qa["question"])
+    answer_text = STRING("field 'answers[0].text'", answer["text"])
+    if qa.get("subset") is not None:
+        subset = DatasetSubsetId(_SUBSET("field 'subset'", qa["subset"]))
+    elif subset is None:
+        raise ValidationError("no subset tag")
+    provenance = _PROVENANCE("field 'provenance'", qa.get("provenance", Provenance.BM25_WEAK.value))
+    return QAPair(
+        id=str(qa["id"]),
+        question=question,
+        context=context,
+        answer_text=answer_text,
+        answer_start=answer_start,
+        subset=subset,
+        provenance=Provenance(provenance),
+    )
+
+
+def read_squad(path: str | Path, *, subset: DatasetSubsetId | None = None) -> list[QAPair]:
     """Load extractive pairs back from the SQuAD shape.
 
-    Subset and provenance come from the per-qa fields when present, else
-    from the arguments.
+    A qa's subset comes from its `subset` field, else from the argument. Its
+    provenance comes from its `provenance` field; a qa without one reads as
+    bm25_weak, whatever its subset.
     """
     path = Path(path)
-    try:
-        with open_text(path) as handle:
-            raw = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: the top level must be a JSON object, got {type(raw).__name__}")
     pairs = []
-    for article in _squad_objects(path, raw, "data"):
-        for paragraph in _squad_objects(path, article, "paragraphs"):
-            for qa in _squad_objects(path, paragraph, "qas"):
-                problem = _squad_qa_problem(paragraph, qa)
-                if problem is not None:
-                    raise ParseError(f"{path}: qa {qa.get('id')!r}: {problem}")
-                context = paragraph["context"]
-                answer = qa["answers"][0]
-                qa_subset = qa.get("subset")
-                if qa_subset is None:
-                    if subset is None:
-                        raise ValidationError(f"{path}: qa {qa.get('id')} has no subset tag")
-                    resolved_subset = subset
-                else:
-                    resolved_subset = DatasetSubsetId(qa_subset)
-                pairs.append(
-                    QAPair(
-                        id=str(qa["id"]),
-                        question=qa["question"],
-                        context=context,
-                        answer_text=answer["text"],
-                        answer_start=answer["answer_start"],
-                        subset=resolved_subset,
-                        provenance=Provenance(qa.get("provenance", provenance.value)),
-                    )
-                )
+    for a, article in enumerate(_squad_objects(f"{path}: ", read_json(path), "data")):
+        where = f"{path}: data[{a}]: "
+        for p, paragraph in enumerate(_squad_objects(where, article, "paragraphs")):
+            for qa in _squad_objects(f"{where}paragraphs[{p}]: ", paragraph, "qas"):
+                try:
+                    pairs.append(_squad_pair(paragraph, qa, subset))
+                except ValidationError as exc:
+                    raise type(exc)(f"{path}: qa {qa.get('id')!r}: {exc}") from exc
     return pairs
+
+
+_YES_OR_NO = check('"yes" or "no"', lambda v: v in ("yes", "no"))
+
+
+def _prediction(raw: dict) -> Prediction:
+    if "predicted_text" not in raw and "predicted_label" not in raw:
+        raise ValidationError("need predicted_text or predicted_label")
+    STRING("field 'id'", raw["id"])
+    if "predicted_text" in raw:
+        STRING("field 'predicted_text'", raw["predicted_text"])
+    if "predicted_label" in raw:
+        _YES_OR_NO("field 'predicted_label'", raw["predicted_label"])
+    return Prediction(
+        id=raw["id"],
+        predicted_text=raw.get("predicted_text"),
+        predicted_label=raw.get("predicted_label"),
+    )
 
 
 def read_predictions(path: str | Path) -> list[Prediction]:
@@ -327,31 +344,7 @@ def read_predictions(path: str | Path) -> list[Prediction]:
 
     id and predicted_text must be JSON strings, predicted_label "yes" or "no".
     """
-    out = []
-    for line_number, raw in _jsonl_objects(Path(path), ("id",)):
-        if "predicted_text" not in raw and "predicted_label" not in raw:
-            raise ValidationError(
-                f"{path} line {line_number}: need predicted_text or predicted_label"
-            )
-        for field in ("id", "predicted_text"):
-            if field in raw and not isinstance(raw[field], str):
-                raise ParseError(
-                    f"{path} line {line_number}: field {field!r} must be a string, "
-                    f"got {raw[field]!r}"
-                )
-        if "predicted_label" in raw and raw["predicted_label"] not in ("yes", "no"):
-            raise ParseError(
-                f"{path} line {line_number}: field 'predicted_label' must be 'yes' or 'no', "
-                f"got {raw['predicted_label']!r}"
-            )
-        out.append(
-            Prediction(
-                id=raw["id"],
-                predicted_text=raw.get("predicted_text"),
-                predicted_label=raw.get("predicted_label"),
-            )
-        )
-    return out
+    return _read_jsonl(Path(path), ("id",), _prediction)
 
 
 def file_sha256(path: str | Path) -> str:

@@ -139,7 +139,7 @@ def test_weak_label_worked_example():
 def test_anchoring_suite_synthetic_corpus():
     started = time.perf_counter()
     lines = make_corpus_lines(500)
-    abstracts = [parse_abstract_record(line, i + 1) for i, line in enumerate(lines)]
+    abstracts = [parse_abstract_record(json.loads(line)) for line in lines]
 
     sources = []
     for a in abstracts:

@@ -183,7 +183,7 @@ class TestCurateCommand:
     @pytest.mark.parametrize(
         "record, field",
         [
-            ({"sections": [{"label": "conclusions", "text": None}]}, "'text'"),
+            ({"sections": [{"label": "conclusions", "text": None}]}, "'sections[0].text'"),
             ({"title": None}, "'title'"),
             ({"keywords": "COVID"}, "'keywords'"),
         ],
@@ -197,7 +197,7 @@ class TestCurateCommand:
         config = write_config(tmp_path)
         assert main(["curate", command, "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert "covid.jsonl: line 4: " in err and f"field {field} must be" in err
+        assert f"covid.jsonl line 4: field {field}: expected " in err
         assert "Traceback" not in err
 
     def test_malformed_template_config_exits_1(self, tmp_path, capsys):
@@ -211,6 +211,51 @@ class TestCurateCommand:
         err = capsys.readouterr().err
         assert f"{templates}: templates[0]: missing field 'template_id'" in err
         assert "Traceback" not in err
+
+
+    def _export_tab_workspace(self, tmp_path):
+        """A templates-export workspace that has already written its outputs once."""
+        write_sources(tmp_path)
+        write_corpus(tmp_path)
+        templates = tmp_path / "templates.json"
+        vocabulary = {"name": "xs", "values": ["diabetes", "asthma", "obesity"]}
+        template = {"template_id": "t", "pattern": "Does [X] matter?", "slot_types": ["xs"]}
+        templates.write_text(json.dumps({"templates": [template], "vocabularies": [vocabulary]}))
+        paths = {"covid_corpus": str(tmp_path / "covid.jsonl"), "templates": str(templates)}
+        config = write_config(tmp_path, paths=paths)
+        assert main(["curate", "templates-export", "--config", str(config)]) == 0
+        outputs = {p: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert len(outputs[tmp_path / "out" / "review_queue.tsv"].splitlines()) > 1
+        return config, templates, outputs
+
+    def test_template_with_tab_exits_1_and_keeps_the_earlier_queue(self, tmp_path, capsys):
+        config, templates, outputs = self._export_tab_workspace(tmp_path)
+        raw = json.loads(templates.read_text())
+        raw["templates"][0]["pattern"] = "Does [X]\tmatter?"
+        templates.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["curate", "templates-export", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{templates}: template t: question 'Does diabetes\\tmatter?'" in err
+        assert "Traceback" not in err
+        assert {p: p.read_bytes() for p in outputs} == outputs
+
+    def test_pmid_with_line_break_exits_1_and_keeps_the_earlier_queue(self, tmp_path, capsys):
+        config, _templates, outputs = self._export_tab_workspace(tmp_path)
+        record = {
+            "pmid": "0\u20281",
+            "pub_date": "2020-03-01",
+            "sections": [{"label": "results", "text": "Diabetes and COVID-19 were studied."}],
+        }
+        with (tmp_path / "covid.jsonl").open("a") as handle:
+            handle.write(json.dumps(record) + "\n")
+        capsys.readouterr()
+        assert main(["curate", "templates-export", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        queue = tmp_path / "out" / "review_queue.tsv"
+        assert f"{queue}: question 'Does diabetes matter?', pmid '0\\u20281'" in err
+        assert "Traceback" not in err
+        assert queue.read_bytes() == outputs[queue]
 
 
 class TestScheduleCommand:
@@ -366,12 +411,12 @@ class TestEvalCommand:
     @pytest.mark.parametrize(
         "task, gold_text, message",
         [
-            ("extractive", "[]", "the top level must be a JSON object"),
-            ("extractive", '{"data": [1]}', "each 'data' entry must be a JSON object"),
+            ("extractive", "[]", "expected a JSON object, got array"),
+            ("extractive", '{"data": [1]}', "data[0]: expected a JSON object, got number"),
             (
                 "yesno",
                 '{"id": "q1", "question": null, "context": "A.", "label": "yes"}\n',
-                "line 1: field 'question' must be a string, got None",
+                "line 1: field 'question': expected a string, got null",
             ),
         ],
     )

@@ -131,7 +131,7 @@ def test_non_utf8_file_exits_1(tmp_path, capsys):
     path.write_bytes(b'{"seed": "\xff"}')
     code, err = run(["label", "--config", str(path)], capsys)
     assert code == 1
-    assert "malformed JSON" in err
+    assert f"{path}: not UTF-8 text" in err
 
 
 def write_lexicons(root):

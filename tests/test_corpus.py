@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 
@@ -19,13 +20,26 @@ from medqakit import (
     segment_sentences,
 )
 from medqakit.corpus import DEFAULT_ABBREVIATIONS
+from medqakit.formats import read_abstracts
 
 MINIMAL = '{"pmid":"1","title":"T?","pub_date":"2020-03-01","keywords":[],"sections":[{"label":"conclusions","text":"A."}]}'
 
 
+def parse(text):
+    return parse_abstract_record(json.loads(text))
+
+
+def corpus_file(tmp_path, record, line_number):
+    """A corpus file whose line `line_number` is `record`, after valid records."""
+    lines = [f'{{"pmid":"p{i}","sections":[]}}' for i in range(1, line_number)] + [record]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestParseAbstractRecord:
     def test_minimal_valid_record(self):
-        abstract = parse_abstract_record(MINIMAL)
+        abstract = parse(MINIMAL)
         assert abstract.pmid == "1"
         assert len(abstract.sections) == 1
         assert abstract.sections[0].label == "CONCLUSIONS"
@@ -33,28 +47,28 @@ class TestParseAbstractRecord:
 
     def test_missing_pmid_names_field(self):
         with pytest.raises(ValidationError, match="pmid"):
-            parse_abstract_record('{"title":"x","sections":[]}')
+            parse('{"title":"x","sections":[]}')
 
     def test_missing_sections_names_field(self):
         with pytest.raises(ValidationError, match="sections"):
-            parse_abstract_record('{"pmid":"1"}')
+            parse('{"pmid":"1"}')
 
     def test_label_trimmed_and_uppercased(self):
-        abstract = parse_abstract_record(
+        abstract = parse(
             '{"pmid":"1","sections":[{"label":" Results ","text":"x"}]}'
         )
         assert abstract.sections[0].label == "RESULTS"
 
-    def test_malformed_json_reports_line(self):
-        with pytest.raises(ParseError, match="line 7"):
-            parse_abstract_record("{nope", line_number=7)
+    def test_malformed_json_reports_line(self, tmp_path):
+        with pytest.raises(ParseError, match="line 7: malformed JSON"):
+            read_abstracts(corpus_file(tmp_path, "{nope", line_number=7))
 
     def test_empty_section_label_rejected(self):
         with pytest.raises(ValidationError, match="label"):
-            parse_abstract_record('{"pmid":"1","sections":[{"label":"  ","text":"x"}]}')
+            parse('{"pmid":"1","sections":[{"label":"  ","text":"x"}]}')
 
     def test_missing_pub_date_tolerated(self):
-        abstract = parse_abstract_record('{"pmid":"1","sections":[]}')
+        abstract = parse('{"pmid":"1","sections":[]}')
         assert abstract.pub_date is None
 
     @pytest.mark.parametrize(
@@ -62,14 +76,14 @@ class TestParseAbstractRecord:
     )
     def test_bad_pub_date_rejected(self, pub_date):
         with pytest.raises(ValidationError, match="pub_date"):
-            parse_abstract_record(f'{{"pmid":"1","pub_date":{pub_date},"sections":[]}}')
+            parse(f'{{"pmid":"1","pub_date":{pub_date},"sections":[]}}')
 
     def test_degenerate_section_retained_and_flagged(self):
-        abstract = parse_abstract_record('{"pmid":"1","sections":[{"label":"X","text":" "}]}')
+        abstract = parse('{"pmid":"1","sections":[{"label":"X","text":" "}]}')
         assert abstract.sections == (AbstractSection(label="X", text=" "),)
 
     def test_absent_title_text_and_keywords_default_to_empty(self):
-        abstract = parse_abstract_record(
+        abstract = parse(
             '{"pmid":"1","keywords":null,"sections":[{"label":"X"}]}'
         )
         assert (abstract.title, abstract.keywords, abstract.sections[0].text) == ("", (), "")
@@ -77,10 +91,13 @@ class TestParseAbstractRecord:
     @pytest.mark.parametrize(
         "record, field",
         [
-            ('{"pmid":"1","sections":[{"label":"X","text":null}]}', "'text'"),
-            ('{"pmid":"1","sections":[{"label":"X","text":3}]}', "'text'"),
-            ('{"pmid":"1","sections":[{"label":null,"text":"x"}]}', "'label'"),
-            ('{"pmid":"1","sections":[{"label":7,"text":"x"}]}', "'label'"),
+            ('{"pmid":"1","sections":[{"label":"X","text":null}]}', "'sections[0].text'"),
+            ('{"pmid":"1","sections":[{"label":"X","text":3}]}', "'sections[0].text'"),
+            ('{"pmid":"1","sections":[{"label":null,"text":"x"}]}', "'sections[0].label'"),
+            ('{"pmid":"1","sections":[{"label":7,"text":"x"}]}', "'sections[0].label'"),
+            ('{"pmid":"1","sections":["X"]}', "'sections[0]'"),
+            ('{"pmid":"1","sections":{}}', "'sections'"),
+            ('{"pmid":1,"sections":[]}', "'pmid'"),
             ('{"pmid":"1","title":null,"sections":[]}', "'title'"),
             ('{"pmid":"1","title":["T"],"sections":[]}', "'title'"),
             ('{"pmid":"1","keywords":"COVID","sections":[]}', "'keywords'"),
@@ -88,9 +105,9 @@ class TestParseAbstractRecord:
             ('{"pmid":"1","keywords":{"a":"b"},"sections":[]}', "'keywords'"),
         ],
     )
-    def test_non_string_fields_rejected_with_line_and_field(self, record, field):
-        with pytest.raises(ValidationError, match=f"line 4: .*{field}"):
-            parse_abstract_record(record, line_number=4)
+    def test_non_string_fields_rejected_with_line_and_field(self, tmp_path, record, field):
+        with pytest.raises(ValidationError, match=re.escape(f"line 4: field {field}: expected")):
+            read_abstracts(corpus_file(tmp_path, record, line_number=4))
 
 
 class TestSegmentSentences:

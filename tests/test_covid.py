@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -12,6 +13,7 @@ from medqakit import (
     ParameterVocabulary,
     Provenance,
     QuestionTemplate,
+    Sentence,
     ValidationError,
     build_artificial_pairs,
     covid_filter,
@@ -42,7 +44,7 @@ def abstract(pmid="1", title="T", pub_date="2020-03-01", keywords=(), sections=(
         "keywords": list(keywords),
         "sections": [{"label": label, "text": text} for label, text in sections],
     }
-    return parse_abstract_record(json.dumps(record))
+    return parse_abstract_record(record)
 
 
 RISK_TEMPLATE = QuestionTemplate(
@@ -157,7 +159,7 @@ class TestCovidFilter:
         assert covid_filter(a) is False
 
     def test_missing_pub_date_is_false_not_crash(self):
-        a = parse_abstract_record('{"pmid":"1","sections":[{"label":"C","text":"COVID"}]}')
+        a = parse_abstract_record({"pmid": "1", "sections": [{"label": "C", "text": "COVID"}]})
         assert covid_filter(a) is False
 
     @given(st.integers(min_value=-400, max_value=400), st.integers(min_value=0, max_value=400))
@@ -290,6 +292,10 @@ class TestBuildArtificialPairs:
         assert pairs == [] and skipped == 1
 
 
+# A tab, and every character str.splitlines splits on (all lie below U+2100).
+TSV_BREAKS = ["\t"] + [c for c in map(chr, range(0x2100)) if len(f"a{c}b".splitlines()) > 1]
+
+
 class TestReviewQueue:
     def _candidate(self):
         sentences = tuple(segment_sentences(DIABETES_CONTEXT))
@@ -314,17 +320,24 @@ class TestReviewQueue:
             "question\tpmid\tsentence_index\tsentence_text\tselected"
         ]
 
-    def test_export_rejects_already_reviewed(self, tmp_path):
+    @pytest.mark.parametrize("char", TSV_BREAKS, ids=[f"U+{ord(c):04X}" for c in TSV_BREAKS])
+    @pytest.mark.parametrize("field", ["question", "pmid", "sentence"])
+    def test_export_rejects_tab_or_line_break(self, tmp_path, field, char):
         candidate = self._candidate()
-        reviewed = CurationCandidate(
-            question=candidate.question,
-            pmid=candidate.pmid,
-            context=candidate.context,
-            candidate_sentences=candidate.candidate_sentences,
-            selected_index=0,
-        )
-        with pytest.raises(ValidationError, match="already reviewed"):
-            export_review_queue([reviewed], tmp_path / "queue.tsv")
+        if field == "sentence":
+            first = candidate.candidate_sentences[0]
+            text = first.text[:5] + char + first.text[6:]
+            sentences = (Sentence(text, first.char_start, first.char_end),)
+            candidate = replace(candidate, candidate_sentences=sentences)
+        else:
+            candidate = replace(candidate, **{field: f"a{char}b"})
+        path = tmp_path / "queue.tsv"
+        path.write_text("earlier queue\n")
+        with pytest.raises(ValidationError) as raised:
+            export_review_queue([self._candidate(), candidate], path)
+        assert f"question {candidate.question!r}, pmid {candidate.pmid!r}" in str(raised.value)
+        assert path.read_text() == "earlier queue\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["queue.tsv"]
 
     def _mark(self, path, selected_indices):
         lines = path.read_text().splitlines()
@@ -475,21 +488,21 @@ class TestLoadTemplateConfig:
     @pytest.mark.parametrize(
         "raw, message",
         [
-            ([GOOD_TEMPLATE], "expected a JSON object, got list"),
-            ({"templates": GOOD_TEMPLATE}, "'templates' must be an array"),
-            ({"templates": [GOOD_TEMPLATE, "t"]}, "templates[1]: expected an object"),
+            ([GOOD_TEMPLATE], "expected a JSON object, got array"),
+            ({"templates": GOOD_TEMPLATE}, "field 'templates': expected an array, got object"),
+            ({"templates": [GOOD_TEMPLATE, "t"]}, "templates[1]: expected a JSON object, got string"),
             ({"templates": [{"pattern": "Is [X]?"}]}, "templates[0]: missing field 'template_id'"),
             (
                 {"templates": [dict(GOOD_TEMPLATE, pattern=None)]},
-                "templates[0]: field 'pattern' must be a string, got null",
+                "templates[0]: field 'pattern': expected a string, got null",
             ),
             (
                 {"templates": [dict(GOOD_TEMPLATE, template_id=7)]},
-                "templates[0]: field 'template_id' must be a string, got 7",
+                "templates[0]: field 'template_id': expected a string, got number",
             ),
             (
                 {"templates": [dict(GOOD_TEMPLATE, slot_types="xs")]},
-                "templates[0]: field 'slot_types' must be an array of strings",
+                "templates[0]: field 'slot_types': expected an array of strings, got string",
             ),
             (
                 {"templates": [dict(GOOD_TEMPLATE, slot_types=[])]},
@@ -501,11 +514,11 @@ class TestLoadTemplateConfig:
             ),
             (
                 {"templates": [GOOD_TEMPLATE], "vocabularies": [dict(GOOD_VOCABULARY, values=[1])]},
-                "vocabularies[0]: field 'values' must be an array of strings or string arrays",
+                "vocabularies[0]: field 'values': expected an array of strings or string arrays, got array",
             ),
             (
                 {"templates": [GOOD_TEMPLATE], "vocabularies": [dict(GOOD_VOCABULARY, aliases=[])]},
-                "vocabularies[0]: field 'aliases' must be an object of string arrays",
+                "vocabularies[0]: field 'aliases': expected an object of string arrays, got array",
             ),
             (
                 {"templates": [GOOD_TEMPLATE], "vocabularies": [dict(GOOD_VOCABULARY, values=[])]},

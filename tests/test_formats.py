@@ -238,11 +238,11 @@ class TestYesNoRoundTrip:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"id": 7}, "field 'id' must be a string, got 7"),
-            ({"question": None}, "field 'question' must be a string, got None"),
-            ({"context": ["c"]}, "field 'context' must be a string, got ['c']"),
-            ({"label": True}, "field 'label' must be a string, got True"),
-            ({"label": 1}, "field 'label' must be a string, got 1"),
+            ({"id": 7}, "field 'id': expected a string, got number"),
+            ({"question": None}, "field 'question': expected a string, got null"),
+            ({"context": ["c"]}, "field 'context': expected a string, got array"),
+            ({"label": True}, "field 'label': expected a string or null, got boolean"),
+            ({"label": 1}, "field 'label': expected a string or null, got number"),
         ],
     )
     def test_non_string_fields_rejected(self, tmp_path, fields, message):
@@ -348,43 +348,45 @@ class TestSquadBoundary:
             ),
             (
                 {"context": "Alpha.", "qas": [with_answer(answer_start="zero")]},
-                "qa 'q1': answer_start must be an integer, got 'zero'",
+                "qa 'q1': field 'answers[0].answer_start': expected an integer, got string",
             ),
             (
                 {"context": "Alpha.", "qas": [with_answer(answer_start=0.0)]},
-                "qa 'q1': answer_start must be an integer, got 0.0",
+                "qa 'q1': field 'answers[0].answer_start': expected an integer, got number",
             ),
             (
                 {"context": "Alpha.", "qas": [with_answer(answer_start=False)]},
-                "qa 'q1': answer_start must be an integer, got False",
+                "qa 'q1': field 'answers[0].answer_start': expected an integer, got boolean",
             ),
             (
                 {"context": "Alpha.", "qas": [{**GOOD_QA, "subset": "d7"}]},
-                "qa 'q1': unknown subset 'd7'",
+                "qa 'q1': field 'subset': expected one of d1, d2, d3, d4, pqa_l, pqa_a, got string",
             ),
             (
                 {"context": "Alpha.", "qas": [{**GOOD_QA, "subset": ["d1"]}]},
-                "qa 'q1': unknown subset ['d1']",
+                "qa 'q1': field 'subset': expected one of d1, d2, d3, d4, pqa_l, pqa_a, got array",
             ),
             (
                 {"context": "Alpha.", "qas": [{**GOOD_QA, "provenance": "oracle"}]},
-                "qa 'q1': unknown provenance 'oracle'",
+                "qa 'q1': field 'provenance': expected one of bm25_weak, template_manual, "
+                "pubmed_artificial, got string",
             ),
             (
                 {"context": "Alpha.", "qas": [{**GOOD_QA, "provenance": None}]},
-                "qa 'q1': unknown provenance None",
+                "qa 'q1': field 'provenance': expected one of bm25_weak, template_manual, "
+                "pubmed_artificial, got null",
             ),
             (
                 {"context": "Alpha.", "qas": [with_answer(text=None)]},
-                "qa 'q1': answer text must be a string, got None",
+                "qa 'q1': field 'answers[0].text': expected a string, got null",
             ),
             (
                 {"context": "Alpha.", "qas": [{**GOOD_QA, "question": 7}]},
-                "qa 'q1': question must be a string, got 7",
+                "qa 'q1': field 'question': expected a string, got number",
             ),
             (
                 {"context": ["Alpha."], "qas": [GOOD_QA]},
-                "qa 'q1': context must be a string, got ['Alpha.']",
+                "qa 'q1': field 'context': expected a string, got array",
             ),
         ],
     )
@@ -398,17 +400,23 @@ class TestSquadBoundary:
     @pytest.mark.parametrize(
         "document, message",
         [
-            ([], "the top level must be a JSON object, got list"),
-            ("data", "the top level must be a JSON object, got str"),
-            ({"data": [1]}, "each 'data' entry must be a JSON object, got int"),
-            ({"data": {"title": "t"}}, "'data' must be a list, got dict"),
-            ({"data": [{"paragraphs": [[]]}]}, "each 'paragraphs' entry must be a JSON object"),
-            ({"data": [{"paragraphs": "p"}]}, "'paragraphs' must be a list, got str"),
+            ([], "expected a JSON object, got array"),
+            ("data", "expected a JSON object, got string"),
+            ({"data": [1]}, "data[0]: expected a JSON object, got number"),
+            ({"data": {"title": "t"}}, "field 'data': expected an array, got object"),
+            (
+                {"data": [{"paragraphs": [[]]}]},
+                "data[0]: paragraphs[0]: expected a JSON object, got array",
+            ),
+            ({"data": [{"paragraphs": "p"}]}, "data[0]: field 'paragraphs': expected an array"),
             (
                 {"data": [{"paragraphs": [{"context": "A.", "qas": [None]}]}]},
-                "each 'qas' entry must be a JSON object, got NoneType",
+                "data[0]: paragraphs[0]: qas[0]: expected a JSON object, got null",
             ),
-            ({"data": [{"paragraphs": [{"context": "A.", "qas": 3}]}]}, "'qas' must be a list"),
+            (
+                {"data": [{"paragraphs": [{"context": "A.", "qas": 3}]}]},
+                "data[0]: paragraphs[0]: field 'qas': expected an array, got number",
+            ),
         ],
     )
     def test_non_object_entries_name_file(self, tmp_path, document, message):
