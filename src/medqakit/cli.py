@@ -29,6 +29,7 @@ from .covid import (
     build_artificial_pairs,
     build_review_candidates,
     build_search_queries,
+    check_one_line,
     export_review_queue,
     import_review_queue,
     instantiate_templates,
@@ -110,6 +111,12 @@ def _queue_depth(where: str, value: Any) -> int:
     return depth
 
 
+def _phrases(where: str, value: Any) -> list[str]:
+    phrases = STRINGS(where, value)
+    check_one_line(where, phrases)
+    return phrases
+
+
 def _path_setting(where: str, value: Any) -> Any:
     lexicon = where.rpartition(".")[2] in ("morpheme_lexicon", "lemma_exceptions")
     return (_LEXICON if lexicon else _FILE)(where, value)
@@ -143,7 +150,7 @@ CONFIG_FIELDS = (
     ConfigField("output_dir", _DIRECTORY, "out", flag="output_dir", env=ENV_OUTPUT_DIR),
     ConfigField("bm25.k1", _NUMBER, Bm25Params().k1, flag="k1"),
     ConfigField("bm25.b", _NUMBER, Bm25Params().b, flag="b"),
-    ConfigField("covid_filter.phrases", STRINGS, list(CovidFilterPolicy().phrases)),
+    ConfigField("covid_filter.phrases", _phrases, list(CovidFilterPolicy().phrases)),
     ConfigField("covid_filter.cutoff_date", _date, CovidFilterPolicy().cutoff_date.isoformat()),
     ConfigField("curation.queue_depth", _queue_depth, 50),
     ConfigField(

@@ -49,6 +49,15 @@ CONCLUSION_EXCLUDE_KEYWORDS = ("RESULT", "SUMMARY", "FINDING", "DISCUSSION")
 REVIEW_QUEUE_COLUMNS = ("question", "pmid", "sentence_index", "sentence_text", "selected")
 # A tab, or a character str.splitlines splits on: such a TSV field cannot be read back.
 _TSV_BREAK_RE = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_INDEX_RE = re.compile("[0-9]+")
+
+
+def check_one_line(where: str, texts: Iterable[str]) -> None:
+    """A ParseError naming `where` for the first text holding a tab or line
+    break: it would split a line of search_queries.txt or the TSV queue."""
+    for text in texts:
+        if _TSV_BREAK_RE.search(text):
+            raise ParseError(f"{where}: {text!r} holds a tab or line break")
 
 
 @dataclass(frozen=True)
@@ -164,6 +173,10 @@ def _template(entry: dict) -> QuestionTemplate:
 def _vocabulary(entry: dict) -> ParameterVocabulary:
     values = _VALUES("field 'values'", entry.get("values", []))
     aliases = _ALIASES("field 'aliases'", entry.get("aliases"))
+    for value in values:
+        check_one_line("field 'values'", [value] if type(value) is str else value)
+    for alternatives in (aliases or {}).values():
+        check_one_line("field 'aliases'", alternatives)
     return ParameterVocabulary(
         name=STRING("field 'name'", entry["name"]),
         values=tuple(tuple(v) if isinstance(v, list) else v for v in values),
@@ -476,10 +489,9 @@ def import_review_queue(path: str | Path) -> tuple[list[QAPair], list[tuple[str,
         if len(fields) != len(REVIEW_QUEUE_COLUMNS):
             raise ParseError(f"{path} line {line_number}: expected {len(REVIEW_QUEUE_COLUMNS)} columns")
         question, pmid, index_text, sentence_text, selected = fields
-        try:
-            index = int(index_text)
-        except ValueError as exc:
-            raise ParseError(f"{path} line {line_number}: bad sentence_index {index_text!r}") from exc
+        if not _INDEX_RE.fullmatch(index_text):
+            raise ParseError(f"{path} line {line_number}: bad sentence_index {index_text!r}")
+        index = int(index_text)
         groups.setdefault((question, pmid), []).append(
             (index, sentence_text, selected.strip().lower() == "x")
         )

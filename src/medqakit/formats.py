@@ -167,15 +167,18 @@ def read_yesno(path: str | Path) -> list[YesNoInstance]:
     return instances
 
 
+# One yes/no instance as json.dumps(..., ensure_ascii=False) lays it out.
+_YESNO_LINE = '{"id": %s, "question": %s, "context": %s, "label": %s}\n'
+
+
 def write_yesno(path: str | Path, instances: Sequence[YesNoInstance]) -> None:
+    """One JSON object per line; the string fields go through json's own
+    (C) string encoder, as in `_squad_chunks`."""
+    enc = json.encoder.encode_basestring
     write_text_atomic(
         path,
         (
-            json.dumps(
-                {"id": i.id, "question": i.question, "context": i.context, "label": i.label},
-                ensure_ascii=False,
-            )
-            + "\n"
+            _YESNO_LINE % (enc(i.id), enc(i.question), enc(i.context), enc(i.label))
             for i in instances
         ),
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -25,9 +25,6 @@ from .corpus import YesNoInstance
 from .errors import ConfigError, ParseError, ValidationError
 
 log = logging.getLogger(__name__)
-
-_WORD_RE = re.compile(r"[A-Za-z]+")
-
 
 class MorphemeType(str, Enum):
     PREFIX = "prefix"
@@ -55,8 +52,9 @@ class MorphemeLexicon:
     """Combining-form entries indexed by (morpheme, type); immutable once built.
 
     Each type also keeps the lengths its morphemes come in, so `decompose`
-    looks up only the substrings that can be entries, and a memo of
-    `decompose`'s result per word, shared by every caller of this instance.
+    looks up only the substrings that can be entries. Two memos are shared
+    by every caller of this instance: `decompose`'s result per word, and a
+    feature value table per (target, constituent mode) for the transforms.
     """
 
     def __init__(self, entries: Iterable[MorphemeEntry]):
@@ -74,6 +72,7 @@ class MorphemeLexicon:
             bucket[entry.morpheme] = entry
         self._lengths = {t: sorted({len(m) for m in b}) for t, b in self._by_type.items()}
         self._decompositions: dict[str, Decomposition | None] = {}
+        self._values: dict[tuple[TransformTarget, bool], dict[str, str | None]] = {}
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._by_type.values())
@@ -152,9 +151,15 @@ def default_morpheme_lexicon() -> MorphemeLexicon:
 
 @dataclass(frozen=True)
 class LemmaLexicon:
-    """Exception table consulted before the built-in suffix rules."""
+    """Exception table consulted before the built-in suffix rules.
+
+    The transforms memoize each token's lemma on the instance.
+    """
 
     exceptions: Mapping[str, str]
+    _values: dict[tuple[TransformTarget, bool], dict[str, str | None]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 _VOWELS = "aeiou"
@@ -409,76 +414,138 @@ class TransformChain:
                 raise ConfigError("form expansion must precede meaning substitution")
 
 
-def _edit_tokens(
-    text: str, kind: TransformKind, value_for: Callable[[str], str | None]
-) -> tuple[str, bool]:
-    """Apply one in-line edit; untouched text keeps its exact position."""
-    out: list[str] = []
-    last = 0
-    changed = False
-    for match in _WORD_RE.finditer(text):
-        value = value_for(match.group())
-        if value is None or value == match.group():
-            continue
-        if kind is TransformKind.CONCATENATION:
-            out.append(text[last : match.end()])
-            out.append(" " + value)
+def _lemma_value(token: str, lexicon: LemmaLexicon) -> str | None:
+    return lemmatize_token(token, lexicon)
+
+
+def _form_value(token: str, lexicon: MorphemeLexicon) -> str | None:
+    decomposition = decompose(token.lower(), lexicon)
+    if decomposition is None or len(decomposition.parts) == 1:
+        return None
+    return _match_first_case(" ".join(p.morpheme for p in decomposition.parts), token)
+
+
+def _constituent_meaning(token: str, lexicon: MorphemeLexicon) -> str | None:
+    entry = lexicon.lookup_any(token.lower())
+    return None if entry is None else _match_first_case(entry.meaning, token)
+
+
+def _whole_word_meaning(token: str, lexicon: MorphemeLexicon) -> str | None:
+    decomposition = decompose(token.lower(), lexicon)
+    return None if decomposition is None else _match_first_case(meanings_of(decomposition), token)
+
+
+# Feature value of a token per (target, constituent mode). Each function
+# looks up `lemmatize_token` and `decompose` when it runs, so a caller that
+# replaces those module attributes sees every computed value.
+_VALUE_FNS: dict[tuple[TransformTarget, bool], Callable[..., str | None]] = {
+    (TransformTarget.LEMMA, False): _lemma_value,
+    (TransformTarget.NEO_FORM, False): _form_value,
+    (TransformTarget.NEO_MEANING, False): _whole_word_meaning,
+    (TransformTarget.NEO_MEANING, True): _constituent_meaning,
+}
+
+# re.split with one group: the words sit at the odd indices, and joining
+# every piece gives the text back.
+_SPLIT_WORDS = re.compile(r"([A-Za-z]+)").split
+
+
+class _Step(dict):
+    """One chain step, as a table from each word seen so far to the text
+    that takes its place: the word itself where the feature leaves it
+    unchanged.
+
+    A word new to the table takes its value from the lexicon's table for
+    the step's (target, constituent mode), which computes it once per
+    lexicon instance.
+    """
+
+    __slots__ = ("augment", "concatenate", "values", "value_of", "lexicon")
+
+    def __init__(
+        self,
+        spec: TransformSpec,
+        constituent: bool,
+        lems: LemmaLexicon | None,
+        morphs: MorphemeLexicon | None,
+    ):
+        super().__init__()
+        if spec.target is TransformTarget.LEMMA:
+            if lems is None:
+                raise ConfigError("lemma transformations need a lemma lexicon")
+            lexicon: LemmaLexicon | MorphemeLexicon = lems
         else:
-            out.append(text[last : match.start()])
-            out.append(value)
-        last = match.end()
-        changed = True
-    out.append(text[last:])
-    return "".join(out), changed
+            if morphs is None:
+                raise ConfigError("combining-form transformations need a morpheme lexicon")
+            lexicon = morphs
+        key = (spec.target, constituent)
+        self.augment = spec.kind is TransformKind.AUGMENTATION
+        self.concatenate = spec.kind is TransformKind.CONCATENATION
+        self.values = lexicon._values.setdefault(key, {})
+        self.value_of = _VALUE_FNS[key]
+        self.lexicon = lexicon
 
+    def __missing__(self, word: str) -> str:
+        values = self.values
+        if word in values:
+            value = values[word]
+        else:
+            value = self.value_of(word, self.lexicon)
+            if value == word:
+                value = None
+            values[word] = value
+        if value is None:
+            slot = word
+        elif self.concatenate:
+            slot = word + " " + value
+        else:
+            slot = value
+        self[word] = slot
+        return slot
 
-def _value_fn(
-    target: TransformTarget,
-    lems: LemmaLexicon | None,
-    morphs: MorphemeLexicon | None,
-    constituent_mode: bool,
-) -> Callable[[str], str | None]:
-    if target is TransformTarget.LEMMA:
-        if lems is None:
-            raise ConfigError("lemma transformations need a lemma lexicon")
-
-        def lemma_value(token: str) -> str | None:
-            lemma = lemmatize_token(token, lems)
-            return lemma if lemma != token else None
-
-        return lemma_value
-
-    if morphs is None:
-        raise ConfigError("combining-form transformations need a morpheme lexicon")
-
-    if target is TransformTarget.NEO_FORM:
-
-        def form_value(token: str) -> str | None:
-            decomposition = decompose(token.lower(), morphs)
-            if decomposition is None or len(decomposition.parts) == 1:
-                return None
-            joined = " ".join(p.morpheme for p in decomposition.parts)
-            return _match_first_case(joined, token)
-
-        return form_value
-
-    if constituent_mode:
-
-        def constituent_meaning(token: str) -> str | None:
-            entry = morphs.lookup_any(token.lower())
-            if entry is None:
-                return None
-            return _match_first_case(entry.meaning, token)
-
-        return constituent_meaning
-
-    def whole_word_meaning(token: str) -> str | None:
-        decomposition = decompose(token.lower(), morphs)
-        if decomposition is None:
+    def edit(self, text: str) -> str | None:
+        """The text with every word put through the table, or None when no
+        word changes; the text between words keeps its exact position."""
+        pieces = _SPLIT_WORDS(text)
+        words = pieces[1::2]
+        slots = list(map(self.__getitem__, words))
+        if slots == words:
             return None
-        return _match_first_case(meanings_of(decomposition), token)
+        pieces[1::2] = slots
+        return "".join(pieces)
 
-    return whole_word_meaning
+
+def _chain_steps(
+    chain: TransformChain, lems: LemmaLexicon | None, morphs: MorphemeLexicon | None
+) -> list[_Step]:
+    """The chain's steps; after a form expansion, meaning substitution
+    rewrites constituent-form tokens instead of decomposing whole words."""
+    steps = []
+    forms_expanded = False
+    for spec in chain.specs:
+        constituent = spec.target is TransformTarget.NEO_MEANING and forms_expanded
+        steps.append(_Step(spec, constituent, lems, morphs))
+        forms_expanded = forms_expanded or spec.target is TransformTarget.NEO_FORM
+    return steps
+
+
+def _run_steps(text: str, steps: Sequence[_Step]) -> list[str]:
+    """The running text first, then each augmentation variant in order.
+
+    An in-line step rewrites each text; an augmentation step keeps each
+    text and adds its edited form after it, when that differs.
+    """
+    texts = [text]
+    for step in steps:
+        next_texts = []
+        for current in texts:
+            edited = step.edit(current)
+            if edited is None or step.augment:
+                next_texts.append(current)
+            if edited is not None:
+                next_texts.append(edited)
+        texts = next_texts
+    return texts
 
 
 def apply_chain(
@@ -494,25 +561,8 @@ def apply_chain(
     expansion, meaning substitution rewrites constituent-form tokens in the
     running text; otherwise it expands decomposable whole words directly.
     """
-    variants: list[tuple[str, bool]] = [(text, False)]
-    forms_expanded = False
-    for spec in chain.specs:
-        constituent_mode = spec.target is TransformTarget.NEO_MEANING and forms_expanded
-        value_for = _value_fn(spec.target, lems, morphs, constituent_mode)
-        next_variants: list[tuple[str, bool]] = []
-        for current, is_new in variants:
-            if spec.kind is TransformKind.AUGMENTATION:
-                replaced, changed = _edit_tokens(current, TransformKind.REPLACEMENT, value_for)
-                next_variants.append((current, is_new))
-                if changed:
-                    next_variants.append((replaced, True))
-            else:
-                edited, _changed = _edit_tokens(current, spec.kind, value_for)
-                next_variants.append((edited, is_new))
-        variants = next_variants
-        if spec.target is TransformTarget.NEO_FORM:
-            forms_expanded = True
-    return variants
+    texts = _run_steps(text, _chain_steps(chain, lems, morphs))
+    return [(variant, k > 0) for k, variant in enumerate(texts)]
 
 
 def transform_dataset(
@@ -526,10 +576,11 @@ def transform_dataset(
     Each instance is edited in line (same count), and its augmentation
     variants follow it with ids "{id}#aug{k}".
     """
+    steps = _chain_steps(chain, lems, morphs)
     out: list[YesNoInstance] = []
     for instance in instances:
-        questions = [text for text, _new in apply_chain(instance.question, chain, lems, morphs)]
-        contexts = [text for text, _new in apply_chain(instance.context, chain, lems, morphs)]
+        questions = _run_steps(instance.question, steps)
+        contexts = _run_steps(instance.context, steps)
         for k in range(max(len(questions), len(contexts))):
             out.append(
                 YesNoInstance(

@@ -52,6 +52,20 @@ def test_cli_names_called_by_launch_resolve():
         assert callable(getattr(cli, name, None)), f"medqakit.cli.{name}"
 
 
+def traced_spans(root: Path, *command: str) -> dict[str, int]:
+    """The span count of each layer when launch.py --trace runs a CLI command in root."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    spans = root / "spans.json"
+    result = subprocess.run(
+        [sys.executable, str(LAUNCH), "--trace", str(spans), "cli", *command],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    by_layer = json.loads(spans.read_text())["by_layer"]
+    return {layer: totals["spans"] for layer, totals in by_layer.items() if totals["spans"] > 0}
+
+
 def test_traced_commands_record_every_layer(tmp_path):
     """Run label, curate artificial, curate templates-export and eval through
     launch.py --trace: a patched name that dropped off the call path would
@@ -61,29 +75,15 @@ def test_traced_commands_record_every_layer(tmp_path):
     write_sources(tmp_path, n_l=6, n_a=6)
     write_corpus(tmp_path, n=12)
     config = str(write_config(tmp_path))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    layers = set()
-
-    def trace(*command):
-        spans = tmp_path / "spans.json"
-        result = subprocess.run(
-            [sys.executable, str(LAUNCH), "--trace", str(spans), "cli", *command],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        by_layer = json.loads(spans.read_text())["by_layer"]
-        layers.update(layer for layer, totals in by_layer.items() if totals["spans"] > 0)
-
-    trace("label", "--config", config)
-    trace("curate", "artificial", "--config", config)
-    trace("curate", "templates-export", "--config", config)
+    layers = set(traced_spans(tmp_path, "label", "--config", config))
+    layers |= set(traced_spans(tmp_path, "curate", "artificial", "--config", config))
+    layers |= set(traced_spans(tmp_path, "curate", "templates-export", "--config", config))
     gold = tmp_path / "out" / "d1.json"
     articles = json.loads(gold.read_text())["data"]
     ids = [qa["id"] for a in articles for p in a["paragraphs"] for qa in p["qas"]]
     predictions = tmp_path / "predictions.jsonl"
     predictions.write_text("".join(json.dumps({"id": i, "predicted_text": "x"}) + "\n" for i in ids))
-    trace("eval", str(gold), str(predictions), "--task", "extractive")
+    layers |= set(traced_spans(tmp_path, "eval", str(gold), str(predictions), "--task", "extractive"))
     required = {
         "corpus.parse",
         "corpus.segment",
@@ -93,3 +93,19 @@ def test_traced_commands_record_every_layer(tmp_path):
         "metrics.evaluate",
     }
     assert required <= layers, sorted(required - layers)
+
+
+def test_traced_schedule_records_morph_layers(tmp_path):
+    """Schedule XII (lemma concatenation, form and meaning replacement)
+    through launch.py --trace: the transforms must still call decompose and
+    lemmatize_token where the tracer replaces them."""
+    from medqakit import default_lemma_lexicon
+    from tests.test_cli import write_config, write_sources
+
+    write_sources(tmp_path, n_l=20, n_a=6)
+    config = str(write_config(tmp_path))
+    spans = traced_spans(tmp_path, "schedule", "--config", config, "--schedule", "XII")
+    required = {"morph.transform", "morph.decompose", "morph.lemmatize", "schedule.emit"}
+    assert required <= set(spans), sorted(required - set(spans))
+    # Loading the lemma lexicon checks each exception through lemmatize_token.
+    assert spans["morph.lemmatize"] > len(default_lemma_lexicon().exceptions)

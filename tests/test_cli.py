@@ -240,6 +240,38 @@ class TestCurateCommand:
         assert "Traceback" not in err
         assert {p: p.read_bytes() for p in outputs} == outputs
 
+    def test_alias_with_line_break_exits_1_and_keeps_the_earlier_outputs(self, tmp_path, capsys):
+        config, templates, outputs = self._export_tab_workspace(tmp_path)
+        raw = json.loads(templates.read_text())
+        raw["vocabularies"][0]["aliases"] = {"diabetes": ["diabetes\nmellitus"]}
+        templates.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["curate", "templates-export", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert (
+            f"{templates}: vocabularies[0]: field 'aliases': 'diabetes\\nmellitus' holds a tab"
+            in err
+        )
+        assert "Traceback" not in err
+        assert {p: p.read_bytes() for p in outputs} == outputs
+
+    @pytest.mark.parametrize("index", ["+1", " 1", "\u0660"])
+    def test_import_with_non_digit_sentence_index_exits_1(self, workspace, capsys, index):
+        root, config = workspace
+        assert main(["curate", "templates-export", "--config", str(config)]) == 0
+        mark_first_per_group(root / "out" / "review_queue.tsv", root / "reviewed.tsv")
+        lines = (root / "reviewed.tsv").read_text().splitlines()
+        fields = lines[1].split("\t")
+        fields[2] = index
+        lines[1] = "\t".join(fields)
+        (root / "reviewed.tsv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        review = ["--review", str(root / "reviewed.tsv")]
+        assert main(["curate", "templates-import", "--config", str(config), *review]) == 1
+        err = capsys.readouterr().err
+        assert f"reviewed.tsv line 2: bad sentence_index {index!r}" in err
+        assert "Traceback" not in err
+
     def test_pmid_with_line_break_exits_1_and_keeps_the_earlier_queue(self, tmp_path, capsys):
         config, _templates, outputs = self._export_tab_workspace(tmp_path)
         record = {

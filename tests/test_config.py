@@ -69,6 +69,11 @@ BAD_CONFIGS = [
     ({"covid_filter": {"cutoff_date": "2019-W44"}}, "config covid_filter.cutoff_date"),
     ({"covid_filter": {"phrases": "COVID"}}, "config covid_filter.phrases: expected an array"),
     ({"covid_filter": {"phrases": []}}, "at least one phrase"),
+    (
+        {"covid_filter": {"phrases": ["COVID", "novel\ncoronavirus"]}},
+        "config covid_filter.phrases: 'novel\\ncoronavirus' holds a tab or line break",
+    ),
+    ({"covid_filter": {"phrases": ["\tCOVID"]}}, "config covid_filter.phrases: '\\tCOVID' holds a tab"),
     ({"covid_filter": "COVID"}, "config covid_filter: expected an object, got string"),
     ({"curation": {"queue_depth": "x"}}, "config curation.queue_depth: expected an integer"),
     ({"curation": {"queue_depth": -1}}, "config curation.queue_depth: expected 0 or more, got -1"),

@@ -11,6 +11,7 @@ from medqakit import (
     CovidFilterPolicy,
     DatasetSubsetId,
     ParameterVocabulary,
+    ParseError,
     Provenance,
     QuestionTemplate,
     Sentence,
@@ -378,6 +379,18 @@ class TestReviewQueue:
         with pytest.raises(ValidationError, match="multiple selections"):
             import_review_queue(path)
 
+    @pytest.mark.parametrize("index", ["+1", " 1", "1 ", "\u0660", "\uff11", "1_0", ""])
+    def test_import_rejects_sentence_index_other_than_ascii_digits(self, tmp_path, index):
+        path = tmp_path / "queue.tsv"
+        export_review_queue([self._candidate()], path)
+        lines = path.read_text().splitlines()
+        question, pmid, _index, text, _selected = lines[1].split("\t")
+        lines[1] = "\t".join((question, pmid, index, text, "x"))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as raised:
+            import_review_queue(path)
+        assert f"{path} line 2: bad sentence_index {index!r}" in str(raised.value)
+
     def test_unreviewed_excluded_and_reported(self, tmp_path):
         path = tmp_path / "queue.tsv"
         export_review_queue([self._candidate()], path)
@@ -523,6 +536,27 @@ class TestLoadTemplateConfig:
             (
                 {"templates": [GOOD_TEMPLATE], "vocabularies": [dict(GOOD_VOCABULARY, values=[])]},
                 "vocabularies[0]: vocabulary 'xs' has no values",
+            ),
+            (
+                {
+                    "templates": [GOOD_TEMPLATE],
+                    "vocabularies": [dict(GOOD_VOCABULARY, values=["a\nb"])],
+                },
+                "vocabularies[0]: field 'values': 'a\\nb' holds a tab or line break",
+            ),
+            (
+                {
+                    "templates": [GOOD_TEMPLATE],
+                    "vocabularies": [GOOD_VOCABULARY, dict(PAIRED_VOCABULARY, values=[["b", "c\t"]])],
+                },
+                "vocabularies[1]: field 'values': 'c\\t' holds a tab or line break",
+            ),
+            (
+                {
+                    "templates": [GOOD_TEMPLATE],
+                    "vocabularies": [dict(GOOD_VOCABULARY, aliases={"a": ["A", "A\u2028"]})],
+                },
+                "vocabularies[0]: field 'aliases': 'A\\u2028' holds a tab or line break",
             ),
         ],
     )

@@ -235,6 +235,31 @@ class TestYesNoRoundTrip:
         expected = "\n".join(lines) + ("\n" if lines else "")
         assert (tmp_path / "yn.jsonl").read_bytes() == expected.encode("utf-8")
 
+    @given(
+        rows=st.lists(
+            st.tuples(TRICKY_TEXT, TRICKY_TEXT, TRICKY_TEXT, st.sampled_from(["yes", "no"])),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lines_equal_json_dumps_on_tricky_text(self, tmp_path_factory, rows):
+        instances = [
+            YesNoInstance(id=i, question="Q" + q, context="C" + c, label=label)
+            for i, q, c, label in rows
+        ]
+        path = tmp_path_factory.getbasetemp() / "tricky.jsonl"
+        write_yesno(path, instances)
+        expected = "".join(
+            json.dumps(
+                {"id": i.id, "question": i.question, "context": i.context, "label": i.label},
+                ensure_ascii=False,
+            )
+            + "\n"
+            for i in instances
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_yesno(path) == instances
+
     @pytest.mark.parametrize(
         "fields, message",
         [

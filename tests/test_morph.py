@@ -1,4 +1,5 @@
 import itertools
+import re
 import string
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from medqakit import (
     ConfigError,
     Decomposition,
+    LemmaLexicon,
     MorphemeEntry,
     MorphemeLexicon,
     MorphemeType,
@@ -19,7 +21,9 @@ from medqakit import (
     ValidationError,
     YesNoInstance,
     apply_chain,
+    builtin_schedules,
     decompose,
+    default_lemma_lexicon,
     default_morpheme_lexicon,
     lemmatize_token,
     load_lemma_lexicon,
@@ -28,6 +32,7 @@ from medqakit import (
     transform_dataset,
 )
 
+from medqakit import morph
 from tests.conftest import (
     OPTOTYPE_LEMMAS_CONCATENATED,
     OPTOTYPE_LEMMAS_REPLACED,
@@ -540,3 +545,240 @@ class TestTransformDataset:
         out = transform_dataset(instances, chain, lemma_lexicon, morpheme_lexicon)
         assert out[0] == instances[0]
         assert out[1] != instances[0]
+
+
+# The per-token path that the feature tables replaced, kept as the oracle:
+# every word occurrence is matched with finditer and its value computed
+# again, with no memo beyond decompose's.
+ORACLE_WORD_RE = re.compile(r"[A-Za-z]+")
+
+
+def oracle_match_first_case(text, original):
+    if original[:1].isupper() and text:
+        return text[0].upper() + text[1:]
+    return text
+
+
+def oracle_edit_tokens(text, kind, value_for):
+    out = []
+    last = 0
+    changed = False
+    for match in ORACLE_WORD_RE.finditer(text):
+        value = value_for(match.group())
+        if value is None or value == match.group():
+            continue
+        if kind is TransformKind.CONCATENATION:
+            out.append(text[last : match.end()])
+            out.append(" " + value)
+        else:
+            out.append(text[last : match.start()])
+            out.append(value)
+        last = match.end()
+        changed = True
+    out.append(text[last:])
+    return "".join(out), changed
+
+
+def oracle_value_fn(target, lems, morphs, constituent_mode):
+    if target is TransformTarget.LEMMA:
+        return lambda token: lemmatize_token(token, lems)
+    if target is TransformTarget.NEO_FORM:
+
+        def form_value(token):
+            decomposition = decompose(token.lower(), morphs)
+            if decomposition is None or len(decomposition.parts) == 1:
+                return None
+            return oracle_match_first_case(" ".join(p.morpheme for p in decomposition.parts), token)
+
+        return form_value
+    if constituent_mode:
+
+        def constituent_meaning(token):
+            entry = morphs.lookup_any(token.lower())
+            return None if entry is None else oracle_match_first_case(entry.meaning, token)
+
+        return constituent_meaning
+
+    def whole_word_meaning(token):
+        decomposition = decompose(token.lower(), morphs)
+        if decomposition is None:
+            return None
+        return oracle_match_first_case(meanings_of(decomposition), token)
+
+    return whole_word_meaning
+
+
+def oracle_apply_chain(text, chain, lems, morphs):
+    variants = [(text, False)]
+    forms_expanded = False
+    for spec in chain.specs:
+        constituent_mode = spec.target is TransformTarget.NEO_MEANING and forms_expanded
+        value_for = oracle_value_fn(spec.target, lems, morphs, constituent_mode)
+        next_variants = []
+        for current, is_new in variants:
+            if spec.kind is TransformKind.AUGMENTATION:
+                replaced, changed = oracle_edit_tokens(current, TransformKind.REPLACEMENT, value_for)
+                next_variants.append((current, is_new))
+                if changed:
+                    next_variants.append((replaced, True))
+            else:
+                edited, _changed = oracle_edit_tokens(current, spec.kind, value_for)
+                next_variants.append((edited, is_new))
+        variants = next_variants
+        if spec.target is TransformTarget.NEO_FORM:
+            forms_expanded = True
+    return variants
+
+
+def oracle_transform_dataset(instances, chain, lems, morphs):
+    out = []
+    for instance in instances:
+        questions = [t for t, _new in oracle_apply_chain(instance.question, chain, lems, morphs)]
+        contexts = [t for t, _new in oracle_apply_chain(instance.context, chain, lems, morphs)]
+        for k in range(max(len(questions), len(contexts))):
+            out.append(
+                YesNoInstance(
+                    id=f"{instance.id}#aug{k}" if k else instance.id,
+                    question=questions[k] if k < len(questions) else questions[0],
+                    context=contexts[k] if k < len(contexts) else contexts[0],
+                    label=instance.label,
+                )
+            )
+    return out
+
+
+BUILTIN_CHAINS = [
+    stage.chain for s in builtin_schedules() for stage in s.stages[:1] if stage.chain is not None
+]
+# Two and three augmentation steps, so variants multiply and flow on.
+AUGMENTING_CHAINS = [
+    TransformChain(tuple(TransformSpec(TransformKind.AUGMENTATION, t) for t in targets))
+    for targets in (
+        (TransformTarget.LEMMA, TransformTarget.NEO_FORM),
+        (TransformTarget.NEO_FORM, TransformTarget.NEO_MEANING),
+        (TransformTarget.LEMMA, TransformTarget.NEO_FORM, TransformTarget.NEO_MEANING),
+    )
+]
+
+
+@st.composite
+def valid_chains(draw):
+    targets = draw(st.permutations(list(TransformTarget)))[: draw(st.integers(0, 3))]
+    form, meaning = TransformTarget.NEO_FORM, TransformTarget.NEO_MEANING
+    if form in targets and meaning in targets and targets.index(form) > targets.index(meaning):
+        i, j = targets.index(meaning), targets.index(form)
+        targets[i], targets[j] = form, meaning
+    return TransformChain(
+        tuple(TransformSpec(draw(st.sampled_from(list(TransformKind))), t) for t in targets)
+    )
+
+
+CHAINS = st.sampled_from(BUILTIN_CHAINS + AUGMENTING_CHAINS) | valid_chains()
+WORDS = (
+    "the patients studies outcomes were assessed used running stopped criteria analyses"
+    " dacryoadenitis gastroenteritis hyperglycemia thrombocytopenia cardiomegaly osteoarthritis"
+    " patient this status glass"
+).split()
+CASES = (str.lower, str.capitalize, str.upper, lambda w: w[:-1] + w[-1].upper())
+# Non-ASCII letters split words as punctuation does.
+SEPARATORS = (" ", " ", " ", ", ", ". ", "-", " (", ") ", "", "\n", " 3 ")
+SEPARATORS += ("é", "ß", "Ωmega ", "ﬁ")
+
+
+@st.composite
+def texts(draw):
+    pieces = []
+    for _ in range(draw(st.integers(0, 14))):
+        word = draw(
+            st.sampled_from(WORDS)
+            | st.sampled_from(PACKAGED_MORPHEMES)
+            | st.lists(st.sampled_from(PACKAGED_MORPHEMES), min_size=2, max_size=3).map("".join)
+            | st.text(string.ascii_letters, min_size=1, max_size=9)
+        )
+        pieces.append(draw(st.sampled_from(CASES))(word))
+        pieces.append(draw(st.sampled_from(SEPARATORS)))
+    return draw(st.sampled_from(("", " ", "¿"))) + "".join(pieces)
+
+
+WARM_LEMS = default_lemma_lexicon()
+WARM_MORPHS = default_morpheme_lexicon()
+
+
+def fresh_or_warm_lexicons(fresh):
+    """New lexicons with empty memos, or the ones every example shares."""
+    if fresh:
+        return LemmaLexicon(WARM_LEMS.exceptions), MorphemeLexicon(WARM_MORPHS.entries)
+    return WARM_LEMS, WARM_MORPHS
+
+
+class TestTransformOracle:
+    """The table-driven steps against the per-token path they replaced."""
+
+    @given(text=texts(), chain=CHAINS, fresh=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_apply_chain(self, text, chain, fresh):
+        lems, morphs = fresh_or_warm_lexicons(fresh)
+        want = oracle_apply_chain(text, chain, lems, morphs)
+        assert apply_chain(text, chain, lems, morphs) == want
+        assert apply_chain(text, chain, lems, morphs) == want
+
+    @given(
+        pairs=st.lists(st.tuples(texts(), texts()), max_size=6),
+        chain=CHAINS,
+        fresh=st.booleans(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_transform_dataset(self, pairs, chain, fresh):
+        instances = [
+            YesNoInstance(id=f"q{i}", question=f"Does {q}?", context=f"Results: {c}", label="yes")
+            for i, (q, c) in enumerate(pairs)
+        ]
+        lems, morphs = fresh_or_warm_lexicons(fresh)
+        want = oracle_transform_dataset(instances, chain, lems, morphs)
+        assert transform_dataset(instances, chain, lems, morphs) == want
+
+
+class TestFeatureTables:
+    def test_each_token_lemmatized_once_per_lexicon(self, monkeypatch):
+        """The step tables look lemmatize_token up where the tracer replaces it."""
+        lems = default_lemma_lexicon()
+        calls = []
+        real = morph.lemmatize_token
+        monkeypatch.setattr(morph, "lemmatize_token", lambda t, lx: calls.append(t) or real(t, lx))
+        instances = [YesNoInstance("a", "Studies used studies?", "Studies used it.", "no")] * 3
+        for chain in (TransformChain((REPLACE_LEMMA,)), TransformChain((CONCAT_LEMMA,))):
+            transform_dataset(instances, chain, lems)
+        assert sorted(calls) == ["Studies", "it", "studies", "used"]
+
+    def test_each_token_decomposed_once_per_lexicon(self, monkeypatch):
+        calls = []
+        real = morph.decompose
+        monkeypatch.setattr(morph, "decompose", lambda w, lex: calls.append(w) or real(w, lex))
+        morphs = default_morpheme_lexicon()
+        text = "Dacryoadenitis and dacryoadenitis; hyperglycemia."
+        for kind in TransformKind:
+            chain = TransformChain((TransformSpec(kind, TransformTarget.NEO_FORM),))
+            apply_chain(text, chain, None, morphs)
+        assert sorted(calls) == ["and", "dacryoadenitis", "dacryoadenitis", "hyperglycemia"]
+
+    def test_lexicons_do_not_share_values(self, tmp_path):
+        path = tmp_path / "lems.txt"
+        path.write_text("mice|mouse\n")
+        chain = TransformChain((REPLACE_LEMMA,))
+        rules_only, with_mice = load_lemma_lexicon(), load_lemma_lexicon(path)
+        for lexicon, want in ((with_mice, "Mouse"), (rules_only, "Mice"), (with_mice, "Mouse")):
+            assert apply_chain("Mice", chain, lexicon) == [(want, False)]
+
+    @pytest.mark.parametrize(
+        "spec,lexicons",
+        [
+            (REPLACE_LEMMA, (None, PACKAGED)),
+            (TransformSpec(TransformKind.AUGMENTATION, TransformTarget.NEO_FORM), (WARM_LEMS, None)),
+        ],
+    )
+    def test_missing_lexicon_raises_when_applied(self, spec, lexicons):
+        chain = TransformChain((spec,))
+        with pytest.raises(ConfigError, match="lexicon"):
+            apply_chain("text", chain, *lexicons)
+        with pytest.raises(ConfigError, match="lexicon"):
+            transform_dataset([YesNoInstance("a", "q?", "c.", "yes")], chain, *lexicons)
