@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,20 +27,20 @@ SQUAD_VERSION = "1.1"
 T = TypeVar("T")
 
 
-def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
-    """Write via a temp file and rename so partial files never appear.
+@contextmanager
+def _atomic_file(path: str | Path) -> Iterator[int]:
+    """A descriptor of a new temp file that replaces `path` when the block
+    ends without an error; the block must close the descriptor.
 
-    `text` is one string or an iterable of string chunks, written as they
-    come. The temp file gets a unique name in the target directory and is
-    removed if the write fails; the written file has the mode
-    `Path.write_text` gives a new file (0o666 less the umask).
+    The temp file gets a unique name in the target directory and is removed
+    if the block fails; the written file has the mode `Path.write_text`
+    gives a new file (0o666 less the umask).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines((text,) if isinstance(text, str) else text)
+        yield fd
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -49,11 +50,22 @@ def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def read_text_chunks(path: str | Path) -> Iterator[str]:
-    """The text of a UTF-8 file in chunks of up to 1 MiB characters, line
-    endings as stored."""
-    with Path(path).open(encoding="utf-8", newline="") as handle:
-        yield from iter(lambda: handle.read(1 << 20), "")
+def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write via a temp file and rename so partial files never appear.
+
+    `text` is one string or an iterable of string chunks, written as they
+    come, as UTF-8.
+    """
+    with _atomic_file(path) as fd, os.fdopen(fd, "w", encoding="utf-8") as handle:
+        handle.writelines((text,) if isinstance(text, str) else text)
+
+
+def copy_file_atomic(path: str | Path, source: str | Path) -> None:
+    """Copy the bytes of `source` to `path` the way `write_text_atomic`
+    writes a file: through a temp file and a rename, with the same mode."""
+    with _atomic_file(path) as fd, os.fdopen(fd, "wb") as handle:
+        with Path(source).open("rb") as src:
+            shutil.copyfileobj(src, handle)
 
 
 @contextmanager
@@ -86,34 +98,42 @@ def read_json(path: str | Path) -> dict:
     return raw
 
 
+def _build(raw: dict, required: Sequence[str], build: Callable[[dict], T]) -> T:
+    for field in required:
+        if field not in raw:
+            raise ParseError(f"missing field {field!r}")
+    return build(raw)
+
+
 def read_object(where: str, raw: Any, required: Sequence[str], build: Callable[[dict], T]) -> T:
     """build(raw) for a JSON object holding every required field. Each error,
     a ValidationError that build raises included, starts with `where`."""
     if type(raw) is not dict:
         raise expected(where, "a JSON object", raw)
     try:
-        for field in required:
-            if field not in raw:
-                raise ParseError(f"missing field {field!r}")
-        return build(raw)
+        return _build(raw, required, build)
     except ValidationError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _read_jsonl(path: Path, required: Sequence[str], build: Callable[[dict], T]) -> list[T]:
-    """build(object) for the object on each non-blank line; every error
-    names the file and the line."""
+    """build(object) for the object on each non-blank line, in one pass: the
+    first fault in file order raises, with the file and the line."""
     out = []
     with open_text(path) as handle:
         for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
-            where = f"{path} line {line_number}"
             try:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: malformed JSON: {exc}") from exc
-            out.append(read_object(where, raw, required, build))
+                raise ParseError(f"{path} line {line_number}: malformed JSON: {exc}") from exc
+            if type(raw) is not dict:
+                raise expected(f"{path} line {line_number}", "a JSON object", raw)
+            try:
+                out.append(_build(raw, required, build))
+            except ValidationError as exc:
+                raise type(exc)(f"{path} line {line_number}: {exc}") from exc
     return out
 
 
@@ -133,15 +153,24 @@ def read_abstracts(path: str | Path) -> list[StructuredAbstract]:
 
 
 _OPTIONAL_STRING = check("a string or null", lambda v: v is None or type(v) is str)
+_SOURCE_FIELDS = ("id", "question", "context")
 
 
-def _source_instance(raw: dict) -> SourceInstance:
-    return SourceInstance(
-        id=STRING("field 'id'", raw["id"]),
-        question=STRING("field 'question'", raw["question"]),
-        context=STRING("field 'context'", raw["context"]),
-        label=_OPTIONAL_STRING("field 'label'", raw.get("label")),
-    )
+def _source_fields(raw: dict) -> tuple[str, str, str, str | None]:
+    """id, question, context and label of a source record."""
+    id_, question, context, label = raw["id"], raw["question"], raw["context"], raw.get("label")
+    if not (
+        type(id_) is str
+        and type(question) is str
+        and type(context) is str
+        and (label is None or type(label) is str)
+    ):
+        # the where strings are built only for a record that fails
+        STRING("field 'id'", id_)
+        STRING("field 'question'", question)
+        STRING("field 'context'", context)
+        _OPTIONAL_STRING("field 'label'", label)
+    return id_, question, context, label
 
 
 def read_source_instances(path: str | Path) -> list[SourceInstance]:
@@ -150,21 +179,20 @@ def read_source_instances(path: str | Path) -> list[SourceInstance]:
     id, question and context must be JSON strings; label a string, null or
     absent.
     """
-    return _read_jsonl(Path(path), ("id", "question", "context"), _source_instance)
+    return _read_jsonl(Path(path), _SOURCE_FIELDS, lambda raw: SourceInstance(*_source_fields(raw)))
+
+
+def _yesno_instance(raw: dict) -> YesNoInstance:
+    id_, question, context, label = _source_fields(raw)
+    if label is None:
+        raise ValidationError(f"instance {id_} has no label")
+    return YesNoInstance(id=id_, question=question, context=context, label=label)
 
 
 def read_yesno(path: str | Path) -> list[YesNoInstance]:
-    """Load validated yes/no instances from JSONL."""
-    instances = []
-    for source in read_source_instances(path):
-        if source.label is None:
-            raise ValidationError(f"{path}: instance {source.id} has no label")
-        instances.append(
-            YesNoInstance(
-                id=source.id, question=source.question, context=source.context, label=source.label
-            )
-        )
-    return instances
+    """Load validated yes/no instances from JSONL: source records with a
+    label, each checked as a YesNoInstance as its line is read."""
+    return _read_jsonl(Path(path), _SOURCE_FIELDS, _yesno_instance)
 
 
 # One yes/no instance as json.dumps(..., ensure_ascii=False) lays it out.
@@ -252,22 +280,27 @@ def write_squad(
     write_text_atomic(path, _squad_chunks(pairs, provenance))
 
 
-_SUBSET_VALUES = tuple(s.value for s in DatasetSubsetId)
-_PROVENANCE_VALUES = tuple(p.value for p in Provenance)
-_SUBSET = check("one of " + ", ".join(_SUBSET_VALUES), lambda v: v in _SUBSET_VALUES)
-_PROVENANCE = check("one of " + ", ".join(_PROVENANCE_VALUES), lambda v: v in _PROVENANCE_VALUES)
+_SUBSETS = {s.value: s for s in DatasetSubsetId}
+_PROVENANCES = {p.value: p for p in Provenance}
+_SQUAD_ARRAYS = ("data", "paragraphs")
 
 
-def _squad_objects(where: str, parent: dict, key: str) -> list[dict]:
-    """`parent[key]`, which must be absent or an array of JSON objects;
-    `where`, ending in ": ", names the file and `parent`."""
+def _squad_objects(path: Path, parent: dict, key: str, *at: int) -> list[dict]:
+    """`parent[key]`, which must be absent or an array of JSON objects; `at`
+    holds the indices of `parent` in the data and paragraphs arrays."""
     items = parent.get(key, [])
+    if type(items) is list:
+        for item in items:
+            if type(item) is not dict:
+                break
+        else:
+            return items
+    # the where string is built only for a document that fails
+    where = f"{path}: " + "".join(f"{name}[{i}]: " for name, i in zip(_SQUAD_ARRAYS, at))
     if type(items) is not list:
         raise expected(f"{where}field {key!r}", "an array", items)
-    for i, item in enumerate(items):
-        if type(item) is not dict:
-            raise expected(f"{where}{key}[{i}]", "a JSON object", item)
-    return items
+    i = next(i for i, item in enumerate(items) if type(item) is not dict)
+    raise expected(f"{where}{key}[{i}]", "a JSON object", items[i])
 
 
 def _squad_pair(paragraph: dict, qa: dict, subset: DatasetSubsetId | None) -> QAPair:
@@ -279,44 +312,60 @@ def _squad_pair(paragraph: dict, qa: dict, subset: DatasetSubsetId | None) -> QA
     if "question" not in qa:
         raise ParseError("no question")
     answers = qa.get("answers")
-    if not isinstance(answers, list) or not answers:
+    if type(answers) is not list or not answers:
         raise ParseError("no answers")
     answer = answers[0]
-    if not isinstance(answer, dict) or not {"text", "answer_start"} <= answer.keys():
+    if type(answer) is not dict or "text" not in answer or "answer_start" not in answer:
         raise ParseError("the first answer needs text and answer_start")
-    answer_start = INTEGER("field 'answers[0].answer_start'", answer["answer_start"])
-    context = STRING("field 'context'", paragraph["context"])
-    question = STRING("field 'question'", qa["question"])
-    answer_text = STRING("field 'answers[0].text'", answer["text"])
-    if qa.get("subset") is not None:
-        subset = DatasetSubsetId(_SUBSET("field 'subset'", qa["subset"]))
+    qa_id, answer_start, context = qa["id"], answer["answer_start"], paragraph["context"]
+    question, answer_text = qa["question"], answer["text"]
+    if not (
+        type(qa_id) is str
+        and type(answer_start) is int
+        and type(context) is str
+        and type(question) is str
+        and type(answer_text) is str
+    ):
+        # the where strings are built only for a qa that fails
+        STRING("field 'id'", qa_id)
+        INTEGER("field 'answers[0].answer_start'", answer_start)
+        STRING("field 'context'", context)
+        STRING("field 'question'", question)
+        STRING("field 'answers[0].text'", answer_text)
+    tag = qa.get("subset")
+    if tag is not None:
+        subset = _SUBSETS.get(tag) if type(tag) is str else None
+        if subset is None:
+            raise expected("field 'subset'", "one of " + ", ".join(_SUBSETS), tag)
     elif subset is None:
         raise ValidationError("no subset tag")
-    provenance = _PROVENANCE("field 'provenance'", qa.get("provenance", Provenance.BM25_WEAK.value))
+    raw_provenance = qa.get("provenance", Provenance.BM25_WEAK.value)
+    provenance = _PROVENANCES.get(raw_provenance) if type(raw_provenance) is str else None
+    if provenance is None:
+        raise expected("field 'provenance'", "one of " + ", ".join(_PROVENANCES), raw_provenance)
     return QAPair(
-        id=str(qa["id"]),
+        id=qa_id,
         question=question,
         context=context,
         answer_text=answer_text,
         answer_start=answer_start,
         subset=subset,
-        provenance=Provenance(provenance),
+        provenance=provenance,
     )
 
 
 def read_squad(path: str | Path, *, subset: DatasetSubsetId | None = None) -> list[QAPair]:
     """Load extractive pairs back from the SQuAD shape.
 
-    A qa's subset comes from its `subset` field, else from the argument. Its
-    provenance comes from its `provenance` field; a qa without one reads as
-    bm25_weak, whatever its subset.
+    A qa's id must be a string. Its subset comes from its `subset` field,
+    else from the argument. Its provenance comes from its `provenance`
+    field; a qa without one reads as bm25_weak, whatever its subset.
     """
     path = Path(path)
     pairs = []
-    for a, article in enumerate(_squad_objects(f"{path}: ", read_json(path), "data")):
-        where = f"{path}: data[{a}]: "
-        for p, paragraph in enumerate(_squad_objects(where, article, "paragraphs")):
-            for qa in _squad_objects(f"{where}paragraphs[{p}]: ", paragraph, "qas"):
+    for a, article in enumerate(_squad_objects(path, read_json(path), "data")):
+        for p, paragraph in enumerate(_squad_objects(path, article, "paragraphs", a)):
+            for qa in _squad_objects(path, paragraph, "qas", a, p):
                 try:
                     pairs.append(_squad_pair(paragraph, qa, subset))
                 except ValidationError as exc:
@@ -324,22 +373,23 @@ def read_squad(path: str | Path, *, subset: DatasetSubsetId | None = None) -> li
     return pairs
 
 
-_YES_OR_NO = check('"yes" or "no"', lambda v: v in ("yes", "no"))
-
-
 def _prediction(raw: dict) -> Prediction:
-    if "predicted_text" not in raw and "predicted_label" not in raw:
+    has_text, has_label = "predicted_text" in raw, "predicted_label" in raw
+    if not (has_text or has_label):
         raise ValidationError("need predicted_text or predicted_label")
-    STRING("field 'id'", raw["id"])
-    if "predicted_text" in raw:
-        STRING("field 'predicted_text'", raw["predicted_text"])
-    if "predicted_label" in raw:
-        _YES_OR_NO("field 'predicted_label'", raw["predicted_label"])
-    return Prediction(
-        id=raw["id"],
-        predicted_text=raw.get("predicted_text"),
-        predicted_label=raw.get("predicted_label"),
-    )
+    pred_id, text, label = raw["id"], raw.get("predicted_text"), raw.get("predicted_label")
+    if not (
+        type(pred_id) is str
+        and (not has_text or type(text) is str)
+        and (not has_label or label in ("yes", "no"))
+    ):
+        # the where strings are built only for a line that fails
+        STRING("field 'id'", pred_id)
+        if has_text:
+            STRING("field 'predicted_text'", text)
+        if has_label:
+            raise expected("field 'predicted_label'", '"yes" or "no"', label)
+    return Prediction(id=pred_id, predicted_text=text, predicted_label=label)
 
 
 def read_predictions(path: str | Path) -> list[Prediction]:

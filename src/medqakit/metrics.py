@@ -3,7 +3,6 @@ accuracy for yes/no QA."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,9 +46,18 @@ def exact_match(pred: str, golds: Sequence[str]) -> int:
 
 
 def _f1(pred_tokens: list[str], gold_tokens: list[str]) -> float:
-    if not pred_tokens and not gold_tokens:
+    if pred_tokens == gold_tokens:
+        # precision and recall are both 1.0, or both lists are empty
         return 1.0
-    overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
+    # the size of the multiset intersection of the two token lists
+    unmatched: dict[str, int] = {}
+    for token in gold_tokens:
+        unmatched[token] = unmatched.get(token, 0) + 1
+    overlap = 0
+    for token in pred_tokens:
+        if unmatched.get(token, 0) > 0:
+            unmatched[token] -= 1
+            overlap += 1
     if overlap == 0:
         return 0.0
     precision = overlap / len(pred_tokens)
@@ -81,33 +89,42 @@ def evaluate(
 ) -> EvalReport:
     """Score predictions against gold instances aligned by id.
 
-    Extractive reports EM and F1 as percentages; yes/no reports accuracy as
-    a fraction in [0, 1]. Every gold id needs exactly one prediction.
+    Extractive reports EM and F1 as percentages, the means of
+    `exact_match` and `token_f1` over the pairs; yes/no reports accuracy as
+    a fraction in [0, 1]. Gold ids must be unique, and every gold id needs
+    exactly one prediction.
     """
     if task not in ("extractive", "yesno"):
         raise ValidationError(f"unknown task {task!r}; expected 'extractive' or 'yesno'")
-    golds = list(golds)
+    golds = sorted(golds, key=lambda g: g.id)
     if not golds:
         raise ValidationError("no gold instances")
+    gold_ids = {g.id for g in golds}
+    if len(gold_ids) != len(golds):
+        repeated = sorted({a.id for a, b in zip(golds, golds[1:]) if a.id == b.id})
+        raise ValidationError(f"duplicate gold ids: {repeated}")
     by_id = {p.id: p for p in predictions}
     if len(by_id) != len(predictions):
         raise ValidationError("duplicate prediction ids")
-    _check_ids({g.id for g in golds}, set(by_id))
+    _check_ids(gold_ids, set(by_id))
 
     if task == "extractive":
         em_total = 0.0
         f1_total = 0.0
-        for gold in sorted(golds, key=lambda g: g.id):
+        for gold in golds:
             pred = by_id[gold.id]
             if pred.predicted_text is None:
                 raise ValidationError(f"{gold.id}: prediction has no predicted_text")
-            em_total += exact_match(pred.predicted_text, [gold.answer_text])
-            f1_total += token_f1(pred.predicted_text, [gold.answer_text])
+            # each text normalized once; the sums run in gold id order
+            normalized = normalize_answer(pred.predicted_text)
+            gold_normalized = normalize_answer(gold.answer_text)
+            em_total += int(normalized == gold_normalized)
+            f1_total += _f1(normalized.split(), gold_normalized.split())
         n = len(golds)
         return EvalReport(n=n, exact_match=100.0 * em_total / n, f1=100.0 * f1_total / n)
 
     correct = 0
-    for gold in sorted(golds, key=lambda g: g.id):
+    for gold in golds:
         pred = by_id[gold.id]
         if pred.predicted_label is None:
             raise ValidationError(f"{gold.id}: prediction has no predicted_label")

@@ -303,7 +303,7 @@ def emit_schedule(
         key = (stage.subset, stage.chain)
         if key in emitted:
             source, n_instances = emitted[key]
-            formats.write_text_atomic(path, formats.read_text_chunks(source))
+            formats.copy_file_atomic(path, source)
         else:
             instances = list(data)
             if folds is not None and stage.subset is DatasetSubsetId.PQA_L:

@@ -487,6 +487,79 @@ class TestEvalCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"label": "maybe"}, "b: label must be 'yes' or 'no', got 'maybe'"),
+            ({"question": " "}, "b: question is empty"),
+            ({"context": ""}, "b: context is empty"),
+            ({"label": None}, "instance b has no label"),
+        ],
+    )
+    def test_bad_yesno_gold_line_names_file_and_line(self, tmp_path, capsys, bad, message):
+        good = {"id": "a", "question": "Q?", "context": "A.", "label": "yes"}
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **bad}) + "\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "a", "predicted_label": "yes"}\n')
+        assert main(["eval", str(gold), str(preds), "--task", "yesno"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {gold} line 2: {message}\n" in err
+        assert "Traceback" not in err
+
+    def test_first_yesno_fault_in_file_order_is_reported(self, tmp_path, capsys):
+        rows = [
+            {"id": "a", "question": "Q?", "context": "A.", "label": "yes"},
+            {"id": "b", "question": "Q?", "context": "A."},
+            {"id": 3, "question": "Q?", "context": "A.", "label": "yes"},
+        ]
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "a", "predicted_label": "yes"}\n')
+        assert main(["eval", str(gold), str(preds), "--task", "yesno"]) == 1
+        assert capsys.readouterr().err == f"error: {gold} line 2: instance b has no label\n"
+
+    def test_bad_yesno_source_line_fails_schedule(self, workspace, capsys):
+        root, config = workspace
+        lines = (root / "pqa_l.jsonl").read_text().splitlines()
+        row = json.loads(lines[4])
+        lines[4] = json.dumps({**row, "label": "maybe"})
+        (root / "pqa_l.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["schedule", "--config", str(config), "--schedule", "baseline"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {root / 'pqa_l.jsonl'} line 5: {row['id']}: label must be" in err
+
+    @pytest.mark.parametrize("qa_id, kind", [(None, "null"), ([1, 2], "array"), (7, "number")])
+    def test_non_string_gold_qa_id_exits_1(self, tmp_path, capsys, qa_id, kind):
+        gold = tmp_path / "gold.json"
+        qa = {"id": qa_id, "question": "Q?", "answers": [{"text": "A.", "answer_start": 0}]}
+        gold.write_text(json.dumps({"data": [{"paragraphs": [{"context": "A.", "qas": [qa]}]}]}))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "None", "predicted_text": "A."}\n')
+        assert main(["eval", str(gold), str(preds), "--task", "extractive"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {gold}: qa {qa_id!r}: field 'id': expected a string, got {kind}" in err
+
+    @pytest.mark.parametrize("task", ["extractive", "yesno"])
+    def test_duplicate_gold_ids_exit_1_naming_both_files(self, tmp_path, capsys, task):
+        if task == "extractive":
+            gold = tmp_path / "gold.json"
+            qa = {"id": "x", "question": "Q?", "answers": [{"text": "A.", "answer_start": 0}]}
+            paragraph = {"context": "A.", "qas": [qa, qa]}
+            gold.write_text(json.dumps({"data": [{"paragraphs": [paragraph]}]}))
+        else:
+            gold = tmp_path / "gold.jsonl"
+            row = {"id": "x", "question": "Q?", "context": "A.", "label": "yes"}
+            gold.write_text((json.dumps(row) + "\n") * 2)
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "x", "predicted_text": "A.", "predicted_label": "yes"}\n')
+        assert main(["eval", str(gold), str(preds), "--task", task]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {preds} against {gold}: duplicate gold ids: ['x']\n"
+
+
 class TestDeterminismAndOverrides:
     def test_rerun_byte_identical(self, workspace):
         root, config = workspace

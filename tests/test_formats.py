@@ -16,6 +16,7 @@ from medqakit import (
 )
 from medqakit.formats import (
     SQUAD_VERSION,
+    copy_file_atomic,
     read_abstracts,
     read_predictions,
     read_source_instances,
@@ -496,3 +497,31 @@ class TestWriteTextAtomic:
         with pytest.raises(UnicodeEncodeError):
             write_text_atomic(tmp_path / "out.txt", "lone surrogate \ud800")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestCopyFileAtomic:
+    def test_bytes_copied_as_stored(self, tmp_path):
+        raw = b'{"a": "\xc3\xa9"}\r\n\xff\x00 line\rend'
+        (tmp_path / "src.bin").write_bytes(raw)
+        copy_file_atomic(tmp_path / "sub" / "dst.bin", tmp_path / "src.bin")
+        assert (tmp_path / "sub" / "dst.bin").read_bytes() == raw
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["dst.bin"]
+
+    def test_mode_is_what_write_text_atomic_gives(self, tmp_path):
+        (tmp_path / "src.txt").write_text("x")
+        old = os.umask(0o027)
+        try:
+            copy_file_atomic(tmp_path / "copy.txt", tmp_path / "src.txt")
+            write_text_atomic(tmp_path / "atomic.txt", "x")
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE((tmp_path / n).stat().st_mode) for n in ("copy.txt", "atomic.txt")}
+        assert modes == {0o640}
+
+    def test_missing_source_leaves_target_and_no_temp(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "dst.txt").write_text("before\n")
+        with pytest.raises(FileNotFoundError):
+            copy_file_atomic(tmp_path / "out" / "dst.txt", tmp_path / "missing.txt")
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["dst.txt"]
+        assert (tmp_path / "out" / "dst.txt").read_text() == "before\n"

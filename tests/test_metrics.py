@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -165,3 +166,88 @@ class TestEvaluate:
     def test_report_serialization(self):
         report = EvalReport(n=3, exact_match=66.7, f1=70.0)
         assert report.to_dict() == {"n": 3, "exact_match": 66.7, "f1": 70.0}
+
+    def test_duplicate_gold_ids_rejected(self):
+        pair = _gold_pairs()[0]
+        with pytest.raises(ValidationError, match=r"duplicate gold ids: \['g0'\]"):
+            evaluate([pair, pair], [Prediction(id="g0", predicted_text="x")], "extractive")
+        instance = YesNoInstance(id="y", question="q?", context="c", label="yes")
+        with pytest.raises(ValidationError, match=r"duplicate gold ids: \['y'\]"):
+            evaluate([instance, instance], [Prediction(id="y", predicted_label="yes")], "yesno")
+
+
+# The metrics as they were before evaluate normalized each text once and
+# counted the overlap without Counters: the oracle for both.
+def oracle_exact_match(pred, golds):
+    normalized = normalize_answer(pred)
+    return int(any(normalized == normalize_answer(g) for g in golds))
+
+
+def oracle_f1(pred_tokens, gold_tokens):
+    if not pred_tokens and not gold_tokens:
+        return 1.0
+    overlap = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
+    if overlap == 0:
+        return 0.0
+    precision = overlap / len(pred_tokens)
+    recall = overlap / len(gold_tokens)
+    return 2 * precision * recall / (precision + recall)
+
+
+def oracle_token_f1(pred, golds):
+    pred_tokens = normalize_answer(pred).split()
+    return max(oracle_f1(pred_tokens, normalize_answer(g).split()) for g in golds)
+
+
+# Words, articles, case, punctuation and non-ASCII letters (a dotted capital
+# I and a final sigma change length or form when lowered).
+ANSWER_TEXT = st.lists(
+    st.sampled_from(
+        ["a", "an", "the", "The", "AN", "x", "X", "gland", "Gland", "é", "É", "ß", "İ", "Σ", "ς",
+         "naïve", "co-op", "it's", "(x)", ".", ",", "!", "the.", "an,", "  ", "\t", "\u00a0"]
+    ),
+    max_size=8,
+).map(" ".join)
+
+
+class TestEvaluateOracle:
+    @given(texts=st.lists(st.tuples(ANSWER_TEXT, ANSWER_TEXT), min_size=1, max_size=12),
+           order=st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_extractive_sums_bitwise_equal_oracle(self, texts, order):
+        golds = [
+            QAPair(
+                id=f"g{i:02d}",
+                question="Q?",
+                context="C " + gold,
+                answer_text=gold,
+                answer_start=2,
+                subset=DatasetSubsetId.D1,
+                provenance=Provenance.BM25_WEAK,
+            )
+            for i, (_, gold) in enumerate(texts)
+        ]
+        preds = [Prediction(id=g.id, predicted_text=pred) for g, (pred, _) in zip(golds, texts)]
+        order.shuffle(golds)
+        by_id = {p.id: p.predicted_text for p in preds}
+        em_total = f1_total = 0.0
+        for gold in sorted(golds, key=lambda g: g.id):
+            em_total += oracle_exact_match(by_id[gold.id], [gold.answer_text])
+            f1_total += oracle_token_f1(by_id[gold.id], [gold.answer_text])
+        report = evaluate(golds, preds, "extractive")
+        n = len(golds)
+        assert report.exact_match == 100.0 * em_total / n
+        assert report.f1 == 100.0 * f1_total / n
+        for pred, gold in texts:
+            assert exact_match(pred, [gold]) == oracle_exact_match(pred, [gold])
+            assert token_f1(pred, [gold, pred]) == oracle_token_f1(pred, [gold, pred])
+
+    @given(labels=st.lists(st.tuples(st.sampled_from(["yes", "no"]),
+                                     st.sampled_from(["yes", "no"])), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_yesno_accuracy_equals_oracle(self, labels):
+        golds = [YesNoInstance(id=f"y{i}", question="q?", context="c", label=gold)
+                 for i, (gold, _) in enumerate(labels)]
+        preds = [Prediction(id=f"y{i}", predicted_label=pred) for i, (_, pred) in enumerate(labels)]
+        correct = sum(int(pred == gold) for gold, pred in labels)
+        assert evaluate(golds, preds, "yesno").accuracy == correct / len(labels)
