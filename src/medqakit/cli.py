@@ -44,7 +44,7 @@ from .errors import (
     check,
     expected,
 )
-from .metrics import evaluate
+from .metrics import ScoringError, evaluate
 from .morph import (
     default_lemma_lexicon,
     default_morpheme_lexicon,
@@ -282,7 +282,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
     _echo_config(config)
 
     if args.mode == "artificial":
-        corpus = formats.read_abstracts(_require_path(config, "covid_corpus"))
+        corpus = formats.iter_abstracts(_require_path(config, "covid_corpus"))
         pairs, skipped = build_artificial_pairs(corpus, config.covid_policy, config.bm25)
         out_path = config.output_dir / "d4.json"
         formats.write_squad(out_path, pairs, config.provenance)
@@ -297,7 +297,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
         queries_path = config.output_dir / "search_queries.txt"
         formats.write_text_atomic(queries_path, "\n".join(queries) + "\n")
 
-        corpus = formats.read_abstracts(_require_path(config, "covid_corpus"))
+        corpus = formats.iter_abstracts(_require_path(config, "covid_corpus"))
         candidates = build_review_candidates(
             questions,
             corpus,
@@ -341,11 +341,20 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     _echo_config(config)
     schedules = [get_schedule(s) for s in config.schedules]
 
-    needed_subsets = {stage.subset for s in schedules for stage in s.stages}
+    fractions = {DatasetSubsetId(k): v for k, v in config.split_fractions.items()}
+    chains: dict[DatasetSubsetId, set] = {}
+    for schedule in schedules:
+        for stage in schedule.stages:
+            chains.setdefault(stage.subset, set()).add(stage.chain)
+    # A subset whose ids the split or the folds need, or that feeds several
+    # distinct stages, is read into a list. Any other is decoded from its
+    # file while its one stage is written, so each file is decoded once.
     datasets: dict[DatasetSubsetId, Any] = {}
-    for subset in sorted(needed_subsets, key=lambda s: s.value):
+    for subset in sorted(chains, key=lambda s: s.value):
+        listed = subset in fractions or subset is DatasetSubsetId.PQA_L or len(chains[subset]) > 1
         if subset in YESNO_SUBSETS:
-            datasets[subset] = formats.read_yesno(_require_path(config, subset.value))
+            path = _require_path(config, subset.value)
+            datasets[subset] = (formats.read_yesno if listed else formats.iter_yesno)(path)
             continue
         path = config.output_dir / f"{subset.value}.json"
         if not path.exists():
@@ -353,9 +362,9 @@ def cmd_schedule(args: argparse.Namespace) -> int:
                 f"subset {subset.value!r} is not materialized (expected {path}); "
                 "run 'medqakit label' / 'medqakit curate' first"
             )
-        datasets[subset] = formats.read_squad(path, subset=subset)
+        read = formats.read_squad if listed else formats.iter_squad
+        datasets[subset] = read(path, subset=subset)
 
-    fractions = {DatasetSubsetId(k): v for k, v in config.split_fractions.items()}
     split_inputs = {s: [i.id for i in data] for s, data in datasets.items() if s in fractions}
     split = None
     if split_inputs:
@@ -400,12 +409,12 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     predictions = formats.read_predictions(Path(args.predictions))
     if args.task == "extractive":
-        golds = formats.read_squad(Path(args.gold), subset=DatasetSubsetId.D1)
+        golds = formats.iter_squad(Path(args.gold), subset=DatasetSubsetId.D1)
     else:
-        golds = formats.read_yesno(Path(args.gold))
+        golds = formats.iter_yesno(Path(args.gold))
     try:
         report = evaluate(golds, predictions, args.task)
-    except ValidationError as exc:
+    except ScoringError as exc:
         raise ValidationError(f"{args.predictions} against {args.gold}: {exc}") from exc
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(text)

@@ -124,6 +124,7 @@ class CovidFilterPolicy:
     def __post_init__(self) -> None:
         if not self.phrases:
             raise ConfigError("covid filter needs at least one phrase")
+        check_one_line("covid filter phrase", self.phrases)
 
 
 @dataclass(frozen=True)
@@ -285,12 +286,10 @@ def covid_filter(abstract: StructuredAbstract, policy: CovidFilterPolicy = Covid
         return False
     if abstract.pub_date < policy.cutoff_date:
         return False
-    needles = tuple(p.lower() for p in policy.phrases)
-    return any(
-        needle in haystack.lower()
-        for haystack in _searchable_texts(abstract)
-        for needle in needles
-    )
+    texts = [text.lower() for text in _searchable_texts(abstract)]
+    # each text lowered once; no phrase holds a line break, so none matches across two texts
+    text = "\n".join(texts)
+    return bool(texts) and any(phrase.lower() in text for phrase in policy.phrases)
 
 
 def extract_question(abstract: StructuredAbstract) -> str | None:
@@ -318,6 +317,13 @@ def extract_conclusion_section(abstract: StructuredAbstract) -> AbstractSection 
     return None
 
 
+def _eligible(
+    corpus: Iterable[StructuredAbstract], policy: CovidFilterPolicy
+) -> list[StructuredAbstract]:
+    """The abstracts that pass the COVID filter, in pmid order."""
+    return sorted((a for a in corpus if covid_filter(a, policy)), key=lambda a: a.pmid)
+
+
 def build_artificial_pairs(
     corpus: Iterable[StructuredAbstract],
     policy: CovidFilterPolicy = CovidFilterPolicy(),
@@ -325,14 +331,14 @@ def build_artificial_pairs(
 ) -> tuple[list[QAPair], int]:
     """Fully automatic d4 pairs; abstracts that fail any rule are skipped.
 
-    Emitted in pmid order. Returns (pairs, skipped_count) where skipped
-    counts abstracts that passed the filter but yielded no pair.
+    The filter runs as the corpus is read, and only the abstracts that
+    pass it are kept; pairs are emitted in pmid order. Returns (pairs,
+    skipped_count) where skipped counts abstracts that passed the filter
+    but yielded no pair.
     """
     pairs: list[QAPair] = []
     skipped = 0
-    for abstract in sorted(corpus, key=lambda a: a.pmid):
-        if not covid_filter(abstract, policy):
-            continue
+    for abstract in _eligible(corpus, policy):
         question = extract_question(abstract)
         if question is None:
             skipped += 1
@@ -361,9 +367,9 @@ def build_artificial_pairs(
     return pairs, skipped
 
 
-def _mentions_terms(lowered_texts: Sequence[str], lowered_terms: Sequence[str]) -> bool:
-    """True iff any term occurs in any text; both sides already lowercased."""
-    return any(term in text for text in lowered_texts for term in lowered_terms)
+def _mentions_terms(lowered_text: str, lowered_terms: Sequence[str]) -> bool:
+    """True iff any term occurs in the text; both sides already lowercased."""
+    return any(term in lowered_text for term in lowered_terms)
 
 
 def _answer_sections(abstract: StructuredAbstract) -> list[AbstractSection]:
@@ -390,14 +396,19 @@ def build_review_candidates(
     An abstract qualifies when it passes the COVID filter, mentions every
     question parameter (or an alias), and has results/conclusion sections.
     The candidate context is the whitespace-normalized concatenation of those
-    sections, so a TSV round trip preserves sentence text exactly.
+    sections, so a TSV round trip preserves sentence text exactly. The
+    filter runs as the corpus is read, and only the abstracts that pass it
+    are kept. A term holding a tab or a line break raises a ParseError.
     """
-    eligible = [a for a in sorted(corpus, key=lambda a: a.pmid) if covid_filter(a, policy)]
     lookup = term_lookup or {}
     terms_per_question = [
         [tuple(t.lower() for t in lookup.get(p, (p,))) for p in question.parameters]
         for question in questions
     ]
+    for terms in terms_per_question:
+        for alternatives in terms:
+            check_one_line("search term", alternatives)
+    eligible = _eligible(corpus, policy)
     # One pass over the abstracts, trying each question that still has room,
     # visits the same (question, abstract) pairs as one pass per question.
     found: list[list[CurationCandidate]] = [[] for _ in questions]
@@ -405,10 +416,13 @@ def build_review_candidates(
     for abstract in eligible:
         if not open_questions:
             break
-        texts = [abstract.title.lower()] + [t.lower() for t in _searchable_texts(abstract)]
+        # each text lowered once; no term holds a line break, so none matches across two texts
+        searchable = "\n".join(
+            [abstract.title.lower(), *(t.lower() for t in _searchable_texts(abstract))]
+        )
         sentences = None
         for q in list(open_questions):
-            if not all(_mentions_terms(texts, terms) for terms in terms_per_question[q]):
+            if not all(_mentions_terms(searchable, terms) for terms in terms_per_question[q]):
                 continue
             if sentences is None:
                 sections = [s.text for s in _answer_sections(abstract) if s.text.strip()]

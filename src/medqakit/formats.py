@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 import tempfile
 from contextlib import contextmanager
@@ -18,7 +19,15 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO,
 
 from . import corpus
 from .corpus import DatasetSubsetId, Provenance, QAPair, StructuredAbstract, YesNoInstance
-from .errors import INTEGER, STRING, ParseError, ValidationError, check, expected
+from .errors import (
+    INTEGER,
+    STRING,
+    ContractViolation,
+    ParseError,
+    ValidationError,
+    check,
+    expected,
+)
 from .metrics import Prediction
 from .weak_label import SourceInstance
 
@@ -116,10 +125,9 @@ def read_object(where: str, raw: Any, required: Sequence[str], build: Callable[[
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def _read_jsonl(path: Path, required: Sequence[str], build: Callable[[dict], T]) -> list[T]:
-    """build(object) for the object on each non-blank line, in one pass: the
-    first fault in file order raises, with the file and the line."""
-    out = []
+def _iter_jsonl(path: Path, required: Sequence[str], build: Callable[[dict], T]) -> Iterator[T]:
+    """build(object) for the object on each non-blank line, one line at a
+    time: the first fault in file order raises, with the file and the line."""
     with open_text(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             if line.isspace():
@@ -131,14 +139,15 @@ def _read_jsonl(path: Path, required: Sequence[str], build: Callable[[dict], T])
             if type(raw) is not dict:
                 raise expected(f"{path} line {line_number}", "a JSON object", raw)
             try:
-                out.append(_build(raw, required, build))
+                record = _build(raw, required, build)
             except ValidationError as exc:
                 raise type(exc)(f"{path} line {line_number}: {exc}") from exc
-    return out
+            yield record
 
 
-def read_abstracts(path: str | Path) -> list[StructuredAbstract]:
-    """Load a JSONL abstract corpus, enforcing pmid uniqueness."""
+def iter_abstracts(path: str | Path) -> Iterator[StructuredAbstract]:
+    """The abstracts of a JSONL corpus, one line at a time; a pmid seen on
+    an earlier line raises."""
     seen: set[str] = set()
 
     def build(raw: dict) -> StructuredAbstract:
@@ -149,7 +158,12 @@ def read_abstracts(path: str | Path) -> list[StructuredAbstract]:
         seen.add(abstract.pmid)
         return abstract
 
-    return _read_jsonl(Path(path), ("pmid", "sections"), build)
+    return _iter_jsonl(Path(path), ("pmid", "sections"), build)
+
+
+def read_abstracts(path: str | Path) -> list[StructuredAbstract]:
+    """Load a JSONL abstract corpus, enforcing pmid uniqueness."""
+    return list(iter_abstracts(path))
 
 
 _OPTIONAL_STRING = check("a string or null", lambda v: v is None or type(v) is str)
@@ -173,13 +187,17 @@ def _source_fields(raw: dict) -> tuple[str, str, str, str | None]:
     return id_, question, context, label
 
 
+def _source_instance(raw: dict) -> SourceInstance:
+    return SourceInstance(*_source_fields(raw))
+
+
 def read_source_instances(path: str | Path) -> list[SourceInstance]:
     """Load raw yes/no-style source records; degenerate contexts are allowed.
 
     id, question and context must be JSON strings; label a string, null or
     absent.
     """
-    return _read_jsonl(Path(path), _SOURCE_FIELDS, lambda raw: SourceInstance(*_source_fields(raw)))
+    return list(_iter_jsonl(Path(path), _SOURCE_FIELDS, _source_instance))
 
 
 def _yesno_instance(raw: dict) -> YesNoInstance:
@@ -189,27 +207,48 @@ def _yesno_instance(raw: dict) -> YesNoInstance:
     return YesNoInstance(id=id_, question=question, context=context, label=label)
 
 
+def iter_yesno(path: str | Path) -> Iterator[YesNoInstance]:
+    """The validated yes/no instances of a JSONL file, one line at a time:
+    source records with a label, each checked as a YesNoInstance."""
+    return _iter_jsonl(Path(path), _SOURCE_FIELDS, _yesno_instance)
+
+
 def read_yesno(path: str | Path) -> list[YesNoInstance]:
-    """Load validated yes/no instances from JSONL: source records with a
-    label, each checked as a YesNoInstance as its line is read."""
-    return _read_jsonl(Path(path), _SOURCE_FIELDS, _yesno_instance)
+    """Load validated yes/no instances from JSONL (`iter_yesno` as a list)."""
+    return list(iter_yesno(path))
+
+
+class _Counted:
+    """The items of an iterable, counted as a writer takes them: `n` is the
+    number taken so far."""
+
+    def __init__(self, items: Iterable[T]):
+        self.items = items
+        self.n = 0
+
+    def __iter__(self) -> Iterator[T]:
+        for self.n, item in enumerate(self.items, start=1):
+            yield item
 
 
 # One yes/no instance as json.dumps(..., ensure_ascii=False) lays it out.
 _YESNO_LINE = '{"id": %s, "question": %s, "context": %s, "label": %s}\n'
 
 
-def write_yesno(path: str | Path, instances: Sequence[YesNoInstance]) -> None:
-    """One JSON object per line; the string fields go through json's own
-    (C) string encoder, as in `_squad_chunks`."""
+def write_yesno(path: str | Path, instances: Iterable[YesNoInstance]) -> int:
+    """One JSON object per line, written as the instances come; the string
+    fields go through json's own (C) string encoder, as in `_squad_chunks`.
+    Returns the number of instances written."""
     enc = json.encoder.encode_basestring
+    counted = _Counted(instances)
     write_text_atomic(
         path,
         (
             _YESNO_LINE % (enc(i.id), enc(i.question), enc(i.context), enc(i.label))
-            for i in instances
+            for i in counted
         ),
     )
+    return counted.n
 
 
 # One SQuAD article per pair, laid out as json.dumps(..., indent=2,
@@ -239,7 +278,7 @@ _SQUAD_ARTICLE = """
     }"""
 
 
-def _squad_chunks(pairs: Sequence[QAPair], provenance: Mapping[str, Any] | None) -> Iterator[str]:
+def _squad_chunks(pairs: Iterable[QAPair], provenance: Mapping[str, Any] | None) -> Iterator[str]:
     """The text of `json.dumps(document, ensure_ascii=False, indent=2, sort_keys=True)`
     plus a newline, one article per chunk.
 
@@ -270,14 +309,17 @@ def _squad_chunks(pairs: Sequence[QAPair], provenance: Mapping[str, Any] | None)
 
 
 def write_squad(
-    path: str | Path, pairs: Sequence[QAPair], provenance: Mapping[str, Any] | None = None
-) -> None:
-    """Write pairs in the SQuAD shape: one article per pair, title = pair id.
+    path: str | Path, pairs: Iterable[QAPair], provenance: Mapping[str, Any] | None = None
+) -> int:
+    """Write pairs in the SQuAD shape, as they come: one article per pair,
+    title = pair id. Returns the number of pairs written.
 
     The bytes are those of the whole document put through
     `json.dumps(..., ensure_ascii=False, indent=2, sort_keys=True)`.
     """
-    write_text_atomic(path, _squad_chunks(pairs, provenance))
+    counted = _Counted(pairs)
+    write_text_atomic(path, _squad_chunks(counted, provenance))
+    return counted.n
 
 
 _SUBSETS = {s.value: s for s in DatasetSubsetId}
@@ -354,23 +396,149 @@ def _squad_pair(paragraph: dict, qa: dict, subset: DatasetSubsetId | None) -> QA
     )
 
 
-def read_squad(path: str | Path, *, subset: DatasetSubsetId | None = None) -> list[QAPair]:
-    """Load extractive pairs back from the SQuAD shape.
+# Characters the SQuAD reader reads from its file at a time. Tests set it
+# small, so that every refill path runs.
+_CHUNK_CHARS = 1 << 16
+_DECODER = json.JSONDecoder()
+_NOT_WHITESPACE = re.compile("[^ \t\n\r]")
+# A decoded value followed only by these up to the end of the buffer may be
+# a number that goes on in the next chunk.
+_AFTER_VALUE = re.compile(r"[^0-9.eE+\-]")
 
-    A qa's id must be a string. Its subset comes from its `subset` field,
-    else from the argument. Its provenance comes from its `provenance`
-    field; a qa without one reads as bm25_weak, whatever its subset.
-    """
-    path = Path(path)
-    pairs = []
-    for a, article in enumerate(_squad_objects(path, read_json(path), "data")):
+
+class _Malformed(Exception):
+    """The text is not JSON; the reader has json name the fault."""
+
+
+class _JsonText:
+    """The text of an open file, consumed one JSON value or structural
+    character at a time. The buffer holds what is not consumed yet: about
+    one chunk, or one value when a value is longer."""
+
+    def __init__(self, handle: TextIO):
+        self.handle = handle
+        self.buf = ""
+        self.pos = 0
+        self.eof = False
+
+    def _read(self, n: int) -> None:
+        chunk = self.handle.read(n)
+        self.eof = not chunk
+        self.buf = self.buf[self.pos :] + chunk
+        self.pos = 0
+
+    def peek(self) -> str:
+        """The next character that is not JSON whitespace, not consumed; ""
+        at the end of the file."""
+        while True:
+            match = _NOT_WHITESPACE.search(self.buf, self.pos)
+            if match is not None:
+                self.pos = match.start()
+                return self.buf[self.pos]
+            self.pos = len(self.buf)
+            if self.eof:
+                return ""
+            self._read(_CHUNK_CHARS)
+
+    def take(self, allowed: str) -> str:
+        """The next character, consumed; it must be one of `allowed`."""
+        char = self.peek()
+        if not char or char not in allowed:
+            raise _Malformed
+        self.pos += 1
+        return char
+
+    def value(self) -> Any:
+        """The next JSON value, decoded whole by json's own decoder."""
+        self.peek()
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError:
+                if self.eof:
+                    raise _Malformed from None
+            else:
+                if self.eof or _AFTER_VALUE.search(self.buf, end):
+                    self.pos = end
+                    return value
+            # the value may go on past the buffer: read at least as much again
+            self._read(max(_CHUNK_CHARS, len(self.buf) - self.pos))
+
+
+def _members(text: _JsonText, opener: str, closer: str) -> Iterator[None]:
+    """Consume a JSON object or array from its opener to its closer,
+    yielding before each member; the caller consumes the member."""
+    text.take(opener)
+    if text.peek() == closer:
+        text.take(closer)
+        return
+    while True:
+        yield
+        if text.take("," + closer) == closer:
+            return
+
+
+def _squad_articles(
+    path: Path, text: _JsonText, subset: DatasetSubsetId | None
+) -> Iterator[QAPair]:
+    """The pairs of the `data` array that starts the text, decoding one
+    article at a time."""
+    if text.peek() != "[":
+        raise expected(f"{path}: field 'data'", "an array", text.value())
+    for a, _ in enumerate(_members(text, "[", "]")):
+        article = text.value()
+        if type(article) is not dict:
+            raise expected(f"{path}: data[{a}]", "a JSON object", article)
         for p, paragraph in enumerate(_squad_objects(path, article, "paragraphs", a)):
             for qa in _squad_objects(path, paragraph, "qas", a, p):
                 try:
-                    pairs.append(_squad_pair(paragraph, qa, subset))
+                    pair = _squad_pair(paragraph, qa, subset)
                 except ValidationError as exc:
                     raise type(exc)(f"{path}: qa {qa.get('id')!r}: {exc}") from exc
-    return pairs
+                yield pair
+
+
+def iter_squad(path: str | Path, *, subset: DatasetSubsetId | None = None) -> Iterator[QAPair]:
+    """The extractive pairs of a file in the SQuAD shape, decoding one
+    article of its `data` array at a time.
+
+    A qa's id must be a string. Its subset comes from its `subset` field,
+    else from the argument. Its provenance comes from its `provenance`
+    field; a qa without one reads as bm25_weak, whatever its subset. Other
+    top-level fields are decoded and dropped; a second `data` field is an
+    error. The first fault in file order raises: text that is not JSON with
+    json's own message (the whole file is decoded again to get it), any
+    other fault as soon as it is read.
+    """
+    path = Path(path)
+    with open_text(path) as handle:
+        text = _JsonText(handle)
+        try:
+            seen_data = False
+            for _ in _members(text, "{", "}"):
+                if text.peek() != '"':
+                    raise _Malformed
+                key = text.value()
+                text.take(":")
+                if key != "data":
+                    text.value()
+                elif seen_data:
+                    raise ParseError(f"{path}: duplicate field 'data'")
+                else:
+                    seen_data = True
+                    yield from _squad_articles(path, text, subset)
+            if text.peek():
+                raise _Malformed
+            return
+        except _Malformed:
+            pass
+    read_json(path)
+    raise ContractViolation(f"{path}: json decodes what the SQuAD reader rejects")
+
+
+def read_squad(path: str | Path, *, subset: DatasetSubsetId | None = None) -> list[QAPair]:
+    """Load extractive pairs back from the SQuAD shape (`iter_squad` as a list)."""
+    return list(iter_squad(path, subset=subset))
 
 
 def _prediction(raw: dict) -> Prediction:
@@ -397,7 +565,7 @@ def read_predictions(path: str | Path) -> list[Prediction]:
 
     id and predicted_text must be JSON strings, predicted_label "yes" or "no".
     """
-    return _read_jsonl(Path(path), ("id",), _prediction)
+    return list(_iter_jsonl(Path(path), ("id",), _prediction))
 
 
 def file_sha256(path: str | Path) -> str:

@@ -4,6 +4,8 @@ accuracy for yes/no QA."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .corpus import QAPair, YesNoInstance, normalize_answer
@@ -73,13 +75,10 @@ def token_f1(pred: str, golds: Sequence[str]) -> float:
     return max(_f1(pred_tokens, normalize_answer(g).split()) for g in golds)
 
 
-def _check_ids(gold_ids: set[str], pred_ids: set[str]) -> None:
-    missing = sorted(gold_ids - pred_ids)
-    extra = sorted(pred_ids - gold_ids)
-    if missing or extra:
-        raise ValidationError(
-            f"prediction ids do not align with gold ids: missing={missing} extra={extra}"
-        )
+class ScoringError(ValidationError):
+    """Predictions cannot be scored against the golds: an unknown task, no
+    or repeated gold ids, ids that do not align, or a prediction without
+    the field its task scores."""
 
 
 def evaluate(
@@ -92,41 +91,53 @@ def evaluate(
     Extractive reports EM and F1 as percentages, the means of
     `exact_match` and `token_f1` over the pairs; yes/no reports accuracy as
     a fraction in [0, 1]. Gold ids must be unique, and every gold id needs
-    exactly one prediction.
+    exactly one prediction. The golds are taken in one pass, which keeps
+    only each id with its normalized answer or its label, so they may come
+    straight from a reader's generator; the sums run in gold id order.
+    Errors of the golds' own iterable pass through; every other raises a
+    ScoringError.
     """
     if task not in ("extractive", "yesno"):
-        raise ValidationError(f"unknown task {task!r}; expected 'extractive' or 'yesno'")
-    golds = sorted(golds, key=lambda g: g.id)
-    if not golds:
-        raise ValidationError("no gold instances")
-    gold_ids = {g.id for g in golds}
-    if len(gold_ids) != len(golds):
-        repeated = sorted({a.id for a, b in zip(golds, golds[1:]) if a.id == b.id})
-        raise ValidationError(f"duplicate gold ids: {repeated}")
+        raise ScoringError(f"unknown task {task!r}; expected 'extractive' or 'yesno'")
+    if task == "extractive":
+        keyed = [(g.id, normalize_answer(g.answer_text)) for g in golds]
+    else:
+        keyed = [(g.id, g.label) for g in golds]
+    if not keyed:
+        raise ScoringError("no gold instances")
+    keyed.sort(key=itemgetter(0))
+    repeated = sorted({a for (a, _), (b, _) in pairwise(keyed) if a == b})
+    if repeated:
+        raise ScoringError(f"duplicate gold ids: {repeated}")
     by_id = {p.id: p for p in predictions}
     if len(by_id) != len(predictions):
-        raise ValidationError("duplicate prediction ids")
-    _check_ids(gold_ids, set(by_id))
+        raise ScoringError("duplicate prediction ids")
+    n = len(keyed)
+    if len(by_id) != n or not all(gold_id in by_id for gold_id, _ in keyed):
+        gold_ids = {gold_id for gold_id, _ in keyed}
+        missing = sorted(gold_ids - by_id.keys())
+        extra = sorted(by_id.keys() - gold_ids)
+        raise ScoringError(
+            f"prediction ids do not align with gold ids: missing={missing} extra={extra}"
+        )
 
     if task == "extractive":
         em_total = 0.0
         f1_total = 0.0
-        for gold in golds:
-            pred = by_id[gold.id]
+        for gold_id, gold_normalized in keyed:
+            pred = by_id[gold_id]
             if pred.predicted_text is None:
-                raise ValidationError(f"{gold.id}: prediction has no predicted_text")
-            # each text normalized once; the sums run in gold id order
+                raise ScoringError(f"{gold_id}: prediction has no predicted_text")
+            # each prediction normalized once
             normalized = normalize_answer(pred.predicted_text)
-            gold_normalized = normalize_answer(gold.answer_text)
             em_total += int(normalized == gold_normalized)
             f1_total += _f1(normalized.split(), gold_normalized.split())
-        n = len(golds)
         return EvalReport(n=n, exact_match=100.0 * em_total / n, f1=100.0 * f1_total / n)
 
     correct = 0
-    for gold in golds:
-        pred = by_id[gold.id]
+    for gold_id, label in keyed:
+        pred = by_id[gold_id]
         if pred.predicted_label is None:
-            raise ValidationError(f"{gold.id}: prediction has no predicted_label")
-        correct += int(pred.predicted_label == gold.label)
-    return EvalReport(n=len(golds), accuracy=correct / len(golds))
+            raise ScoringError(f"{gold_id}: prediction has no predicted_label")
+        correct += int(pred.predicted_label == label)
+    return EvalReport(n=n, accuracy=correct / n)

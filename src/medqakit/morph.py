@@ -566,7 +566,7 @@ def apply_chain(
 
 
 def transform_dataset(
-    instances: Sequence[YesNoInstance],
+    instances: Iterable[YesNoInstance],
     chain: TransformChain,
     lems: LemmaLexicon | None = None,
     morphs: MorphemeLexicon | None = None,

@@ -15,7 +15,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import formats
 from .corpus import DatasetSubsetId, QAPair, YesNoInstance
@@ -263,7 +263,7 @@ def _stage_filename(stage: StageSpec) -> str:
 
 def emit_schedule(
     schedule: Schedule,
-    datasets: Mapping[DatasetSubsetId, Sequence[QAPair] | Sequence[YesNoInstance]],
+    datasets: Mapping[DatasetSubsetId, Iterable[QAPair] | Iterable[YesNoInstance]],
     split: TargetSplit | None,
     out_dir: str | Path,
     *,
@@ -279,6 +279,10 @@ def emit_schedule(
     are given, the human-labelled yes/no stage is restricted to the CV pool
     so the reserved test half never leaks into training. Returns the
     manifest path and the manifest's stage rows.
+
+    Each stage's instances pass through one filter straight into its
+    writer, so a dataset may be a one-pass iterable (a reader's generator)
+    when it feeds one distinct (subset, chain) stage.
 
     `emitted` maps each (subset, chain) whose stage file was already written
     to that file and its instance count. A stage found there is copied from
@@ -305,18 +309,18 @@ def emit_schedule(
             source, n_instances = emitted[key]
             formats.copy_file_atomic(path, source)
         else:
-            instances = list(data)
+            pool = None
             if folds is not None and stage.subset is DatasetSubsetId.PQA_L:
                 pool = set(folds.pool)
-                instances = [i for i in instances if i.id in pool]
-            instances = [i for i in instances if i.id not in test_ids]
+            instances = (
+                i for i in data if i.id not in test_ids and (pool is None or i.id in pool)
+            )
             if stage.chain is not None:
                 instances = transform_dataset(instances, stage.chain, lems, morphs)
             if stage.subset in YESNO_SUBSETS:
-                formats.write_yesno(path, instances)
+                n_instances = formats.write_yesno(path, instances)
             else:
-                formats.write_squad(path, instances, provenance)
-            n_instances = len(instances)
+                n_instances = formats.write_squad(path, instances, provenance)
             emitted[key] = (path, n_instances)
         stages_json.append(
             {

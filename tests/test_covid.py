@@ -26,8 +26,10 @@ from medqakit import (
     parse_abstract_record,
     segment_sentences,
 )
+from medqakit import covid
 from medqakit.covid import (
     CurationCandidate,
+    InstantiatedQuestion,
     alias_lookup,
     build_review_candidates,
     build_search_queries,
@@ -566,3 +568,95 @@ class TestLoadTemplateConfig:
             load_template_config(path)
         assert str(path) in str(info.value)
         assert message in str(info.value)
+
+
+# The search before each abstract's texts were lowered once, as oracles:
+# every (text, phrase) and (text, term) pair is lowered and tested apart.
+def oracle_covid_filter(item, policy):
+    if item.pub_date is None or item.pub_date < policy.cutoff_date:
+        return False
+    texts = [t for s in item.sections for t in (s.text, s.label)] + list(item.keywords)
+    return any(p.lower() in t.lower() for t in texts for p in policy.phrases)
+
+
+def oracle_review_candidates(questions, corpus, policy, lookup, depth):
+    """One pass per question over the eligible abstracts in pmid order."""
+    eligible = [a for a in sorted(corpus, key=lambda a: a.pmid) if oracle_covid_filter(a, policy)]
+    out = []
+    for question in questions:
+        found = 0
+        for item in eligible:
+            if found >= depth:
+                break
+            texts = [item.title] + [t for s in item.sections for t in (s.text, s.label)]
+            texts += list(item.keywords)
+            if not all(
+                any(term.lower() in text.lower() for text in texts for term in lookup.get(p, (p,)))
+                for p in question.parameters
+            ):
+                continue
+            sections = [s.text for s in covid._answer_sections(item) if s.text.strip()]
+            context = " ".join(" ".join(text.split()) for text in sections)
+            sentences = tuple(segment_sentences(context)) if context else ()
+            if sentences:
+                out.append(CurationCandidate(question.question, item.pmid, context, sentences))
+                found += 1
+    return out
+
+
+# Final and medial sigma, a capital whose lowercase is two characters, and
+# line breaks inside texts (never inside a phrase or term).
+SEARCH_TEXT = st.text(alphabet="aAbΣσςİi ßo.\n", max_size=10)
+SEARCH_TERM = st.text(alphabet="aAbΣσςİi ßo", max_size=3)
+
+
+@st.composite
+def search_abstract(draw, pmid):
+    sections = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["RESULTS", "CONCLUSIONS", "ΟΔΟΣ", "BACKGROUND"]), SEARCH_TEXT),
+            max_size=3,
+        )
+    )
+    return abstract(
+        pmid=pmid,
+        title=draw(SEARCH_TEXT),
+        pub_date=draw(st.sampled_from([None, "2019-05-01", "2020-03-01"])),
+        keywords=draw(st.lists(SEARCH_TEXT, max_size=2)),
+        sections=sections,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_search_on_joined_lowered_texts_equals_the_pairwise_search(data):
+    corpus = [data.draw(search_abstract(str(i))) for i in range(data.draw(st.integers(0, 6)))]
+    policy = CovidFilterPolicy(phrases=tuple(data.draw(st.lists(SEARCH_TERM, min_size=1, max_size=3))))
+    for item in corpus:
+        assert covid_filter(item, policy) == oracle_covid_filter(item, policy)
+    parameters = st.lists(SEARCH_TERM, min_size=1, max_size=2).map(tuple)
+    questions = [
+        InstantiatedQuestion(question=f"q{i}", template_id="t", parameters=data.draw(parameters))
+        for i in range(data.draw(st.integers(1, 3)))
+    ]
+    lookup = data.draw(st.dictionaries(SEARCH_TERM, st.lists(SEARCH_TERM, max_size=2).map(tuple)))
+    depth = data.draw(st.integers(0, 3))
+    result = build_review_candidates(
+        questions, iter(corpus), policy, term_lookup=lookup, queue_depth=depth
+    )
+    assert result == oracle_review_candidates(questions, corpus, policy, lookup, depth)
+
+
+def test_a_phrase_or_term_with_a_line_break_is_rejected():
+    with pytest.raises(ParseError, match="covid filter phrase"):
+        CovidFilterPolicy(phrases=("COVID", "novel\ncoronavirus"))
+    question = InstantiatedQuestion(question="q", template_id="t", parameters=("asthma",))
+    with pytest.raises(ParseError, match="search term"):
+        build_review_candidates([question], [], term_lookup={"asthma": ("asthma", "a\tb")})
+
+
+def test_an_empty_phrase_matches_only_an_abstract_with_some_text():
+    policy = CovidFilterPolicy(phrases=("",))
+    assert not covid_filter(abstract(title="COVID"), policy)
+    assert covid_filter(abstract(keywords=[""]), policy)
+    assert covid_filter(abstract(sections=[("RESULTS", "")]), policy)

@@ -5,7 +5,10 @@ single checked pass per record: every field goes through the `errors` check
 helpers, and a yes/no file is read as source records first. They carry the
 two rules added with the one-pass readers: a SQuAD qa id must be a string,
 and a yes/no line that fails as an instance (no label, a label other than
-yes/no, an empty question or context) names the file and the line.
+yes/no, an empty question or context) names the file and the line. The SQuAD
+oracle decodes the whole file with json, and carries the rule added with the
+streaming reader: the first fault in file order is reported, so an article
+that is not an object is found where the articles before it are checked.
 """
 
 import json
@@ -19,7 +22,7 @@ from medqakit.errors import INTEGER, STRING, ParseError, ValidationError, check,
 from medqakit.metrics import Prediction
 from medqakit.weak_label import SourceInstance
 
-from tests.test_input_fuzz import mutate_bytes, mutate_tree
+from tests.test_input_fuzz import BYTES, mutate_bytes, mutate_tree
 
 
 def oracle_read_jsonl(path, required, build):
@@ -136,8 +139,13 @@ def oracle_squad_pair(paragraph, qa, subset):
 
 
 def oracle_read_squad(path, subset=None):
+    articles = formats.read_json(path).get("data", [])
+    if type(articles) is not list:
+        raise expected(f"{path}: field 'data'", "an array", articles)
     pairs = []
-    for a, article in enumerate(oracle_squad_objects(f"{path}: ", formats.read_json(path), "data")):
+    for a, article in enumerate(articles):
+        if type(article) is not dict:
+            raise expected(f"{path}: data[{a}]", "a JSON object", article)
         where = f"{path}: data[{a}]: "
         for p, paragraph in enumerate(oracle_squad_objects(where, article, "paragraphs")):
             for qa in oracle_squad_objects(f"{where}paragraphs[{p}]: ", paragraph, "qas"):
@@ -216,9 +224,16 @@ def draw_squad(data):
 
 def dump(data, document) -> bytes:
     layout = data.draw(st.sampled_from([{}, {"indent": 2}, {"indent": "\t"},
-                                        {"separators": (",", ":")}]))
+                                        {"separators": (",", ":")},
+                                        {"separators": ("\r\n ,\t", " :\n")}]))
     ascii_only = data.draw(st.booleans())
-    return json.dumps(document, ensure_ascii=ascii_only, **layout).encode("utf-8")
+    space = st.text(alphabet=" \t\r\n", max_size=3)
+    text = data.draw(space) + json.dumps(document, ensure_ascii=ascii_only, **layout)
+    return (text + data.draw(space)).encode("utf-8")
+
+
+# Characters the SQuAD reader reads at a time: small ones run every refill path.
+CHUNKS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, formats._CHUNK_CHARS])
 
 
 def squad_outcomes(path, subset):
@@ -237,7 +252,8 @@ ORACLE_SETTINGS = settings(
 
 @ORACLE_SETTINGS
 @given(data=st.data())
-def test_squad_reader_equals_oracle_on_valid_documents(tmp_path, data):
+def test_squad_reader_equals_oracle_on_valid_documents(tmp_path, monkeypatch, data):
+    monkeypatch.setattr(formats, "_CHUNK_CHARS", data.draw(CHUNKS, label="chunk"))
     path = tmp_path / "d.json"
     path.write_bytes(dump(data, draw_squad(data)))
     subset = data.draw(SUBSET_ARGS)
@@ -271,12 +287,99 @@ def mutate_somewhere(data, document):
 
 @ORACLE_SETTINGS
 @given(data=st.data())
-def test_squad_reader_equals_oracle_on_one_fault(tmp_path, data):
+def test_squad_reader_equals_oracle_on_one_fault(tmp_path, monkeypatch, data):
+    monkeypatch.setattr(formats, "_CHUNK_CHARS", data.draw(CHUNKS, label="chunk"))
     document = mutate_somewhere(data, draw_squad(data))
     path = tmp_path / "d.json"
     path.write_bytes(json.dumps(document).encode("utf-8"))
     result, oracle = squad_outcomes(path, data.draw(SUBSET_ARGS))
     assert result == oracle
+
+
+NOT_AN_OBJECT = st.none() | st.booleans() | st.integers() | st.floats() | TEXT | st.lists(
+    st.integers(), max_size=2
+)
+
+
+def with_fault(data, raw: bytes, document, fault: str) -> bytes:
+    """The text of a valid document with one fault of the given kind."""
+    if fault == "truncated":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if fault == "garbled":
+        start = data.draw(st.integers(0, len(raw)))
+        end = data.draw(st.integers(start, min(len(raw), start + 6)))
+        return raw[:start] + data.draw(BYTES) + raw[end:]
+    if fault == "bom":
+        return b"\xef\xbb\xbf" + raw
+    articles = document["data"]
+    articles.insert(data.draw(st.integers(0, len(articles))), data.draw(NOT_AN_OBJECT))
+    return dump(data, document)
+
+
+@ORACLE_SETTINGS
+@given(data=st.data(), fault=st.sampled_from(["truncated", "garbled", "bom", "article"]))
+def test_squad_reader_equals_oracle_on_one_fault_in_the_text(tmp_path, monkeypatch, data, fault):
+    """Truncated or garbled text, a byte order mark, or an article that is
+    not an object: the streaming reader reports what json.load and the
+    checks after it report, whatever the chunk size."""
+    monkeypatch.setattr(formats, "_CHUNK_CHARS", data.draw(CHUNKS, label="chunk"))
+    document = draw_squad(data)
+    path = tmp_path / "d.json"
+    path.write_bytes(with_fault(data, dump(data, document), document, fault))
+    # with a subset given, every qa of a drawn document reads
+    result, oracle = squad_outcomes(path, DatasetSubsetId.D2)
+    assert result == oracle
+    if fault in ("bom", "article"):
+        assert result[0] is ParseError
+
+
+ARTICLE = {"paragraphs": [{"context": "Abc.", "qas": [
+    {"id": "q", "question": "Q?", "answers": [{"text": "Abc.", "answer_start": 0}]}]}]}
+
+
+@pytest.mark.parametrize("chunk", range(1, 8))
+def test_numbers_that_end_at_a_chunk_edge(tmp_path, monkeypatch, chunk):
+    """A top-level number is decoded whole wherever a chunk ends in it or
+    just after it, and a `data` that is a number is named as one."""
+    monkeypatch.setattr(formats, "_CHUNK_CHARS", chunk)
+    path = tmp_path / "d.json"
+    for number in ("7", "12345", "-0.5e-3", "1E+2", "3.25"):
+        for pad in range(chunk + 1):
+            texts = (
+                "{" + " " * pad + f'"n": {number}, "data": [{json.dumps(ARTICLE)}], "m": {number}}}',
+                "{" + " " * pad + f'"data": {number}}}',
+            )
+            for text in texts:
+                path.write_text(text)
+                result, oracle = squad_outcomes(path, DatasetSubsetId.D1)
+                assert result == oracle, (number, pad, text)
+
+
+def test_a_second_data_field_is_rejected(tmp_path):
+    """json keeps the last of two equal keys; the streaming reader rejects a
+    second `data` rather than read one array and drop the other."""
+    path = tmp_path / "d.json"
+    path.write_text(f'{{"data": [], "version": "1.1", "data": [{json.dumps(ARTICLE)}]}}')
+    assert oracle_read_squad(path, DatasetSubsetId.D1)
+    with pytest.raises(ParseError, match=r"d\.json: duplicate field 'data'$"):
+        formats.read_squad(path, subset=DatasetSubsetId.D1)
+
+
+def test_the_first_fault_in_file_order_is_reported(tmp_path):
+    """An article without a subset tag comes before an article that is not
+    an object, which comes before text that is not JSON."""
+    untagged = json.dumps(ARTICLE)
+    path = tmp_path / "d.json"
+    path.write_text(f'{{"data": [{untagged}, 5, {untagged}], "version": oops}}')
+    assert outcome(lambda: formats.read_squad(path)) == (
+        ValidationError, f"{path}: qa 'q': no subset tag"
+    )
+    path.write_text(f'{{"data": [5, {untagged}], "version": oops}}')
+    assert outcome(lambda: formats.read_squad(path)) == (
+        ParseError, f"{path}: data[0]: expected a JSON object, got number"
+    )
+    path.write_text(f'{{"data": [], "version": oops}}')
+    assert outcome(lambda: formats.read_squad(path))[1].startswith(f"{path}: malformed JSON: ")
 
 
 def test_squad_field_faults_in_the_oracle_order(tmp_path):
