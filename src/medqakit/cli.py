@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import logging
 import os
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__, formats
 from .bm25 import Bm25Params
-from .corpus import DatasetSubsetId, parse_iso_date
+from .corpus import DatasetSubsetId, QAPair, parse_iso_date
 from .covid import (
     CovidFilterPolicy,
     alias_lookup,
@@ -71,6 +72,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
+
+# Source records `label` weak-labels per build_prime_subset call.
+_LABEL_BATCH = 256
 
 
 def _object_of(entry: Callable[[str, Any], Any]):
@@ -252,14 +256,22 @@ def cmd_label(args: argparse.Namespace) -> int:
     written = {}
     for name in subsets:
         subset = DatasetSubsetId(name)
-        instances = formats.read_source_instances(_require_path(config, name))
-        records, skipped = build_prime_subset(instances, subset, config.bm25)
-        pairs = [r.pair for r in records]
+        instances = formats.iter_source_instances(_require_path(config, name))
+        skipped = 0
+
+        def pairs() -> Iterator[QAPair]:
+            # labeled a batch at a time, so memory does not grow with the source
+            nonlocal skipped
+            while batch := list(itertools.islice(instances, _LABEL_BATCH)):
+                records, n_skipped = build_prime_subset(batch, subset, config.bm25)
+                skipped += n_skipped
+                yield from (r.pair for r in records)
+
         target = PRIME_SUBSET[subset].value
         out_path = config.output_dir / f"{target}.json"
-        formats.write_squad(out_path, pairs, config.provenance)
-        written[target] = {"emitted": len(pairs), "skipped": skipped, "source": name}
-        print(f"{name} -> {out_path}  emitted={len(pairs)} skipped={skipped}")
+        emitted = formats.write_squad(out_path, pairs(), config.provenance)
+        written[target] = {"emitted": emitted, "skipped": skipped, "source": name}
+        print(f"{name} -> {out_path}  emitted={emitted} skipped={skipped}")
     _write_summary(config, "label", subsets=written)
     return EXIT_OK
 

@@ -7,6 +7,7 @@ by filtering abstracts and weak-labeling their conclusion sections (d4).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import logging
@@ -317,13 +318,6 @@ def extract_conclusion_section(abstract: StructuredAbstract) -> AbstractSection 
     return None
 
 
-def _eligible(
-    corpus: Iterable[StructuredAbstract], policy: CovidFilterPolicy
-) -> list[StructuredAbstract]:
-    """The abstracts that pass the COVID filter, in pmid order."""
-    return sorted((a for a in corpus if covid_filter(a, policy)), key=lambda a: a.pmid)
-
-
 def build_artificial_pairs(
     corpus: Iterable[StructuredAbstract],
     policy: CovidFilterPolicy = CovidFilterPolicy(),
@@ -331,14 +325,16 @@ def build_artificial_pairs(
 ) -> tuple[list[QAPair], int]:
     """Fully automatic d4 pairs; abstracts that fail any rule are skipped.
 
-    The filter runs as the corpus is read, and only the abstracts that
-    pass it are kept; pairs are emitted in pmid order. Returns (pairs,
+    Each abstract's pair is built as the corpus is read, and only the pairs
+    are kept; they are emitted in pmid order. Returns (pairs,
     skipped_count) where skipped counts abstracts that passed the filter
     but yielded no pair.
     """
     pairs: list[QAPair] = []
     skipped = 0
-    for abstract in _eligible(corpus, policy):
+    for abstract in corpus:
+        if not covid_filter(abstract, policy):
+            continue
         question = extract_question(abstract)
         if question is None:
             skipped += 1
@@ -364,6 +360,7 @@ def build_artificial_pairs(
                 provenance=Provenance.PUBMED_ARTIFICIAL,
             )
         )
+    pairs.sort(key=lambda pair: pair.id)  # "d4-{pmid}": pmid order, stable for a repeated pmid
     return pairs, skipped
 
 
@@ -396,9 +393,11 @@ def build_review_candidates(
     An abstract qualifies when it passes the COVID filter, mentions every
     question parameter (or an alias), and has results/conclusion sections.
     The candidate context is the whitespace-normalized concatenation of those
-    sections, so a TSV round trip preserves sentence text exactly. The
-    filter runs as the corpus is read, and only the abstracts that pass it
-    are kept. A term holding a tab or a line break raises a ParseError.
+    sections, so a TSV round trip preserves sentence text exactly. Each
+    question takes the queue_depth qualifying abstracts of smallest pmid.
+    The corpus is read once, and for each question only the contexts of the
+    queue_depth smallest pmids found so far are kept; they are segmented
+    at the end. A term holding a tab or a line break raises a ParseError.
     """
     lookup = term_lookup or {}
     terms_per_question = [
@@ -408,39 +407,49 @@ def build_review_candidates(
     for terms in terms_per_question:
         for alternatives in terms:
             check_one_line("search term", alternatives)
-    eligible = _eligible(corpus, policy)
-    # One pass over the abstracts, trying each question that still has room,
-    # visits the same (question, abstract) pairs as one pass per question.
-    found: list[list[CurationCandidate]] = [[] for _ in questions]
-    open_questions = list(range(len(questions))) if queue_depth > 0 else []
-    for abstract in eligible:
-        if not open_questions:
-            break
-        # each text lowered once; no term holds a line break, so none matches across two texts
-        searchable = "\n".join(
-            [abstract.title.lower(), *(t.lower() for t in _searchable_texts(abstract))]
-        )
-        sentences = None
-        for q in list(open_questions):
+    # per question, the sorted (pmid, corpus index, context) of the smallest
+    # pmids so far; the index keeps a repeated pmid in corpus order
+    kept: list[list[tuple[str, int, str]]] = [[] for _ in questions]
+    for index, abstract in enumerate(corpus):
+        if not covid_filter(abstract, policy):
+            continue
+        searchable = context = None
+        for q, queue in enumerate(kept):
+            # a full queue takes only a smaller pmid: an equal one comes later in the corpus
+            if len(queue) == queue_depth and (not queue or abstract.pmid >= queue[-1][0]):
+                continue
+            if searchable is None:
+                # each text lowered once; no term holds a line break, so none
+                # matches across two texts
+                searchable = "\n".join(
+                    [abstract.title.lower(), *(t.lower() for t in _searchable_texts(abstract))]
+                )
             if not all(_mentions_terms(searchable, terms) for terms in terms_per_question[q]):
                 continue
-            if sentences is None:
+            if context is None:
                 sections = [s.text for s in _answer_sections(abstract) if s.text.strip()]
                 context = " ".join(" ".join(text.split()) for text in sections)
-                sentences = tuple(segment_sentences(context)) if context else ()
-            if not sentences:
+            # a non-empty normalized context holds at least one sentence
+            if not context:
                 continue
-            found[q].append(
+            bisect.insort(queue, (abstract.pmid, index, context))
+            if len(queue) > queue_depth:
+                queue.pop()
+    segmented: dict[int, tuple[Sentence, ...]] = {}  # by corpus index: one segmentation each
+    candidates = []
+    for question, queue in zip(questions, kept):
+        for pmid, index, context in queue:
+            if index not in segmented:
+                segmented[index] = tuple(segment_sentences(context))
+            candidates.append(
                 CurationCandidate(
-                    question=questions[q].question,
-                    pmid=abstract.pmid,
+                    question=question.question,
+                    pmid=pmid,
                     context=context,
-                    candidate_sentences=sentences,
+                    candidate_sentences=segmented[index],
                 )
             )
-            if len(found[q]) >= queue_depth:
-                open_questions.remove(q)
-    return [candidate for per_question in found for candidate in per_question]
+    return candidates
 
 
 def alias_lookup(vocabs: Sequence[ParameterVocabulary]) -> dict[str, tuple[str, ...]]:

@@ -94,14 +94,16 @@ def write_json_atomic(path: str | Path, obj: Any) -> None:
 
 def read_json(path: str | Path) -> dict:
     """The JSON object a UTF-8 file holds. Bytes that are not UTF-8, text
-    that is not JSON and a top level that is not an object each raise a
-    ParseError naming the file."""
+    that is not JSON (an integer longer than Python converts included) and
+    a top level that is not an object each raise a ParseError naming the
+    file."""
     path = Path(path)
     with open_text(path) as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: malformed JSON: {exc}") from exc
+        text = handle.read()
+    try:
+        raw = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer over int_max_str_digits
+        raise ParseError(f"{path}: malformed JSON: {exc}") from exc
     if type(raw) is not dict:
         raise expected(str(path), "a JSON object", raw)
     return raw
@@ -134,7 +136,7 @@ def _iter_jsonl(path: Path, required: Sequence[str], build: Callable[[dict], T])
                 continue
             try:
                 raw = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise ParseError(f"{path} line {line_number}: malformed JSON: {exc}") from exc
             if type(raw) is not dict:
                 raise expected(f"{path} line {line_number}", "a JSON object", raw)
@@ -191,13 +193,19 @@ def _source_instance(raw: dict) -> SourceInstance:
     return SourceInstance(*_source_fields(raw))
 
 
-def read_source_instances(path: str | Path) -> list[SourceInstance]:
-    """Load raw yes/no-style source records; degenerate contexts are allowed.
+def iter_source_instances(path: str | Path) -> Iterator[SourceInstance]:
+    """Raw yes/no-style source records, one line at a time; degenerate
+    contexts are allowed.
 
     id, question and context must be JSON strings; label a string, null or
     absent.
     """
-    return list(_iter_jsonl(Path(path), _SOURCE_FIELDS, _source_instance))
+    return _iter_jsonl(Path(path), _SOURCE_FIELDS, _source_instance)
+
+
+def read_source_instances(path: str | Path) -> list[SourceInstance]:
+    """Load raw source records (`iter_source_instances` as a list)."""
+    return list(iter_source_instances(path))
 
 
 def _yesno_instance(raw: dict) -> YesNoInstance:
@@ -454,7 +462,7 @@ class _JsonText:
         while True:
             try:
                 value, end = _DECODER.raw_decode(self.buf, self.pos)
-            except json.JSONDecodeError:
+            except ValueError:  # JSONDecodeError, or an integer over int_max_str_digits
                 if self.eof:
                     raise _Malformed from None
             else:

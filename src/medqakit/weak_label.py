@@ -101,7 +101,7 @@ def build_prime_subset(
     subset: DatasetSubsetId,
     params: Bm25Params = Bm25Params(),
 ) -> tuple[list[WeakLabelRecord], int]:
-    """Weak-label a whole source subset, preserving input order.
+    """Weak-label records of one source subset, preserving input order.
 
     Degenerate inputs (empty conclusions or question) are skipped, not
     fatal; returns (records, skipped_count).

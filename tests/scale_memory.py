@@ -1,27 +1,36 @@
-"""Peak memory of `schedule` and `eval` at two PQA-A sizes.
+"""Peak memory of the commands that read PQA-A or the abstract corpus, at
+two sizes.
 
     PYTHONPATH=src python tests/scale_memory.py [WORK_DIR]
 
-For 6k and then 60k PQA-A records (made by `tests.test_cli.write_sources`),
-it runs, each in a fresh child process:
+For 6k and then 60k PQA-A records (made by `tests.test_cli.write_sources`)
+and as many abstracts (made by `tests.test_cli.write_corpus`), it runs, each
+in a fresh child process:
 
     label
     schedule --schedule 2 --schedule baseline
     eval out/d2.json predictions.jsonl --task extractive
+    curate artificial
+    curate templates-export
 
 where the predictions hold one line per gold id. It reads each child's peak
 RSS with os.wait4 and prints one line per command, with both peaks. The
 temporary inputs go under WORK_DIR (default: the system's). It exits 1 if
 
-- at 60k, the peak of `schedule` is above 1.25x its peak at 6k: it streams
-  every large input, so its memory must not grow with PQA-A;
+- at 60k, the peak of `label` or `schedule` is above 1.25x its peak at 6k:
+  both stream every large input, so their memory must not grow with PQA-A;
 - the peak of `eval` grows by more than 1 KiB per added gold record. eval
   streams the gold file, but aligning by id means holding every prediction
   and each gold's id and normalized answer (about 0.5 KiB per record on
   CPython 3.11); decoding the whole gold file instead costs over 2 KiB per
-  record (json.load alone takes about 2.85x the file's size).
-
-`label` still holds its sources and is only reported.
+  record (json.load alone takes about 2.85x the file's size);
+- the peak of `curate artificial` grows by more than 1.5 KiB per added d4
+  pair. It keeps only the pairs, which it must sort by pmid (about 0.9 KiB
+  each); keeping every eligible abstract until the end cost about 2.6 KiB;
+- the peak of `curate templates-export` grows by more than 0.25 KiB per
+  added abstract. It keeps only each question's queue, and the corpus
+  reader's set of the pmids seen so far (about 0.09 KiB per abstract);
+  keeping every eligible abstract cost about 0.85 KiB.
 
 pytest does not collect this file (its name does not start with test_).
 """
@@ -38,11 +47,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
-from tests.test_cli import write_sources  # noqa: E402
+from tests.test_cli import write_corpus, write_sources  # noqa: E402
 
 SIZES = (6_000, 60_000)
-MAX_SCHEDULE_RATIO = 1.25
-MAX_EVAL_GROWTH_KB_PER_RECORD = 1.0
+MAX_RATIO = {"label": 1.25, "schedule": 1.25}
+# command: (the records its growth is counted per, the most KiB each may add)
+MAX_GROWTH_KB = {
+    "eval": ("gold", 1.0),
+    "artificial": ("d4 pair", 1.5),
+    "export": ("abstract", 0.25),
+}
 
 
 # A child's peak RSS counts the memory of the process that started it (the
@@ -69,14 +83,15 @@ def peak_rss_mb(root: Path, *args: str) -> float:
     return maxrss_kb / 1024
 
 
-def measure(root: Path, n_a: int) -> tuple[dict[str, float], int]:
-    """Each command's peak RSS in MB, and the number of gold records."""
+def measure(root: Path, n: int) -> tuple[dict[str, float], dict[str, int]]:
+    """Each command's peak RSS in MB, and the number of records of each kind."""
     root.mkdir(parents=True)
-    write_sources(root, n_a=n_a)
+    write_sources(root, n_a=n)
+    write_corpus(root, n=n)
     config = {
         "seed": 13,
         "output_dir": "out",
-        "paths": {"pqa_l": "pqa_l.jsonl", "pqa_a": "pqa_a.jsonl"},
+        "paths": {"pqa_l": "pqa_l.jsonl", "pqa_a": "pqa_a.jsonl", "covid_corpus": "covid.jsonl"},
     }
     (root / "config.json").write_text(json.dumps(config))
     peaks = {"label": peak_rss_mb(root, "label", "--config", "config.json")}
@@ -91,7 +106,10 @@ def measure(root: Path, n_a: int) -> tuple[dict[str, float], int]:
     peaks["eval"] = peak_rss_mb(
         root, "eval", "out/d2.json", "predictions.jsonl", "--task", "extractive"
     )
-    return peaks, len(ids)
+    peaks["artificial"] = peak_rss_mb(root, "curate", "artificial", "--config", "config.json")
+    peaks["export"] = peak_rss_mb(root, "curate", "templates-export", "--config", "config.json")
+    summary = json.loads((root / "out" / "curate_artificial_summary.json").read_text())
+    return peaks, {"gold": len(ids), "d4 pair": summary["emitted"], "abstract": n}
 
 
 def main(argv: list[str]) -> int:
@@ -100,17 +118,20 @@ def main(argv: list[str]) -> int:
     status = 0
     for command in small:
         ratio = large[command] / small[command]
-        growth_kb = (large[command] - small[command]) * 1024 / (n_large - n_small)
         line = (
-            f"{command:<9} {SIZES[0]}: {small[command]:6.1f} MB  {SIZES[1]}: "
-            f"{large[command]:6.1f} MB  ratio {ratio:.2f}  {growth_kb:.2f} KiB per added gold"
+            f"{command:<10} {SIZES[0]}: {small[command]:6.1f} MB  {SIZES[1]}: "
+            f"{large[command]:6.1f} MB  ratio {ratio:.2f}"
         )
-        if command == "schedule" and ratio > MAX_SCHEDULE_RATIO:
-            line += f"  FAIL (ratio above {MAX_SCHEDULE_RATIO})"
+        if command in MAX_RATIO and ratio > MAX_RATIO[command]:
+            line += f"  FAIL (ratio above {MAX_RATIO[command]})"
             status = 1
-        if command == "eval" and growth_kb > MAX_EVAL_GROWTH_KB_PER_RECORD:
-            line += f"  FAIL (above {MAX_EVAL_GROWTH_KB_PER_RECORD} KiB per added gold)"
-            status = 1
+        if command in MAX_GROWTH_KB:
+            unit, bound = MAX_GROWTH_KB[command]
+            growth_kb = (large[command] - small[command]) * 1024 / (n_large[unit] - n_small[unit])
+            line += f"  {growth_kb:.2f} KiB per added {unit}"
+            if growth_kb > bound:
+                line += f"  FAIL (above {bound} KiB per added {unit})"
+                status = 1
         print(line)
     return status
 

@@ -88,6 +88,7 @@ def test_traced_commands_record_every_layer(tmp_path):
         "corpus.parse",
         "corpus.segment",
         "bm25.best_sentence",
+        "weak_label.label",
         "formats.read",
         "covid.review_search",
         "metrics.evaluate",

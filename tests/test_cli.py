@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -626,4 +627,47 @@ def test_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, monkeypatch, k
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"error: {bad}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+# An integer of more digits than Python converts (sys.int_max_str_digits):
+# json raises a bare ValueError for it, not a JSONDecodeError.
+INT_DIGITS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG_INTEGER = "7" * (INT_DIGITS_LIMIT + 1)
+SQUAD_WITH_LONG_START = (
+    '{"data": [{"paragraphs": [{"context": "A.", "qas": [{"id": "q1", "question": "Q?", '
+    f'"answers": [{{"text": "A.", "answer_start": {LONG_INTEGER}}}]}}]}}]}}]}}'
+)
+# (case, file name, its text, command, where the message points)
+LONG_INTEGER_INPUTS = [
+    ("pqa source line", "pqa_l.jsonl",
+     '{"id": "a", "question": "Q?", "context": "A.", "label": "yes"}\n'
+     f'{{"id": "b", "question": "Q?", "context": "A.", "label": {LONG_INTEGER}}}\n',
+     ["label", "--config", "config.json"], " line 2"),
+    ("squad answer_start", "gold.json", SQUAD_WITH_LONG_START,
+     ["eval", "gold.json", "predictions.jsonl", "--task", "extractive"], ""),
+    ("yesno gold line", "gold.jsonl",
+     f'{{"id": "q1", "question": "Q?", "context": "A.", "label": {LONG_INTEGER}}}\n',
+     ["eval", "gold.jsonl", "predictions.jsonl", "--task", "yesno"], " line 1"),
+    ("run config", "config.json", f'{{"seed": {LONG_INTEGER}}}',
+     ["label", "--config", "config.json"], ""),
+]
+
+
+@pytest.mark.skipif(INT_DIGITS_LIMIT == 0, reason="no limit on int conversion")
+@pytest.mark.parametrize(
+    "name, text, command, where", [c[1:] for c in LONG_INTEGER_INPUTS],
+    ids=[c[0] for c in LONG_INTEGER_INPUTS],
+)
+def test_too_long_json_integer_exits_1_naming_the_file(
+    tmp_path, capsys, monkeypatch, name, text, command, where
+):
+    write_sources(tmp_path, n_l=3, n_a=3)
+    write_config(tmp_path)
+    (tmp_path / "predictions.jsonl").write_text('{"id": "q1", "predicted_text": "A."}\n')
+    (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and f"{name}{where}: malformed JSON: " in err
     assert "Traceback" not in err

@@ -34,7 +34,7 @@ def oracle_read_jsonl(path, required, build):
             where = f"{path} line {line_number}"
             try:
                 raw = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
                 raise ParseError(f"{where}: malformed JSON: {exc}") from exc
             if type(raw) is not dict:
                 raise expected(where, "a JSON object", raw)
@@ -321,14 +321,26 @@ def with_fault(data, raw: bytes, document, fault: str) -> bytes:
 def test_squad_reader_equals_oracle_on_one_fault_in_the_text(tmp_path, monkeypatch, data, fault):
     """Truncated or garbled text, a byte order mark, or an article that is
     not an object: the streaming reader reports what json.load and the
-    checks after it report, whatever the chunk size."""
+    checks after it report, whatever the chunk size; unless it reads
+    another fault before the text stops being JSON, which comes first in
+    file order."""
     monkeypatch.setattr(formats, "_CHUNK_CHARS", data.draw(CHUNKS, label="chunk"))
     document = draw_squad(data)
     path = tmp_path / "d.json"
     path.write_bytes(with_fault(data, dump(data, document), document, fault))
     # with a subset given, every qa of a drawn document reads
     result, oracle = squad_outcomes(path, DatasetSubsetId.D2)
-    assert result == oracle
+    malformed = f"{path}: malformed JSON: "
+    if result != oracle and oracle[1].startswith(malformed):
+        # e.g. `"data": {...} ]`: an object where the array belongs, then a stray `]`
+        assert not result[1].startswith(malformed)
+        with pytest.raises(ParseError) as fault_at:
+            formats.read_json(path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: fault_at.value.__cause__.pos], encoding="utf-8")
+        assert outcome(lambda: formats.read_squad(path, subset=DatasetSubsetId.D2)) == result
+    else:
+        assert result == oracle
     if fault in ("bom", "article"):
         assert result[0] is ParseError
 

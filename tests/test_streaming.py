@@ -1,17 +1,21 @@
 """Streamed inputs: `schedule` writes the same files whether a subset is
 decoded while its stage is written or read into a list first, decodes each
-input file once, and the streaming readers and consumers hold memory that
-does not grow with the number of records they pass on."""
+input file once; `label` writes the same files whether it labels its
+sources a batch at a time or all at once; and the streaming readers and
+consumers hold memory that does not grow with the number of records they
+pass on."""
 
 import json
+import logging
 import shutil
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from medqakit import DatasetSubsetId, Provenance, QAPair, formats
+from medqakit import DatasetSubsetId, Provenance, QAPair, cli, formats
 from medqakit.cli import main
 from medqakit.errors import ValidationError
 from medqakit.metrics import Prediction, evaluate
@@ -162,3 +166,100 @@ def test_streaming_memory_does_not_grow_with_the_records(tmp_path):
             lambda: evaluate(formats.iter_squad(gold), predictions, "extractive")
         )
     assert peaks["evaluate", 1_000] <= 1.5 * peaks["evaluate", 20], peaks
+
+
+# Records `label` skips: an empty question, an empty or blank context.
+DEGENERATE_SOURCES = [
+    {"id": "empty-question", "question": " ", "context": "A sentence.", "label": "yes"},
+    {"id": "empty-context", "question": "Why?", "context": "", "label": None},
+    {"id": "blank-context", "question": "Why?", "context": " \n ", "label": "no"},
+]
+
+
+def write_label_sources(root: Path, n_l: int, n_a: int) -> Path:
+    """write_sources plus the degenerate records, spread through both files."""
+    write_sources(root, n_l=n_l, n_a=n_a)
+    for name in ("pqa_l", "pqa_a"):
+        path = root / f"{name}.jsonl"
+        lines = path.read_text().splitlines()
+        for i, record in enumerate(DEGENERATE_SOURCES):
+            lines.insert(i * len(lines) // 3, json.dumps({**record, "id": f"{name}-{record['id']}"}))
+        path.write_text("\n".join(lines) + "\n")
+    return write_config(root)
+
+
+def label_outputs(root, config, capsys, caplog):
+    """Run `label`: its files, stdout and skip warnings."""
+    shutil.rmtree(root / "out", ignore_errors=True)
+    capsys.readouterr()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="medqakit"):
+        assert main(["label", "--config", str(config)]) == 0
+    files = {name: (root / "out" / name).read_bytes() for name in ("d1.json", "d2.json")}
+    summary = json.loads((root / "out" / "label_summary.json").read_text())
+    return files, summary, capsys.readouterr().out, [r.getMessage() for r in caplog.records]
+
+
+@pytest.mark.parametrize("batch", [1, 7, None])
+def test_streamed_label_equals_the_list_path(tmp_path, monkeypatch, capsys, caplog, batch):
+    """Batches of 1, 7 and the default size against every record read, then
+    labeled, then written: the same bytes, summary, stdout and warnings."""
+    config = write_label_sources(tmp_path, n_l=40, n_a=300)
+    if batch is not None:
+        monkeypatch.setattr(cli, "_LABEL_BATCH", batch)
+    calls = []
+    build_prime_subset = cli.build_prime_subset
+    monkeypatch.setattr(
+        cli, "build_prime_subset", lambda *args: calls.append(1) or build_prime_subset(*args)
+    )
+    streamed = label_outputs(tmp_path, config, capsys, caplog)
+    size = batch or cli._LABEL_BATCH
+    assert len(calls) == -(-43 // size) + -(-303 // size)
+    assert {s: streamed[1]["subsets"][s]["skipped"] for s in ("d1", "d2")} == {"d1": 3, "d2": 3}
+    assert len(streamed[3]) == 6
+
+    iter_source_instances = formats.iter_source_instances
+
+    def read_first(path):
+        return iter(list(iter_source_instances(path)))
+
+    monkeypatch.setattr(formats, "iter_source_instances", read_first)
+    monkeypatch.setattr(cli, "_LABEL_BATCH", sys.maxsize)
+    assert label_outputs(tmp_path, config, capsys, caplog) == streamed
+
+
+def test_a_malformed_source_line_near_the_end_exits_1_without_temp_files(tmp_path, capsys):
+    """The fault is read after several batches of d2 were labeled: exit 1
+    naming the file and the line, no temp file, and d1.json written before
+    it stays."""
+    n_a = 2 * cli._LABEL_BATCH + 10
+    write_sources(tmp_path, n_l=20, n_a=n_a)
+    config = write_config(tmp_path)
+    pqa_a = tmp_path / "pqa_a.jsonl"
+    with pqa_a.open("a") as handle:
+        handle.write('{"id": "pqa_a-late", "question": "Why?", "context": "A.",\n')
+        handle.write('{"id": "pqa_a-last", "question": "Why?", "context": "A.", "label": "yes"}\n')
+    assert main(["label", "--config", str(config), "--subset", "pqa_l"]) == 0
+    d1 = (tmp_path / "out" / "d1.json").read_bytes()
+    capsys.readouterr()
+    assert main(["label", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {pqa_a} line {n_a + 1}: malformed JSON: " in err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "out").rglob("*.tmp"))
+    assert (tmp_path / "out" / "d1.json").read_bytes() == d1
+    assert not (tmp_path / "out" / "d2.json").exists()
+
+
+def test_label_memory_does_not_grow_with_the_records(tmp_path):
+    """Labeling 20k PQA-A records peaks within 1.5x of labeling 2k."""
+    peaks = {}
+    for n in (2_000, 20_000):
+        root = tmp_path / str(n)
+        root.mkdir()
+        write_sources(root, n_l=0, n_a=n)
+        config = str(write_config(root))
+        peaks[n] = traced_peak(lambda: main(["label", "--config", config, "--subset", "pqa_a"]))
+        summary = json.loads((root / "out" / "label_summary.json").read_text())
+        assert summary["subsets"]["d2"]["emitted"] == n
+    assert peaks[20_000] <= 1.5 * peaks[2_000], peaks
