@@ -8,7 +8,9 @@ and a yes/no line that fails as an instance (no label, a label other than
 yes/no, an empty question or context) names the file and the line. The SQuAD
 oracle decodes the whole file with json, and carries the rule added with the
 streaming reader: the first fault in file order is reported, so an article
-that is not an object is found where the articles before it are checked.
+that is not an object is found where the articles before it are checked, and
+on text that is not JSON the values that end before json's fault are checked
+first.
 """
 
 import json
@@ -138,8 +140,46 @@ def oracle_squad_pair(paragraph, qa, subset):
     )
 
 
+# What closes a cut text: nothing, the top-level object, or the `data` array and the object.
+CLOSERS = ("", "}", "]}")
+
+
+def decoded_before(path, fault):
+    """The top-level object of the text up to json's fault: the object that
+    the longest prefix of that text decodes to once a closer is appended, so
+    it holds each value that ends before the fault; None if no prefix closes
+    to an object."""
+    with formats.open_text(path) as handle:
+        text = handle.read()
+    for cut in range(fault.pos, -1, -1):
+        for closer in CLOSERS:
+            try:
+                raw = json.loads(text[:cut] + closer)
+            except ValueError:
+                continue
+            return raw if type(raw) is dict else None
+    return None
+
+
 def oracle_read_squad(path, subset=None):
-    articles = formats.read_json(path).get("data", [])
+    try:
+        document, malformed = formats.read_json(path), None
+    except ParseError as exc:
+        if not isinstance(exc.__cause__, json.JSONDecodeError):
+            raise
+        # the first fault in file order: a fault in a value that decodes
+        # before json's fault comes first
+        document, malformed = decoded_before(path, exc.__cause__), exc
+        if document is None:
+            raise
+    pairs = oracle_squad_pairs(path, document, subset)
+    if malformed is not None:
+        raise malformed
+    return pairs
+
+
+def oracle_squad_pairs(path, document, subset):
+    articles = document.get("data", [])
     if type(articles) is not list:
         raise expected(f"{path}: field 'data'", "an array", articles)
     pairs = []
@@ -321,26 +361,14 @@ def with_fault(data, raw: bytes, document, fault: str) -> bytes:
 def test_squad_reader_equals_oracle_on_one_fault_in_the_text(tmp_path, monkeypatch, data, fault):
     """Truncated or garbled text, a byte order mark, or an article that is
     not an object: the streaming reader reports what json.load and the
-    checks after it report, whatever the chunk size; unless it reads
-    another fault before the text stops being JSON, which comes first in
-    file order."""
+    checks after it report, whatever the chunk size."""
     monkeypatch.setattr(formats, "_CHUNK_CHARS", data.draw(CHUNKS, label="chunk"))
     document = draw_squad(data)
     path = tmp_path / "d.json"
     path.write_bytes(with_fault(data, dump(data, document), document, fault))
     # with a subset given, every qa of a drawn document reads
     result, oracle = squad_outcomes(path, DatasetSubsetId.D2)
-    malformed = f"{path}: malformed JSON: "
-    if result != oracle and oracle[1].startswith(malformed):
-        # e.g. `"data": {...} ]`: an object where the array belongs, then a stray `]`
-        assert not result[1].startswith(malformed)
-        with pytest.raises(ParseError) as fault_at:
-            formats.read_json(path)
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text[: fault_at.value.__cause__.pos], encoding="utf-8")
-        assert outcome(lambda: formats.read_squad(path, subset=DatasetSubsetId.D2)) == result
-    else:
-        assert result == oracle
+    assert result == oracle
     if fault in ("bom", "article"):
         assert result[0] is ParseError
 
@@ -379,7 +407,8 @@ def test_a_second_data_field_is_rejected(tmp_path):
 
 def test_the_first_fault_in_file_order_is_reported(tmp_path):
     """An article without a subset tag comes before an article that is not
-    an object, which comes before text that is not JSON."""
+    an object, which comes before text that is not JSON; so does a `data`
+    that is not an array. The oracle reports the same faults."""
     untagged = json.dumps(ARTICLE)
     path = tmp_path / "d.json"
     path.write_text(f'{{"data": [{untagged}, 5, {untagged}], "version": oops}}')
@@ -392,6 +421,11 @@ def test_the_first_fault_in_file_order_is_reported(tmp_path):
     )
     path.write_text(f'{{"data": [], "version": oops}}')
     assert outcome(lambda: formats.read_squad(path))[1].startswith(f"{path}: malformed JSON: ")
+    for data in (f"[{untagged}, 5, {untagged}]", f"[5, {untagged}]", "[]", f"{untagged}]"):
+        path.write_text(f'{{"data": {data}, "version": oops}}')
+        result, oracle = squad_outcomes(path, None)
+        assert result == oracle
+    assert result == (ParseError, f"{path}: field 'data': expected an array, got object")
 
 
 def test_squad_field_faults_in_the_oracle_order(tmp_path):
