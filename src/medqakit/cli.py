@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import logging
 import os
@@ -262,7 +261,7 @@ def cmd_label(args: argparse.Namespace) -> int:
         def pairs() -> Iterator[QAPair]:
             # labeled a batch at a time, so memory does not grow with the source
             nonlocal skipped
-            while batch := list(itertools.islice(instances, _LABEL_BATCH)):
+            for batch in formats.batched(instances, _LABEL_BATCH):
                 records, n_skipped = build_prime_subset(batch, subset, config.bm25)
                 skipped += n_skipped
                 yield from (r.pair for r in records)

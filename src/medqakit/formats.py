@@ -8,6 +8,7 @@ uses the SQuAD-style nested JSON shape; yes/no data is flat JSONL.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -226,6 +227,14 @@ def read_yesno(path: str | Path) -> list[YesNoInstance]:
     return list(iter_yesno(path))
 
 
+def batched(items: Iterable[T], size: int) -> Iterator[list[T]]:
+    """The items in lists of `size`, the last one shorter; each list is
+    taken from `items` only when the one before it has been used."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, size)):
+        yield batch
+
+
 class _Counted:
     """The items of an iterable, counted as a writer takes them: `n` is the
     number taken so far."""
@@ -414,6 +423,17 @@ _NOT_WHITESPACE = re.compile("[^ \t\n\r]")
 _AFTER_VALUE = re.compile(r"[^0-9.eE+\-]")
 
 
+def _cut_short(exc: ValueError, text: str) -> bool:
+    """Whether more text after `text` could cure the fault json found in it:
+    json looks at most 9 characters past a fault ("-Infinit" at the end is
+    reported 8 characters before it) except in an unterminated string, which
+    it reports where the string starts; and a fraction may follow an integer
+    over int_max_str_digits."""
+    if not isinstance(exc, json.JSONDecodeError):
+        return True
+    return len(text) - exc.pos < len("-Infinity") or exc.msg.startswith("Unterminated string")
+
+
 class _Malformed(Exception):
     """The text is not JSON; the reader has json name the fault."""
 
@@ -428,10 +448,12 @@ class _JsonText:
         self.buf = ""
         self.pos = 0
         self.eof = False
+        self.chars = 0  # read from the handle so far
 
     def _read(self, n: int) -> None:
         chunk = self.handle.read(n)
         self.eof = not chunk
+        self.chars += len(chunk)
         self.buf = self.buf[self.pos :] + chunk
         self.pos = 0
 
@@ -462,8 +484,8 @@ class _JsonText:
         while True:
             try:
                 value, end = _DECODER.raw_decode(self.buf, self.pos)
-            except ValueError:  # JSONDecodeError, or an integer over int_max_str_digits
-                if self.eof:
+            except ValueError as exc:  # JSONDecodeError, or an integer over int_max_str_digits
+                if self.eof or not _cut_short(exc, self.buf):
                     raise _Malformed from None
             else:
                 if self.eof or _AFTER_VALUE.search(self.buf, end):
@@ -515,8 +537,10 @@ def iter_squad(path: str | Path, *, subset: DatasetSubsetId | None = None) -> It
     field; a qa without one reads as bm25_weak, whatever its subset. Other
     top-level fields are decoded and dropped; a second `data` field is an
     error. The first fault in file order raises: text that is not JSON with
-    json's own message (the whole file is decoded again to get it), any
-    other fault as soon as it is read.
+    json's own message, any other fault as soon as it is read. The text read
+    stops at a fault that more text could not cure, and json decodes that
+    text again for its message (the whole file if json's fault in it could
+    be cured).
     """
     path = Path(path)
     with open_text(path) as handle:
@@ -539,7 +563,13 @@ def iter_squad(path: str | Path, *, subset: DatasetSubsetId | None = None) -> It
                 raise _Malformed
             return
         except _Malformed:
-            pass
+            handle.seek(0)
+            head = handle.read(text.chars)
+    try:
+        json.loads(head)
+    except ValueError as exc:
+        if text.eof or not _cut_short(exc, head):
+            raise ParseError(f"{path}: malformed JSON: {exc}") from exc
     read_json(path)
     raise ContractViolation(f"{path}: json decodes what the SQuAD reader rejects")
 

@@ -16,6 +16,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -53,8 +54,8 @@ class MorphemeLexicon:
 
     Each type also keeps the lengths its morphemes come in, so `decompose`
     looks up only the substrings that can be entries. Two memos are shared
-    by every caller of this instance: `decompose`'s result per word, and a
-    feature value table per (target, constituent mode) for the transforms.
+    by every caller of this instance: `decompose`'s result per word, and the
+    transforms' word table per (target, constituent mode).
     """
 
     def __init__(self, entries: Iterable[MorphemeEntry]):
@@ -72,7 +73,7 @@ class MorphemeLexicon:
             bucket[entry.morpheme] = entry
         self._lengths = {t: sorted({len(m) for m in b}) for t, b in self._by_type.items()}
         self._decompositions: dict[str, Decomposition | None] = {}
-        self._values: dict[tuple[TransformTarget, bool], dict[str, str | None]] = {}
+        self._tables: dict[tuple[TransformTarget, bool], _Table] = {}
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._by_type.values())
@@ -90,19 +91,6 @@ class MorphemeLexicon:
             if entry is not None:
                 return entry
         return None
-
-    def starting_at(
-        self, word: str, pos: int, mtype: MorphemeType, end_limit: int
-    ) -> Iterator[MorphemeEntry]:
-        """Entries of `mtype` spelled by `word` from `pos`, ending by `end_limit`."""
-        bucket = self._by_type[mtype]
-        for length in self._lengths[mtype]:
-            end = pos + length
-            if end > end_limit:
-                return
-            entry = bucket.get(word[pos:end])
-            if entry is not None:
-                yield entry
 
 
 def _rows(lines: Iterable[str], origin: str, layout: str) -> Iterator[tuple[int, list[str]]]:
@@ -153,11 +141,11 @@ def default_morpheme_lexicon() -> MorphemeLexicon:
 class LemmaLexicon:
     """Exception table consulted before the built-in suffix rules.
 
-    The transforms memoize each token's lemma on the instance.
+    The transforms keep each token's lemma on the instance.
     """
 
     exceptions: Mapping[str, str]
-    _values: dict[tuple[TransformTarget, bool], dict[str, str | None]] = field(
+    _tables: dict[tuple[TransformTarget, bool], _Table] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -310,19 +298,17 @@ class Decomposition:
             raise ValidationError("at most two roots allowed")
 
 
-_PATTERNS: tuple[tuple[MorphemeType, ...], ...] = tuple(
-    tuple(p)
-    for p in (
-        [MorphemeType.ROOT],
-        [MorphemeType.PREFIX, MorphemeType.ROOT],
-        [MorphemeType.ROOT, MorphemeType.ROOT],
-        [MorphemeType.ROOT, MorphemeType.TERMINAL],
-        [MorphemeType.PREFIX, MorphemeType.ROOT, MorphemeType.ROOT],
-        [MorphemeType.PREFIX, MorphemeType.ROOT, MorphemeType.TERMINAL],
-        [MorphemeType.ROOT, MorphemeType.ROOT, MorphemeType.TERMINAL],
-        [MorphemeType.PREFIX, MorphemeType.ROOT, MorphemeType.ROOT, MorphemeType.TERMINAL],
-    )
+# The grammar prefix? root root? terminal? as states of one walk: from each
+# state, the morpheme types that may come next and the state each leads to.
+# A word may end in states 2, 3 and 4: after a root or after the terminal.
+_GRAMMAR: tuple[tuple[tuple[MorphemeType, int], ...], ...] = (
+    ((MorphemeType.PREFIX, 1), (MorphemeType.ROOT, 2)),
+    ((MorphemeType.ROOT, 2),),
+    ((MorphemeType.ROOT, 3), (MorphemeType.TERMINAL, 4)),
+    ((MorphemeType.TERMINAL, 4),),
+    (),
 )
+_ENDS = (MorphemeType.ROOT, MorphemeType.TERMINAL)
 
 
 def decompose(
@@ -346,23 +332,30 @@ def decompose(
 
 
 def _best_segmentation(word: str, lexicon: MorphemeLexicon) -> Decomposition | None:
+    n = len(word)
+    buckets, lengths = lexicon._by_type, lexicon._lengths
+    # every segmentation ends in a root or a terminal
+    ends = (word[n - k :] in buckets[t] for t in _ENDS for k in lengths[t] if k <= n)
+    if not any(ends):
+        return None
+    found: dict[tuple[int, MorphemeType], list[MorphemeEntry]] = {}
     solutions: list[tuple[MorphemeEntry, ...]] = []
 
-    def match(pattern: tuple[MorphemeType, ...], step: int, pos: int, parts: list[MorphemeEntry]) -> None:
-        if step == len(pattern):
-            if pos == len(word):
-                solutions.append(tuple(parts))
+    def walk(state: int, pos: int, parts: tuple[MorphemeEntry, ...]) -> None:
+        if pos == n:
+            if state >= 2:
+                solutions.append(parts)
             return
-        # leave at least one letter for each later part
-        end_limit = len(word) - (len(pattern) - step - 1)
-        for entry in lexicon.starting_at(word, pos, pattern[step], end_limit):
-            parts.append(entry)
-            match(pattern, step + 1, pos + len(entry.morpheme), parts)
-            parts.pop()
+        for mtype, then in _GRAMMAR[state]:
+            # the entries of each type spelled from each position, looked up once
+            if (pos, mtype) not in found:
+                bucket = buckets[mtype]
+                spelled = (word[pos : pos + k] for k in lengths[mtype] if pos + k <= n)
+                found[pos, mtype] = [bucket[m] for m in spelled if m in bucket]
+            for entry in found[pos, mtype]:
+                walk(then, pos + len(entry.morpheme), parts + (entry,))
 
-    for pattern in _PATTERNS:
-        match(pattern, 0, 0, [])
-
+    walk(0, 0, ())
     if not solutions:
         return None
     # No two segmentations share a key: equal part lengths spell equal
@@ -414,136 +407,105 @@ class TransformChain:
                 raise ConfigError("form expansion must precede meaning substitution")
 
 
-def _lemma_value(token: str, lexicon: LemmaLexicon) -> str | None:
-    return lemmatize_token(token, lexicon)
-
-
-def _form_value(token: str, lexicon: MorphemeLexicon) -> str | None:
+def _feature_value(
+    target: TransformTarget, constituent: bool, lexicon: LemmaLexicon | MorphemeLexicon, token: str
+) -> str:
+    """A token's value for a target and constituent mode: the token itself
+    where the feature leaves it unchanged. It looks up `lemmatize_token` and
+    `decompose` when it runs, so a caller that replaces those module
+    attributes sees every computed value."""
+    if target is TransformTarget.LEMMA:
+        lemma = lemmatize_token(token, lexicon)
+        return token if lemma == token else lemma
+    if constituent:
+        entry = lexicon.lookup_any(token.lower())
+        return token if entry is None else _match_first_case(entry.meaning, token)
     decomposition = decompose(token.lower(), lexicon)
-    if decomposition is None or len(decomposition.parts) == 1:
-        return None
+    if decomposition is None:
+        return token
+    if target is TransformTarget.NEO_MEANING:
+        return _match_first_case(meanings_of(decomposition), token)
+    if len(decomposition.parts) == 1:
+        return token
     return _match_first_case(" ".join(p.morpheme for p in decomposition.parts), token)
 
-
-def _constituent_meaning(token: str, lexicon: MorphemeLexicon) -> str | None:
-    entry = lexicon.lookup_any(token.lower())
-    return None if entry is None else _match_first_case(entry.meaning, token)
-
-
-def _whole_word_meaning(token: str, lexicon: MorphemeLexicon) -> str | None:
-    decomposition = decompose(token.lower(), lexicon)
-    return None if decomposition is None else _match_first_case(meanings_of(decomposition), token)
-
-
-# Feature value of a token per (target, constituent mode). Each function
-# looks up `lemmatize_token` and `decompose` when it runs, so a caller that
-# replaces those module attributes sees every computed value.
-_VALUE_FNS: dict[tuple[TransformTarget, bool], Callable[..., str | None]] = {
-    (TransformTarget.LEMMA, False): _lemma_value,
-    (TransformTarget.NEO_FORM, False): _form_value,
-    (TransformTarget.NEO_MEANING, False): _whole_word_meaning,
-    (TransformTarget.NEO_MEANING, True): _constituent_meaning,
-}
 
 # re.split with one group: the words sit at the odd indices, and joining
 # every piece gives the text back.
 _SPLIT_WORDS = re.compile(r"([A-Za-z]+)").split
 
 
-class _Step(dict):
-    """One chain step, as a table from each word seen so far to the text
-    that takes its place: the word itself where the feature leaves it
-    unchanged.
+class _Table(dict):
+    """A table from each word looked up so far to the text that takes its
+    place; `fill` gives the text of a word new to it."""
 
-    A word new to the table takes its value from the lexicon's table for
-    the step's (target, constituent mode), which computes it once per
-    lexicon instance.
-    """
+    __slots__ = ("fill",)
 
-    __slots__ = ("augment", "concatenate", "values", "value_of", "lexicon")
-
-    def __init__(
-        self,
-        spec: TransformSpec,
-        constituent: bool,
-        lems: LemmaLexicon | None,
-        morphs: MorphemeLexicon | None,
-    ):
+    def __init__(self, fill: Callable[[str], str]):
         super().__init__()
-        if spec.target is TransformTarget.LEMMA:
-            if lems is None:
-                raise ConfigError("lemma transformations need a lemma lexicon")
-            lexicon: LemmaLexicon | MorphemeLexicon = lems
-        else:
-            if morphs is None:
-                raise ConfigError("combining-form transformations need a morpheme lexicon")
-            lexicon = morphs
-        key = (spec.target, constituent)
-        self.augment = spec.kind is TransformKind.AUGMENTATION
-        self.concatenate = spec.kind is TransformKind.CONCATENATION
-        self.values = lexicon._values.setdefault(key, {})
-        self.value_of = _VALUE_FNS[key]
-        self.lexicon = lexicon
+        self.fill = fill
 
     def __missing__(self, word: str) -> str:
-        values = self.values
-        if word in values:
-            value = values[word]
-        else:
-            value = self.value_of(word, self.lexicon)
-            if value == word:
-                value = None
-            values[word] = value
-        if value is None:
-            slot = word
-        elif self.concatenate:
-            slot = word + " " + value
-        else:
-            slot = value
-        self[word] = slot
-        return slot
+        text = self[word] = self.fill(word)
+        return text
 
-    def edit(self, text: str) -> str | None:
-        """The text with every word put through the table, or None when no
-        word changes; the text between words keeps its exact position."""
-        pieces = _SPLIT_WORDS(text)
-        words = pieces[1::2]
-        slots = list(map(self.__getitem__, words))
-        if slots == words:
-            return None
-        pieces[1::2] = slots
-        return "".join(pieces)
+
+def _concatenation(values: _Table, word: str) -> str:
+    value = values[word]
+    return word if value == word else word + " " + value
 
 
 def _chain_steps(
     chain: TransformChain, lems: LemmaLexicon | None, morphs: MorphemeLexicon | None
-) -> list[_Step]:
-    """The chain's steps; after a form expansion, meaning substitution
-    rewrites constituent-form tokens instead of decomposing whole words."""
+) -> list[tuple[_Table, bool]]:
+    """Each step's word table and whether the step augments.
+
+    A feature's table is kept on its lexicon, so each value is computed once
+    per lexicon instance; a concatenation step's table is made here, from
+    it. After a form expansion, meaning substitution rewrites
+    constituent-form tokens instead of decomposing whole words.
+    """
     steps = []
     forms_expanded = False
     for spec in chain.specs:
-        constituent = spec.target is TransformTarget.NEO_MEANING and forms_expanded
-        steps.append(_Step(spec, constituent, lems, morphs))
+        if spec.target is TransformTarget.LEMMA:
+            lexicon, missing = lems, "lemma transformations need a lemma lexicon"
+        else:
+            lexicon, missing = morphs, "combining-form transformations need a morpheme lexicon"
+        if lexicon is None:
+            raise ConfigError(missing)
+        key = (spec.target, spec.target is TransformTarget.NEO_MEANING and forms_expanded)
+        table = lexicon._tables.get(key)
+        if table is None:
+            table = lexicon._tables[key] = _Table(partial(_feature_value, *key, lexicon))
+        if spec.kind is TransformKind.CONCATENATION:
+            table = _Table(partial(_concatenation, table))
+        steps.append((table, spec.kind is TransformKind.AUGMENTATION))
         forms_expanded = forms_expanded or spec.target is TransformTarget.NEO_FORM
     return steps
 
 
-def _run_steps(text: str, steps: Sequence[_Step]) -> list[str]:
+def _run_steps(text: str, steps: Sequence[tuple[_Table, bool]]) -> list[str]:
     """The running text first, then each augmentation variant in order.
 
-    An in-line step rewrites each text; an augmentation step keeps each
-    text and adds its edited form after it, when that differs.
+    A step puts every word of each text through its table; the text between
+    words keeps its exact position. An in-line step rewrites each text; an
+    augmentation step keeps each text and adds its edited form after it,
+    when that differs.
     """
     texts = [text]
-    for step in steps:
+    for table, augment in steps:
         next_texts = []
         for current in texts:
-            edited = step.edit(current)
-            if edited is None or step.augment:
+            pieces = _SPLIT_WORDS(current)
+            words = pieces[1::2]
+            slots = list(map(table.__getitem__, words))
+            changed = slots != words
+            if augment or not changed:
                 next_texts.append(current)
-            if edited is not None:
-                next_texts.append(edited)
+            if changed:
+                pieces[1::2] = slots
+                next_texts.append("".join(pieces))
         texts = next_texts
     return texts
 

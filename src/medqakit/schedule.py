@@ -33,6 +33,8 @@ from .morph import (
 log = logging.getLogger(__name__)
 
 YESNO_SUBSETS = (DatasetSubsetId.PQA_A, DatasetSubsetId.PQA_L)
+# Instances a transformed stage puts through transform_dataset at a time.
+_TRANSFORM_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -280,9 +282,10 @@ def emit_schedule(
     so the reserved test half never leaks into training. Returns the
     manifest path and the manifest's stage rows.
 
-    Each stage's instances pass through one filter straight into its
-    writer, so a dataset may be a one-pass iterable (a reader's generator)
-    when it feeds one distinct (subset, chain) stage.
+    Each stage's instances pass through one filter, and a transformed
+    stage's through `transform_dataset` a batch at a time, straight into
+    its writer, so a dataset may be a one-pass iterable (a reader's
+    generator) when it feeds one distinct (subset, chain) stage.
 
     `emitted` maps each (subset, chain) whose stage file was already written
     to that file and its instance count. A stage found there is copied from
@@ -316,7 +319,10 @@ def emit_schedule(
                 i for i in data if i.id not in test_ids and (pool is None or i.id in pool)
             )
             if stage.chain is not None:
-                instances = transform_dataset(instances, stage.chain, lems, morphs)
+                batches = formats.batched(instances, _TRANSFORM_BATCH)
+                instances = (
+                    i for b in batches for i in transform_dataset(b, stage.chain, lems, morphs)
+                )
             if stage.subset in YESNO_SUBSETS:
                 n_instances = formats.write_yesno(path, instances)
             else:

@@ -9,6 +9,7 @@ in a fresh child process:
 
     label
     schedule --schedule 2 --schedule baseline
+    schedule --schedule I
     eval out/d2.json predictions.jsonl --task extractive
     curate artificial
     curate templates-export
@@ -17,8 +18,10 @@ where the predictions hold one line per gold id. It reads each child's peak
 RSS with os.wait4 and prints one line per command, with both peaks. The
 temporary inputs go under WORK_DIR (default: the system's). It exits 1 if
 
-- at 60k, the peak of `label` or `schedule` is above 1.25x its peak at 6k:
-  both stream every large input, so their memory must not grow with PQA-A;
+- at 60k, the peak of `label` or of either `schedule` run is above 1.25x
+  its peak at 6k: they stream every large input, and `schedule I` puts its
+  transformed PQA-A stage through the transform a batch at a time, so their
+  memory must not grow with PQA-A;
 - the peak of `eval` grows by more than 1 KiB per added gold record. eval
   streams the gold file, but aligning by id means holding every prediction
   and each gold's id and normalized answer (about 0.5 KiB per record on
@@ -50,7 +53,7 @@ sys.path.insert(0, str(ROOT))
 from tests.test_cli import write_corpus, write_sources  # noqa: E402
 
 SIZES = (6_000, 60_000)
-MAX_RATIO = {"label": 1.25, "schedule": 1.25}
+MAX_RATIO = {"label": 1.25, "schedule": 1.25, "schedule I": 1.25}
 # command: (the records its growth is counted per, the most KiB each may add)
 MAX_GROWTH_KB = {
     "eval": ("gold", 1.0),
@@ -98,6 +101,7 @@ def measure(root: Path, n: int) -> tuple[dict[str, float], dict[str, int]]:
     peaks["schedule"] = peak_rss_mb(
         root, "schedule", "--config", "config.json", "--schedule", "2", "--schedule", "baseline"
     )
+    peaks["schedule I"] = peak_rss_mb(root, "schedule", "--config", "config.json", "--schedule", "I")
     articles = json.loads((root / "out" / "d2.json").read_text(encoding="utf-8"))["data"]
     ids = [qa["id"] for a in articles for p in a["paragraphs"] for qa in p["qas"]]
     del articles
@@ -119,7 +123,7 @@ def main(argv: list[str]) -> int:
     for command in small:
         ratio = large[command] / small[command]
         line = (
-            f"{command:<10} {SIZES[0]}: {small[command]:6.1f} MB  {SIZES[1]}: "
+            f"{command:<11} {SIZES[0]}: {small[command]:6.1f} MB  {SIZES[1]}: "
             f"{large[command]:6.1f} MB  ratio {ratio:.2f}"
         )
         if command in MAX_RATIO and ratio > MAX_RATIO[command]:

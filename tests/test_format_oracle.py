@@ -395,6 +395,24 @@ def test_numbers_that_end_at_a_chunk_edge(tmp_path, monkeypatch, chunk):
                 assert result == oracle, (number, pad, text)
 
 
+@pytest.mark.parametrize("chunk", range(1, 13))
+def test_values_that_a_chunk_edge_cuts(tmp_path, monkeypatch, chunk):
+    """A literal, number, escape or string that a chunk ends in is read on
+    into the next chunk, however far before the chunk's end json reports
+    it; a fault after it is still reported with json's message."""
+    monkeypatch.setattr(formats, "_CHUNK_CHARS", chunk)
+    path = tmp_path / "d.json"
+    values = ("-Infinity", "Infinity", "NaN", "false", "null", "-0.5e-3", '"\\ud83d\\ude00"',
+              '"a\\u00e9\\"b"', '["x", {"y": true}]')
+    for value in values:
+        for pad in range(chunk + 1):
+            for tail in ("}", ", oops}"):
+                path.write_text("{" + " " * pad + f'"v": {value}, "data": []' + tail)
+                result, oracle = squad_outcomes(path, DatasetSubsetId.D1)
+                assert result == oracle, (value, pad, tail)
+                assert result[0] == ("value" if tail == "}" else ParseError)
+
+
 def test_a_second_data_field_is_rejected(tmp_path):
     """json keeps the last of two equal keys; the streaming reader rejects a
     second `data` rather than read one array and drop the other."""

@@ -1,6 +1,7 @@
 import itertools
 import re
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,13 @@ def exhaustive_decompose(word, lexicon, min_length=6):
 
 PACKAGED = default_morpheme_lexicon()
 PACKAGED_MORPHEMES = sorted({e.morpheme for e in PACKAGED.entries})
+ROOT_OR_TERMINAL = {e.morpheme for e in PACKAGED.entries if e.mtype is not PREFIX}
+# prefixes that no root or terminal entry ends: words ending in one often have no segmentation
+PREFIX_ONLY = sorted(
+    e.morpheme
+    for e in PACKAGED.entries
+    if e.mtype is PREFIX and not any(e.morpheme.endswith(m) for m in ROOT_OR_TERMINAL)
+)
 
 
 class TestDecomposeOracle:
@@ -282,6 +290,23 @@ class TestDecomposeOracle:
             at = extra[0] % (len(word) + 1)
             word = word[:at] + extra[1] + word[at:]
         assert decompose(word, lexicon, 1) == exhaustive_decompose(word, lexicon, 1)
+
+
+    @given(
+        parts=st.lists(st.sampled_from(PACKAGED_MORPHEMES), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_joined_morphemes_with_stray_letters(self, parts, data):
+        """Any packaged morphemes in any order, letters before, between and
+        after them; some words end in letters that end no root or terminal."""
+        stray = st.sampled_from(["", "", "", "a", "o", "q", "xz"])
+        word = "".join(data.draw(stray) + part for part in parts)
+        word += data.draw(stray | st.sampled_from(PREFIX_ONLY))
+        want = exhaustive_decompose(word, PACKAGED)
+        assert decompose(word, PACKAGED) == want
+        if not any(word.endswith(m) for m in ROOT_OR_TERMINAL):
+            assert want is None
 
 
 class TestDecomposeMemo:
@@ -738,6 +763,23 @@ class TestTransformOracle:
         assert transform_dataset(instances, chain, lems, morphs) == want
 
 
+STAGE = [
+    YesNoInstance(f"q{i}", question, context, "yes")
+    for i, (question, context) in enumerate(
+        [
+            (
+                "Were dacryoadenitis and gastroenteritis studies assessed?",
+                "Patients used thrombocytopenia criteria; hyperglycemia outcomes stopped.",
+            ),
+            (
+                "Does cardiomegaly precede osteoarthritis?",
+                "Running analyses of Dacryoadenitis, cardiomegaly and the hyperglycemia status.",
+            ),
+        ]
+    )
+]
+
+
 class TestFeatureTables:
     def test_each_token_lemmatized_once_per_lexicon(self, monkeypatch):
         """The step tables look lemmatize_token up where the tracer replaces it."""
@@ -760,6 +802,47 @@ class TestFeatureTables:
             chain = TransformChain((TransformSpec(kind, TransformTarget.NEO_FORM),))
             apply_chain(text, chain, None, morphs)
         assert sorted(calls) == ["and", "dacryoadenitis", "dacryoadenitis", "hyperglycemia"]
+
+    def test_each_value_computed_once_per_lexicon_across_the_builtin_chains(self, monkeypatch):
+        calls = Counter()
+        real = morph._feature_value
+
+        def counted(target, constituent, lexicon, token):
+            calls[target, constituent, token] += 1
+            return real(target, constituent, lexicon, token)
+
+        monkeypatch.setattr(morph, "_feature_value", counted)
+        lems, morphs = fresh_or_warm_lexicons(fresh=True)
+        for chain in BUILTIN_CHAINS:
+            transform_dataset(STAGE, chain, lems, morphs)
+        assert len(BUILTIN_CHAINS) == 12
+        assert set(calls.values()) == {1}
+        assert {(t, c) for t, c, _ in calls} == {
+            (TransformTarget.LEMMA, False),
+            (TransformTarget.NEO_FORM, False),
+            (TransformTarget.NEO_MEANING, False),
+            (TransformTarget.NEO_MEANING, True),
+        }
+
+    def test_a_second_stage_with_the_same_words_adds_no_entries(self):
+        lems, morphs = fresh_or_warm_lexicons(fresh=True)
+
+        def sizes():
+            return {
+                (name, key): len(table)
+                for name, lexicon in (("lemma", lems), ("morph", morphs))
+                for key, table in lexicon._tables.items()
+            }
+
+        for chain in BUILTIN_CHAINS:
+            transform_dataset(STAGE, chain, lems, morphs)
+        filled = sizes()
+        # the same texts, each in the other field, under other ids
+        second = [YesNoInstance(f"b{i.id}", i.context, i.question, "no") for i in STAGE]
+        for chain in BUILTIN_CHAINS:
+            transform_dataset(second, chain, lems, morphs)
+        assert sizes() == filled
+        assert len(filled) == 4 and min(filled.values()) > 10
 
     def test_lexicons_do_not_share_values(self, tmp_path):
         path = tmp_path / "lems.txt"

@@ -15,9 +15,18 @@ from pathlib import Path
 
 import pytest
 
-from medqakit import DatasetSubsetId, Provenance, QAPair, cli, formats
+from medqakit import (
+    DatasetSubsetId,
+    Provenance,
+    QAPair,
+    YesNoInstance,
+    cli,
+    default_lemma_lexicon,
+    default_morpheme_lexicon,
+    formats,
+)
 from medqakit.cli import main
-from medqakit.errors import ValidationError
+from medqakit.errors import ParseError, ValidationError
 from medqakit.metrics import Prediction, evaluate
 from medqakit.schedule import builtin_schedules, emit_schedule, get_schedule
 
@@ -166,6 +175,50 @@ def test_streaming_memory_does_not_grow_with_the_records(tmp_path):
             lambda: evaluate(formats.iter_squad(gold), predictions, "extractive")
         )
     assert peaks["evaluate", 1_000] <= 1.5 * peaks["evaluate", 20], peaks
+
+
+def test_a_transformed_stage_memory_does_not_grow_with_the_records(tmp_path):
+    """emit_schedule streams a chained yes/no stage through transform_dataset
+    a batch at a time: 20k instances peak within 1.5x of 2k."""
+    question = "Were dacryoadenitis and gastroenteritis studies assessed?"
+    context = "Patients used thrombocytopenia criteria; hyperglycemia outcomes stopped."
+    peaks = {}
+    for n in (2_000, 20_000):
+        pqa_a = (YesNoInstance(f"a{i:06d}", question, context, "yes") for i in range(n))
+        datasets = {DatasetSubsetId.PQA_A: pqa_a, DatasetSubsetId.PQA_L: []}
+        lems, morphs = default_lemma_lexicon(), default_morpheme_lexicon()
+        out = tmp_path / f"XII-{n}"
+        peaks[n] = traced_peak(
+            lambda: emit_schedule(
+                get_schedule("XII"), datasets, None, out, lems=lems, morphs=morphs
+            )
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"][0]["n_instances"] == n
+    assert peaks[20_000] <= 1.5 * peaks[2_000], peaks
+
+
+def test_an_early_syntax_fault_stops_the_squad_reader(tmp_path):
+    """A fault near the start of a large SQuAD file is reported with json's
+    own message, from the text read up to it: the reader's peak stays within
+    1.5x of its peak over the valid file."""
+    valid = tmp_path / "valid.json"
+    formats.write_squad(valid, pairs(20_000, 20))
+    text = valid.read_text(encoding="utf-8")
+    at = text.index("{", text.index('"data"')) + 1
+    broken = tmp_path / "broken.json"
+    broken.write_text(text[:at] + ",," + text[at:], encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as json_fault:
+        json.loads(broken.read_text(encoding="utf-8"))
+    peaks = {"valid": traced_peak(lambda: sum(1 for _ in formats.iter_squad(valid)))}
+
+    def read_broken():
+        with pytest.raises(ParseError) as fault:
+            list(formats.iter_squad(broken))
+        assert str(fault.value) == f"{broken}: malformed JSON: {json_fault.value}"
+
+    peaks["broken"] = traced_peak(read_broken)
+    assert peaks["broken"] <= 1.5 * peaks["valid"], peaks
 
 
 # Records `label` skips: an empty question, an empty or blank context.
