@@ -120,6 +120,16 @@ def _phrases(where: str, value: Any) -> list[str]:
     return phrases
 
 
+def _schedule_ids(where: str, value: Any) -> list[str]:
+    ids = STRINGS(where, value)
+    if not ids:
+        raise ConfigError(f"{where}: expected at least one schedule id")
+    repeated = next((sid for k, sid in enumerate(ids) if sid in ids[:k]), None)
+    if repeated is not None:
+        raise ConfigError(f"{where}: {repeated!r} is listed twice")
+    return ids
+
+
 def _path_setting(where: str, value: Any) -> Any:
     lexicon = where.rpartition(".")[2] in ("morpheme_lexicon", "lemma_exceptions")
     return (_LEXICON if lexicon else _FILE)(where, value)
@@ -162,7 +172,7 @@ CONFIG_FIELDS = (
         {s.value: f for s, f in DEFAULT_HOLDOUT_FRACTIONS.items()},
     ),
     ConfigField(
-        "schedules", STRINGS, [s.schedule_id for s in builtin_schedules()], flag="schedules"
+        "schedules", _schedule_ids, [s.schedule_id for s in builtin_schedules()], flag="schedules"
     ),
     ConfigField("paths", _object_of(_path_setting), {}),
 )
@@ -353,16 +363,12 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     schedules = [get_schedule(s) for s in config.schedules]
 
     fractions = {DatasetSubsetId(k): v for k, v in config.split_fractions.items()}
-    chains: dict[DatasetSubsetId, set] = {}
-    for schedule in schedules:
-        for stage in schedule.stages:
-            chains.setdefault(stage.subset, set()).add(stage.chain)
-    # A subset whose ids the split or the folds need, or that feeds several
-    # distinct stages, is read into a list. Any other is decoded from its
-    # file while its one stage is written, so each file is decoded once.
+    subsets = {stage.subset for schedule in schedules for stage in schedule.stages}
+    # A subset is read into a list only when the split or the folds need its
+    # ids; any other is decoded from its file once, while its stages are written.
     datasets: dict[DatasetSubsetId, Any] = {}
-    for subset in sorted(chains, key=lambda s: s.value):
-        listed = subset in fractions or subset is DatasetSubsetId.PQA_L or len(chains[subset]) > 1
+    for subset in sorted(subsets, key=lambda s: s.value):
+        listed = subset in fractions or subset is DatasetSubsetId.PQA_L
         if subset in YESNO_SUBSETS:
             path = _require_path(config, subset.value)
             datasets[subset] = (formats.read_yesno if listed else formats.iter_yesno)(path)
@@ -392,21 +398,12 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         lems = _load_lexicon(config, "lemma_exceptions", default_lemma_lexicon, load_lemma_lexicon)
 
     print(f"{'schedule':<10} {'stage':>5} {'subset':<7} {'n':>7}")
+    manifests = emit_schedule(
+        schedules, datasets, split, config.output_dir / "schedules",
+        folds=folds, lems=lems, morphs=morphs, provenance=config.provenance,
+    )
     manifest_index = []
-    emitted: dict = {}
-    for schedule in schedules:
-        schedule_dir = config.output_dir / "schedules" / schedule.schedule_id
-        manifest_path, stages = emit_schedule(
-            schedule,
-            datasets,
-            split,
-            schedule_dir,
-            folds=folds,
-            lems=lems,
-            morphs=morphs,
-            provenance=config.provenance,
-            emitted=emitted,
-        )
+    for schedule, (manifest_path, stages) in zip(schedules, manifests):
         for stage in stages:
             print(
                 f"{schedule.schedule_id:<10} {stage['stage_index']:>5} "

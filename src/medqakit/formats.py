@@ -14,7 +14,7 @@ import os
 import re
 import shutil
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
@@ -60,13 +60,22 @@ def _atomic_file(path: str | Path) -> Iterator[int]:
         raise
 
 
+@contextmanager
+def atomic_text_files(paths: Sequence[str | Path]) -> Iterator[list[TextIO]]:
+    """A UTF-8 handle per path, written as `write_text_atomic` writes: every
+    path is replaced when the block ends without an error, none if it fails."""
+    with ExitStack() as stack:
+        fds = [stack.enter_context(_atomic_file(path)) for path in paths]
+        yield [stack.enter_context(os.fdopen(fd, "w", encoding="utf-8")) for fd in fds]
+
+
 def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     """Write via a temp file and rename so partial files never appear.
 
     `text` is one string or an iterable of string chunks, written as they
     come, as UTF-8.
     """
-    with _atomic_file(path) as fd, os.fdopen(fd, "w", encoding="utf-8") as handle:
+    with atomic_text_files([path]) as (handle,):
         handle.writelines((text,) if isinstance(text, str) else text)
 
 
@@ -252,19 +261,18 @@ class _Counted:
 _YESNO_LINE = '{"id": %s, "question": %s, "context": %s, "label": %s}\n'
 
 
-def write_yesno(path: str | Path, instances: Iterable[YesNoInstance]) -> int:
-    """One JSON object per line, written as the instances come; the string
-    fields go through json's own (C) string encoder, as in `_squad_chunks`.
-    Returns the number of instances written."""
+def yesno_lines(instances: Iterable[YesNoInstance]) -> Iterator[str]:
+    """The JSONL line of each instance; the string fields go through json's
+    own (C) string encoder, as in `_squad_chunks`."""
     enc = json.encoder.encode_basestring
+    for i in instances:
+        yield _YESNO_LINE % (enc(i.id), enc(i.question), enc(i.context), enc(i.label))
+
+
+def write_yesno(path: str | Path, instances: Iterable[YesNoInstance]) -> int:
+    """`yesno_lines` of the instances, written as they come; returns their number."""
     counted = _Counted(instances)
-    write_text_atomic(
-        path,
-        (
-            _YESNO_LINE % (enc(i.id), enc(i.question), enc(i.context), enc(i.label))
-            for i in counted
-        ),
-    )
+    write_text_atomic(path, yesno_lines(counted))
     return counted.n
 
 

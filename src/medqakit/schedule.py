@@ -33,7 +33,7 @@ from .morph import (
 log = logging.getLogger(__name__)
 
 YESNO_SUBSETS = (DatasetSubsetId.PQA_A, DatasetSubsetId.PQA_L)
-# Instances a transformed stage puts through transform_dataset at a time.
+# Instances of a yes/no subset written at a time, each batch through every chain.
 _TRANSFORM_BATCH = 256
 
 
@@ -264,7 +264,7 @@ def _stage_filename(stage: StageSpec) -> str:
 
 
 def emit_schedule(
-    schedule: Schedule,
+    schedules: Sequence[Schedule],
     datasets: Mapping[DatasetSubsetId, Iterable[QAPair] | Iterable[YesNoInstance]],
     split: TargetSplit | None,
     out_dir: str | Path,
@@ -273,88 +273,80 @@ def emit_schedule(
     lems: LemmaLexicon | None = None,
     morphs: MorphemeLexicon | None = None,
     provenance: Mapping[str, object] | None = None,
-    emitted: dict[tuple[DatasetSubsetId, TransformChain | None], tuple[Path, int]] | None = None,
-) -> tuple[Path, list[dict]]:
-    """Write the schedule manifest and one training file per stage.
+) -> list[tuple[Path, list[dict]]]:
+    """Write each schedule's manifest and stage files under
+    `out_dir`/SCHEDULE_ID; returns each one's manifest path and stage rows.
 
     Stage files exclude every id in the target split's test pool; when folds
     are given, the human-labelled yes/no stage is restricted to the CV pool
-    so the reserved test half never leaks into training. Returns the
-    manifest path and the manifest's stage rows.
+    so the reserved test half never leaks into training.
 
-    Each stage's instances pass through one filter, and a transformed
-    stage's through `transform_dataset` a batch at a time, straight into
-    its writer, so a dataset may be a one-pass iterable (a reader's
-    generator) when it feeds one distinct (subset, chain) stage.
-
-    `emitted` maps each (subset, chain) whose stage file was already written
-    to that file and its instance count. A stage found there is copied from
-    the file instead of being filtered, transformed and rendered again; each
-    stage written here is added. Share one mapping only between calls with
-    the same datasets, split, folds, lexicons and provenance.
+    The plan maps each subset, in order of first use, to its distinct chains
+    and each chain to its stage paths; a missing dataset raises before any
+    file is written. Each dataset is then iterated once (it may be a
+    reader's generator): a SQuAD subset into `write_squad`, a yes/no subset
+    a batch at a time into one file per chain, all kept or all removed. A
+    chain's other paths get copies; a manifest follows its last stage.
     """
     out_dir = Path(out_dir)
-    test_ids = split.test_ids if split is not None else frozenset()
-    if emitted is None:
-        emitted = {}
-    stages_json = []
-    for stage in schedule.stages:
-        data = datasets.get(stage.subset)
-        if data is None:
-            raise ValidationError(
-                f"schedule {schedule.schedule_id}: dataset for subset "
-                f"{stage.subset.value!r} is not materialized"
-            )
-        filename = _stage_filename(stage)
-        path = out_dir / filename
-        key = (stage.subset, stage.chain)
-        if key in emitted:
-            source, n_instances = emitted[key]
-            formats.copy_file_atomic(path, source)
-        else:
-            pool = None
-            if folds is not None and stage.subset is DatasetSubsetId.PQA_L:
-                pool = set(folds.pool)
-            instances = (
-                i for i in data if i.id not in test_ids and (pool is None or i.id in pool)
-            )
-            if stage.chain is not None:
-                batches = formats.batched(instances, _TRANSFORM_BATCH)
-                instances = (
-                    i for b in batches for i in transform_dataset(b, stage.chain, lems, morphs)
+    plan: dict[DatasetSubsetId, dict[TransformChain | None, list[Path]]] = {}
+    for schedule in schedules:
+        for stage in schedule.stages:
+            if stage.subset not in datasets:
+                raise ValidationError(
+                    f"schedule {schedule.schedule_id}: dataset for subset "
+                    f"{stage.subset.value!r} is not materialized"
                 )
-            if stage.subset in YESNO_SUBSETS:
-                n_instances = formats.write_yesno(path, instances)
-            else:
-                n_instances = formats.write_squad(path, instances, provenance)
-            emitted[key] = (path, n_instances)
-        stages_json.append(
-            {
-                "stage_index": stage.stage_index,
-                "subset": stage.subset.value,
-                "transform_chain": _chain_json(stage.chain),
-                "dataset_path": filename,
-                "n_instances": n_instances,
-            }
-        )
-    manifest: dict[str, object] = {
-        "schedule_id": schedule.schedule_id,
-        "stages": stages_json,
-    }
-    if provenance is not None:
-        manifest["provenance"] = dict(provenance)
+            paths = plan.setdefault(stage.subset, {}).setdefault(stage.chain, [])
+            paths.append(out_dir / schedule.schedule_id / _stage_filename(stage))
+    test_ids = split.test_ids if split is not None else frozenset()
+    shared: dict[str, object] = {} if provenance is None else {"provenance": dict(provenance)}
     if split is not None:
-        manifest["target_split"] = {
-            "seed": split.seed,
-            "test_ids": {s.value: list(ids) for s, ids in split.test_by_subset.items() if ids},
-        }
+        held = {s.value: list(ids) for s, ids in split.test_by_subset.items() if ids}
+        shared["target_split"] = {"seed": split.seed, "test_ids": held}
     if folds is not None:
-        manifest["folds"] = {
+        shared["folds"] = {
             "n_folds": folds.n_folds,
             "train_size": folds.train_size,
             "reserved_test": list(folds.reserved_test),
             "validation_folds": [list(f) for f in folds.folds],
         }
-    manifest_path = out_dir / "manifest.json"
-    formats.write_json_atomic(manifest_path, manifest)
-    return manifest_path, stages_json
+    n_instances: dict[tuple[DatasetSubsetId, TransformChain | None], int] = {}
+    manifests: dict[int, tuple[Path, list[dict]]] = {}
+    for subset, chains in plan.items():
+        pool = set(folds.pool) if folds is not None and subset is DatasetSubsetId.PQA_L else None
+        instances = (
+            i for i in datasets[subset] if i.id not in test_ids and (pool is None or i.id in pool)
+        )
+        firsts = [paths[0] for paths in chains.values()]
+        if subset not in YESNO_SUBSETS:
+            n_instances[subset, None] = formats.write_squad(firsts[0], instances, provenance)
+        else:
+            n_instances.update(((subset, chain), 0) for chain in chains)
+            with formats.atomic_text_files(firsts) as handles:
+                for batch in formats.batched(instances, _TRANSFORM_BATCH):
+                    for chain, handle in zip(chains, handles):
+                        out = transform_dataset(batch, chain, lems, morphs) if chain else batch
+                        handle.writelines(formats.yesno_lines(out))
+                        n_instances[subset, chain] += len(out)
+        for paths in chains.values():
+            for path in paths[1:]:
+                formats.copy_file_atomic(path, paths[0])
+        for k, schedule in enumerate(schedules):
+            stages = schedule.stages
+            if k in manifests or any((s.subset, s.chain) not in n_instances for s in stages):
+                continue
+            rows = [
+                {
+                    "stage_index": s.stage_index,
+                    "subset": s.subset.value,
+                    "transform_chain": _chain_json(s.chain),
+                    "dataset_path": _stage_filename(s),
+                    "n_instances": n_instances[s.subset, s.chain],
+                }
+                for s in stages
+            ]
+            manifest = {"schedule_id": schedule.schedule_id, "stages": rows, **shared}
+            manifests[k] = (out_dir / schedule.schedule_id / "manifest.json", rows)
+            formats.write_json_atomic(manifests[k][0], manifest)
+    return [manifests[k] for k in range(len(schedules))]

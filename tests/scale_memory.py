@@ -10,6 +10,7 @@ in a fresh child process:
     label
     schedule --schedule 2 --schedule baseline
     schedule --schedule I
+    schedule --schedule baseline --schedule I ... --schedule XII
     eval out/d2.json predictions.jsonl --task extractive
     curate artificial
     curate templates-export
@@ -18,9 +19,10 @@ where the predictions hold one line per gold id. It reads each child's peak
 RSS with os.wait4 and prints one line per command, with both peaks. The
 temporary inputs go under WORK_DIR (default: the system's). It exits 1 if
 
-- at 60k, the peak of `label` or of either `schedule` run is above 1.25x
-  its peak at 6k: they stream every large input, and `schedule I` puts its
-  transformed PQA-A stage through the transform a batch at a time, so their
+- at 60k, the peak of `label` or of any `schedule` run is above 1.25x its
+  peak at 6k: they stream every large input, and `schedule` writes every
+  stage of PQA-A, through each transformation chain, from one pass over it
+  a batch at a time (13 stages with the 13 yes/no schedules), so their
   memory must not grow with PQA-A;
 - the peak of `eval` grows by more than 1 KiB per added gold record. eval
   streams the gold file, but aligning by id means holding every prediction
@@ -53,7 +55,10 @@ sys.path.insert(0, str(ROOT))
 from tests.test_cli import write_corpus, write_sources  # noqa: E402
 
 SIZES = (6_000, 60_000)
-MAX_RATIO = {"label": 1.25, "schedule": 1.25, "schedule I": 1.25}
+YESNO_SCHEDULES = (
+    "baseline", "I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII"
+)
+MAX_RATIO = {"label": 1.25, "schedule": 1.25, "schedule I": 1.25, "schedule yes/no": 1.25}
 # command: (the records its growth is counted per, the most KiB each may add)
 MAX_GROWTH_KB = {
     "eval": ("gold", 1.0),
@@ -102,6 +107,8 @@ def measure(root: Path, n: int) -> tuple[dict[str, float], dict[str, int]]:
         root, "schedule", "--config", "config.json", "--schedule", "2", "--schedule", "baseline"
     )
     peaks["schedule I"] = peak_rss_mb(root, "schedule", "--config", "config.json", "--schedule", "I")
+    yesno = [arg for sid in YESNO_SCHEDULES for arg in ("--schedule", sid)]
+    peaks["schedule yes/no"] = peak_rss_mb(root, "schedule", "--config", "config.json", *yesno)
     articles = json.loads((root / "out" / "d2.json").read_text(encoding="utf-8"))["data"]
     ids = [qa["id"] for a in articles for p in a["paragraphs"] for qa in p["qas"]]
     del articles
@@ -123,7 +130,7 @@ def main(argv: list[str]) -> int:
     for command in small:
         ratio = large[command] / small[command]
         line = (
-            f"{command:<11} {SIZES[0]}: {small[command]:6.1f} MB  {SIZES[1]}: "
+            f"{command:<15} {SIZES[0]}: {small[command]:6.1f} MB  {SIZES[1]}: "
             f"{large[command]:6.1f} MB  ratio {ratio:.2f}"
         )
         if command in MAX_RATIO and ratio > MAX_RATIO[command]:

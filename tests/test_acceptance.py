@@ -222,8 +222,8 @@ def test_schedule_golden_manifests(tmp_path):
     )
     lems, morphs = default_lemma_lexicon(), default_morpheme_lexicon()
     for schedule in schedules:
-        manifest_path, _stages = emit_schedule(
-            schedule, datasets, split, tmp_path / schedule.schedule_id, lems=lems, morphs=morphs
+        [(manifest_path, _stages)] = emit_schedule(
+            [schedule], datasets, split, tmp_path, lems=lems, morphs=morphs
         )
         manifest = json.loads(manifest_path.read_text())
         assert [s["subset"] for s in manifest["stages"]] == EXPECTED_STAGE_ORDERS[

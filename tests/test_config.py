@@ -93,6 +93,8 @@ BAD_CONFIGS = [
     ({"paths": {"pqa_l": ["a.jsonl"]}}, "config paths.pqa_l: expected a path or null"),
     ({"paths": {"morpheme_lexicon": 3}}, "config paths.morpheme_lexicon: expected a path, an"),
     ({"paths": {"lemma_exceptions": ["a", 3]}}, "config paths.lemma_exceptions"),
+    ({"schedules": []}, "config schedules: expected at least one schedule id"),
+    ({"schedules": ["1", "I", "1"]}, "config schedules: '1' is listed twice"),
 ]
 
 
@@ -103,6 +105,15 @@ def test_bad_value_exits_1_naming_the_key(tmp_path, capsys, command, override, m
     code, err = run([*command, "--config", str(config)], capsys)
     assert code == 1
     assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_repeated_schedule_flag_exits_1(tmp_path, capsys):
+    config = write_config(tmp_path)
+    repeated = ["--schedule", "1", "--schedule", "1"]
+    code, err = run(["schedule", "--config", str(config), *repeated], capsys)
+    assert code == 1
+    assert "config schedules: '1' is listed twice" in err
     assert not (tmp_path / "out").exists()
 
 

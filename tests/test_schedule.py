@@ -22,7 +22,7 @@ from medqakit import (
 )
 from medqakit import formats
 from medqakit.formats import file_sha256
-from medqakit.schedule import get_schedule
+from medqakit.schedule import DEFAULT_HOLDOUT_FRACTIONS, get_schedule
 
 EXPECTED_STAGE_ORDERS = {
     "1": ["d1"],
@@ -235,14 +235,14 @@ def materialized():
 
 
 class TestEmitSchedule:
-    def _emit(self, schedule_id, materialized, out_dir, folds=None, emitted=None):
+    def _emit_all(self, schedule_ids, materialized, out_dir, folds=None):
         split = make_target_split(
             {s: [i.id for i in materialized[s]] for s in
              (DatasetSubsetId.D1, DatasetSubsetId.D3, DatasetSubsetId.D4)},
             SplitSpec(seed=13),
         )
-        manifest_path, stages = emit_schedule(
-            get_schedule(schedule_id),
+        manifests = emit_schedule(
+            [get_schedule(sid) for sid in schedule_ids],
             materialized,
             split,
             out_dir,
@@ -250,13 +250,20 @@ class TestEmitSchedule:
             lems=default_lemma_lexicon(),
             morphs=default_morpheme_lexicon(),
             provenance={"seed": 13},
-            emitted=emitted,
         )
-        assert json.loads(manifest_path.read_text())["stages"] == stages
+        for manifest_path, stages in manifests:
+            assert json.loads(manifest_path.read_text())["stages"] == stages
+        return manifests, split
+
+    def _emit(self, schedule_id, materialized, out_dir, folds=None):
+        """Emit one schedule into out_dir/schedule_id."""
+        [(manifest_path, _stages)], split = self._emit_all(
+            [schedule_id], materialized, out_dir, folds
+        )
         return manifest_path, split
 
     def test_schedule_4_stage_files_disjoint_from_test_pool(self, materialized, tmp_path):
-        manifest_path, split = self._emit("4", materialized, tmp_path / "4")
+        manifest_path, split = self._emit("4", materialized, tmp_path)
         manifest = json.loads(manifest_path.read_text())
         assert [s["subset"] for s in manifest["stages"]] == ["d2", "d1", "d3", "d4"]
         test_ids = split.test_ids
@@ -272,14 +279,14 @@ class TestEmitSchedule:
             assert len(stage_ids) == stage["n_instances"]
 
     def test_baseline_untransformed(self, materialized, tmp_path):
-        manifest_path, _ = self._emit("baseline", materialized, tmp_path / "baseline")
+        manifest_path, _ = self._emit("baseline", materialized, tmp_path)
         manifest = json.loads(manifest_path.read_text())
         assert [s["transform_chain"] for s in manifest["stages"]] == [None, None]
         stage2 = (tmp_path / "baseline" / manifest["stages"][1]["dataset_path"]).read_text()
         assert "Patients improved." in stage2
 
     def test_augmentation_schedule_appends_copies(self, materialized, tmp_path):
-        manifest_path, _ = self._emit("III", materialized, tmp_path / "III")
+        manifest_path, _ = self._emit("III", materialized, tmp_path)
         manifest = json.loads(manifest_path.read_text())
         stage2 = manifest["stages"][1]
         lines = (tmp_path / "III" / stage2["dataset_path"]).read_text().splitlines()
@@ -291,9 +298,10 @@ class TestEmitSchedule:
     def test_fold_pool_restricts_pqa_l_stage(self, materialized, tmp_path):
         fold_ids = [i.id for i in materialized[DatasetSubsetId.PQA_L]]
         folds = make_folds(fold_ids, seed=13)
-        manifest_path, split = self._emit("baseline", materialized, tmp_path / "bf", folds=folds)
+        manifest_path, split = self._emit("baseline", materialized, tmp_path, folds=folds)
         manifest = json.loads(manifest_path.read_text())
-        lines = (tmp_path / "bf" / manifest["stages"][1]["dataset_path"]).read_text().splitlines()
+        stage_path = tmp_path / "baseline" / manifest["stages"][1]["dataset_path"]
+        lines = stage_path.read_text().splitlines()
         stage_ids = {json.loads(line)["id"] for line in lines}
         assert stage_ids.issubset(set(folds.pool))
         assert stage_ids.isdisjoint(folds.reserved_test)
@@ -303,14 +311,15 @@ class TestEmitSchedule:
         datasets = dict(materialized)
         del datasets[DatasetSubsetId.D3]
         with pytest.raises(ValidationError, match="d3"):
-            emit_schedule(get_schedule("3"), datasets, None, tmp_path / "x")
+            emit_schedule([get_schedule("1"), get_schedule("3")], datasets, None, tmp_path / "x")
+        assert not (tmp_path / "x").exists()
 
     def test_rerun_is_byte_identical(self, materialized, tmp_path):
-        first, _ = self._emit("XII", materialized, tmp_path / "XII")
+        first, _ = self._emit("XII", materialized, tmp_path)
         hashes_before = {
             p.name: file_sha256(p) for p in sorted((tmp_path / "XII").iterdir())
         }
-        second, _ = self._emit("XII", materialized, tmp_path / "XII")
+        second, _ = self._emit("XII", materialized, tmp_path)
         hashes_after = {
             p.name: file_sha256(p) for p in sorted((tmp_path / "XII").iterdir())
         }
@@ -321,15 +330,13 @@ class TestEmitSchedule:
     ):
         schedule_ids = ("1", "2", "3", "4", "baseline")
         for sid in schedule_ids:
-            self._emit(sid, materialized, tmp_path / "alone" / sid)
+            self._emit(sid, materialized, tmp_path / "alone")
         rendered = []
         write_squad = formats.write_squad
         monkeypatch.setattr(
             formats, "write_squad", lambda path, *a: rendered.append(path) or write_squad(path, *a)
         )
-        emitted = {}
-        for sid in schedule_ids:
-            self._emit(sid, materialized, tmp_path / "shared" / sid, emitted=emitted)
+        self._emit_all(schedule_ids, materialized, tmp_path / "shared")
         assert [p.name for p in rendered] == [
             "stage1_d1.json", "stage1_d2.json", "stage3_d3.json", "stage4_d4.json"
         ]
@@ -340,3 +347,84 @@ class TestEmitSchedule:
         alone, shared = tree(tmp_path / "alone"), tree(tmp_path / "shared")
         assert len(shared) == 10 + 2 + len(schedule_ids)
         assert shared == alone
+
+
+class OneShot:
+    """A dataset that may be iterated once; a second pass raises."""
+
+    def __init__(self, items):
+        self.items = items
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        if self.passes > 1:
+            raise AssertionError("dataset iterated twice")
+        return iter(self.items)
+
+
+def run_inputs(all_datasets, schedule_ids):
+    """The datasets, split and folds `medqakit schedule` builds for these
+    schedules: only their subsets are loaded, the split holds out the default
+    fractions of the loaded ones, and the folds come from pqa_l."""
+    subsets = {stage.subset for sid in schedule_ids for stage in get_schedule(sid).stages}
+    datasets = {s: all_datasets[s] for s in subsets}
+    held = {
+        s: [i.id for i in data] for s, data in datasets.items() if s in DEFAULT_HOLDOUT_FRACTIONS
+    }
+    split = make_target_split(held, SplitSpec(seed=13)) if held else None
+    folds = None
+    if DatasetSubsetId.PQA_L in datasets:
+        folds = make_folds([i.id for i in datasets[DatasetSubsetId.PQA_L]], seed=13)
+    return datasets, split, folds
+
+
+def emit_tree(schedule_ids, datasets, split, folds, out_dir):
+    emit_schedule(
+        [get_schedule(sid) for sid in schedule_ids],
+        datasets,
+        split,
+        out_dir,
+        folds=folds,
+        lems=default_lemma_lexicon(),
+        morphs=default_morpheme_lexicon(),
+        provenance={"seed": 13},
+    )
+    return {str(p.relative_to(out_dir)): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+
+
+def test_one_plan_reads_each_dataset_once_and_matches_each_schedule_alone(tmp_path):
+    """All 17 schedules from one-pass datasets write the tree list inputs
+    write. Each schedule emitted alone writes the same stage bytes, except
+    the pqa_l stage: with d1 loaded, its test ids, which here are pqa_l ids,
+    are dropped from it (ROADMAP item 1), so exactly those inside the CV
+    pool are missing from it in the all-17 tree."""
+    all_ids = [s.schedule_id for s in builtin_schedules()]
+    lists = {
+        DatasetSubsetId.D1: make_pairs(DatasetSubsetId.D1, 100),
+        DatasetSubsetId.D2: make_pairs(DatasetSubsetId.D2, 50),
+        DatasetSubsetId.D3: make_pairs(DatasetSubsetId.D3, 20),
+        DatasetSubsetId.D4: make_pairs(DatasetSubsetId.D4, 30),
+        # d1 is labeled from pqa_l, so the two share ids
+        DatasetSubsetId.PQA_L: make_yesno(DatasetSubsetId.D1, 100),
+        DatasetSubsetId.PQA_A: make_yesno(DatasetSubsetId.PQA_A, 600),
+    }
+    datasets, split, folds = run_inputs(lists, all_ids)
+    together = emit_tree(all_ids, datasets, split, folds, tmp_path / "lists")
+    once = {s: OneShot(data) for s, data in datasets.items()}
+    assert emit_tree(all_ids, once, split, folds, tmp_path / "once") == together
+    assert {s: d.passes for s, d in once.items()} == dict.fromkeys(datasets, 1)
+
+    missing = set(split.test_by_subset[DatasetSubsetId.D1]) & set(folds.pool)
+    assert missing
+    for sid in all_ids:
+        alone = emit_tree([sid], *run_inputs(lists, [sid]), tmp_path / "alone" / sid)
+        stages = {name: data for name, data in alone.items() if "/stage" in name}
+        assert stages
+        for name, data in stages.items():
+            if name.endswith("_pqa_l.jsonl"):
+                lines = data.decode().splitlines(keepends=True)
+                kept = [l for l in lines if json.loads(l)["id"].split("#")[0] not in missing]
+                assert len(kept) < len(lines)
+                data = "".join(kept).encode()
+            assert together[name] == data, name

@@ -1,5 +1,5 @@
 """Streamed inputs: `schedule` writes the same files whether a subset is
-decoded while its stage is written or read into a list first, decodes each
+decoded while its stages are written or read into a list first, decodes each
 input file once; `label` writes the same files whether it labels its
 sources a batch at a time or all at once; and the streaming readers and
 consumers hold memory that does not grow with the number of records they
@@ -106,27 +106,39 @@ def test_streamed_schedule_equals_the_list_path(workspace, monkeypatch, schedule
 
 
 @pytest.mark.parametrize(
-    "name, schedule, read",
+    "name, schedules, read, later_files",
     [
-        ("d2.json", "2", lambda path: formats.read_squad(path, subset=DatasetSubsetId.D2)),
-        ("pqa_a.jsonl", "baseline", formats.read_yesno),
+        (
+            "d2.json",
+            ["2"],
+            lambda path: formats.read_squad(path, subset=DatasetSubsetId.D2),
+            {"2": ["stage2_d1.json"]},
+        ),
+        ("pqa_a.jsonl", ["baseline"], formats.read_yesno, {"baseline": []}),
+        ("pqa_a.jsonl", ["I", "XII"], formats.read_yesno, {"I": [], "XII": []}),
     ],
+    ids=["d2.json-2-<lambda>", "pqa_a.jsonl-baseline-read_yesno", "pqa_a.jsonl-I-XII-read_yesno"],
 )
 def test_a_malformed_streamed_input_exits_1_without_temp_files(
-    workspace, capsys, name, schedule, read
+    workspace, capsys, name, schedules, read, later_files
 ):
+    """The fault is read after schedule 1 was written: it keeps its files,
+    and the later schedules get no manifest and no stage of the faulty
+    subset (a stage of a subset written before it may stay)."""
     path = workspace / ("out" if name.endswith(".json") else "") / name
     text = path.read_text(encoding="utf-8")
     path.write_text(text[: len(text) * 2 // 3], encoding="utf-8")
     with pytest.raises(ValidationError) as fault:
         read(path)
-    config = write_config(workspace, schedules=["1", schedule])
+    config = write_config(workspace, schedules=["1", *schedules])
     capsys.readouterr()
     assert main(["schedule", "--config", str(config)]) == 1
     assert capsys.readouterr().err.strip().endswith(f"error: {fault.value}")
     assert not list((workspace / "out").rglob("*.tmp"))
-    # the schedule emitted before the fault keeps its files
-    assert (workspace / "out" / "schedules" / "1" / "manifest.json").exists()
+    written = workspace / "out" / "schedules"
+    assert sorted(p.name for p in (written / "1").iterdir()) == ["manifest.json", "stage1_d1.json"]
+    later = {sid: sorted(p.name for p in (written / sid).glob("*")) for sid in schedules}
+    assert later == later_files
 
 
 def pairs(n: int, context_words: int):
@@ -160,9 +172,9 @@ def test_streaming_memory_does_not_grow_with_the_records(tmp_path):
         datasets = {DatasetSubsetId.D2: formats.iter_squad(gold), DatasetSubsetId.D1: d1}
         out = tmp_path / f"schedule{n}"
         peaks["emit", n] = traced_peak(
-            lambda: emit_schedule(get_schedule("2"), datasets, None, out)
+            lambda: emit_schedule([get_schedule("2")], datasets, None, out)
         )
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "2" / "manifest.json").read_text())
         assert manifest["stages"][0]["n_instances"] == n
     for name in ("iter_squad", "emit"):
         assert peaks[name, 20_000] <= 1.5 * peaks[name, 2_000], (name, peaks)
@@ -190,10 +202,10 @@ def test_a_transformed_stage_memory_does_not_grow_with_the_records(tmp_path):
         out = tmp_path / f"XII-{n}"
         peaks[n] = traced_peak(
             lambda: emit_schedule(
-                get_schedule("XII"), datasets, None, out, lems=lems, morphs=morphs
+                [get_schedule("XII")], datasets, None, out, lems=lems, morphs=morphs
             )
         )
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "XII" / "manifest.json").read_text())
         assert manifest["stages"][0]["n_instances"] == n
     assert peaks[20_000] <= 1.5 * peaks[2_000], peaks
 
