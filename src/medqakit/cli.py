@@ -11,30 +11,25 @@ the output directory so every artifact is reproducible from disk alone.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import json
 import logging
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__, formats
 from .bm25 import Bm25Params
 from .corpus import DatasetSubsetId, QAPair, parse_iso_date
-from .covid import (
-    CovidFilterPolicy,
-    alias_lookup,
-    build_artificial_pairs,
-    build_review_candidates,
-    build_search_queries,
+from .defaults import (
+    COVID_CUTOFF_DATE,
+    COVID_PHRASES,
+    DEFAULT_HOLDOUT_FRACTIONS,
+    SCHEDULE_IDS,
     check_one_line,
-    export_review_queue,
-    import_review_queue,
-    instantiate_templates,
-    load_template_config,
 )
+from .digest import sha256
 from .errors import (
     INTEGER,
     STRINGS,
@@ -44,24 +39,6 @@ from .errors import (
     check,
     expected,
 )
-from .metrics import ScoringError, evaluate
-from .morph import (
-    default_lemma_lexicon,
-    default_morpheme_lexicon,
-    load_lemma_lexicon,
-    load_morpheme_lexicon,
-)
-from .schedule import (
-    DEFAULT_HOLDOUT_FRACTIONS,
-    YESNO_SUBSETS,
-    SplitSpec,
-    builtin_schedules,
-    emit_schedule,
-    get_schedule,
-    make_folds,
-    make_target_split,
-)
-from .weak_label import PRIME_SUBSET, build_prime_subset
 
 log = logging.getLogger(__name__)
 
@@ -74,6 +51,32 @@ EXIT_INTERNAL = 3
 
 # Source records `label` weak-labels per build_prime_subset call.
 _LABEL_BATCH = 256
+
+# The functions each command calls as attributes of this module, `_cli.NAME`,
+# and their modules. Each is imported on its first lookup, inside the command
+# that needs it, so a command loads only the modules it runs, and a wrapper
+# bound here before a command runs (a tracer, a test) sees every call.
+_COMMAND_FUNCTIONS = {
+    "build_prime_subset": "weak_label",
+    "build_artificial_pairs": "covid",
+    "build_review_candidates": "covid",
+    "export_review_queue": "covid",
+    "import_review_queue": "covid",
+    "default_lemma_lexicon": "morph",
+    "default_morpheme_lexicon": "morph",
+    "emit_schedule": "schedule",
+    "evaluate": "metrics",
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str) -> Any:
+    module = _COMMAND_FUNCTIONS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    globals()[name] = value
+    return value
 
 
 def _object_of(entry: Callable[[str, Any], Any]):
@@ -116,6 +119,8 @@ def _queue_depth(where: str, value: Any) -> int:
 
 def _phrases(where: str, value: Any) -> list[str]:
     phrases = STRINGS(where, value)
+    if not phrases:
+        raise ConfigError(f"{where}: expected at least one phrase")
     check_one_line(where, phrases)
     return phrases
 
@@ -127,6 +132,9 @@ def _schedule_ids(where: str, value: Any) -> list[str]:
     repeated = next((sid for k, sid in enumerate(ids) if sid in ids[:k]), None)
     if repeated is not None:
         raise ConfigError(f"{where}: {repeated!r} is listed twice")
+    unknown = next((sid for sid in ids if sid not in SCHEDULE_IDS), None)
+    if unknown is not None:
+        raise ConfigError(f"{where}: unknown schedule {unknown!r}; expected one of {SCHEDULE_IDS}")
     return ids
 
 
@@ -163,17 +171,15 @@ CONFIG_FIELDS = (
     ConfigField("output_dir", _DIRECTORY, "out", flag="output_dir", env=ENV_OUTPUT_DIR),
     ConfigField("bm25.k1", _NUMBER, Bm25Params().k1, flag="k1"),
     ConfigField("bm25.b", _NUMBER, Bm25Params().b, flag="b"),
-    ConfigField("covid_filter.phrases", _phrases, list(CovidFilterPolicy().phrases)),
-    ConfigField("covid_filter.cutoff_date", _date, CovidFilterPolicy().cutoff_date.isoformat()),
+    ConfigField("covid_filter.phrases", _phrases, list(COVID_PHRASES)),
+    ConfigField("covid_filter.cutoff_date", _date, COVID_CUTOFF_DATE.isoformat()),
     ConfigField("curation.queue_depth", _queue_depth, 50),
     ConfigField(
         "split_fractions",
         _object_of(_fraction),
         {s.value: f for s, f in DEFAULT_HOLDOUT_FRACTIONS.items()},
     ),
-    ConfigField(
-        "schedules", _schedule_ids, [s.schedule_id for s in builtin_schedules()], flag="schedules"
-    ),
+    ConfigField("schedules", _schedule_ids, list(SCHEDULE_IDS), flag="schedules"),
     ConfigField("paths", _object_of(_path_setting), {}),
 )
 
@@ -187,10 +193,6 @@ class RunConfig:
         self.seed: int = values["seed"]
         self.output_dir = Path(values["output_dir"])
         self.bm25 = Bm25Params(k1=values["bm25.k1"], b=values["bm25.b"])
-        self.covid_policy = CovidFilterPolicy(
-            phrases=tuple(values["covid_filter.phrases"]),
-            cutoff_date=parse_iso_date(values["covid_filter.cutoff_date"]),
-        )
         self.queue_depth: int = values["curation.queue_depth"]
         self.split_fractions: dict[str, float] = values["split_fractions"]
         self.schedules: list[str] = values["schedules"]
@@ -207,7 +209,7 @@ class RunConfig:
     @property
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(canonical.encode("utf-8")).hexdigest()
 
     @property
     def provenance(self) -> dict:
@@ -257,6 +259,8 @@ def _require_path(config: RunConfig, key: str) -> Path:
 
 
 def cmd_label(args: argparse.Namespace) -> int:
+    from .weak_label import PRIME_SUBSET
+
     config = load_run_config(args)
     subsets = args.subsets or [s for s in ("pqa_l", "pqa_a") if config.paths.get(s)]
     if not subsets:
@@ -272,7 +276,7 @@ def cmd_label(args: argparse.Namespace) -> int:
             # labeled a batch at a time, so memory does not grow with the source
             nonlocal skipped
             for batch in formats.batched(instances, _LABEL_BATCH):
-                records, n_skipped = build_prime_subset(batch, subset, config.bm25)
+                records, n_skipped = _cli.build_prime_subset(batch, subset, config.bm25)
                 skipped += n_skipped
                 yield from (r.pair for r in records)
 
@@ -288,6 +292,10 @@ def cmd_label(args: argparse.Namespace) -> int:
 def _template_questions(config: RunConfig):
     """The questions instantiated from the configured (or packaged) template
     file, and its vocabularies; errors name the file."""
+    from importlib import resources
+
+    from .covid import instantiate_templates, load_template_config
+
     templates_path = config.paths.get("templates")
     with resources.as_file(resources.files("medqakit.data") / "covid_templates.json") as builtin:
         path = Path(templates_path) if templates_path else builtin
@@ -299,12 +307,18 @@ def _template_questions(config: RunConfig):
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
+    from .covid import CovidFilterPolicy, alias_lookup, build_search_queries
+
     config = load_run_config(args)
     _echo_config(config)
+    policy = CovidFilterPolicy(
+        phrases=tuple(config.values["covid_filter.phrases"]),
+        cutoff_date=parse_iso_date(config.values["covid_filter.cutoff_date"]),
+    )
 
     if args.mode == "artificial":
         corpus = formats.iter_abstracts(_require_path(config, "covid_corpus"))
-        pairs, skipped = build_artificial_pairs(corpus, config.covid_policy, config.bm25)
+        pairs, skipped = _cli.build_artificial_pairs(corpus, policy, config.bm25)
         out_path = config.output_dir / "d4.json"
         formats.write_squad(out_path, pairs, config.provenance)
         _write_summary(config, "curate_artificial", emitted=len(pairs), skipped=skipped)
@@ -314,20 +328,20 @@ def cmd_curate(args: argparse.Namespace) -> int:
     if args.mode == "templates-export":
         questions, vocabs = _template_questions(config)
         lookup = alias_lookup(vocabs)
-        queries = build_search_queries(questions, config.covid_policy, term_lookup=lookup)
+        queries = build_search_queries(questions, policy, term_lookup=lookup)
         queries_path = config.output_dir / "search_queries.txt"
         formats.write_text_atomic(queries_path, "\n".join(queries) + "\n")
 
         corpus = formats.iter_abstracts(_require_path(config, "covid_corpus"))
-        candidates = build_review_candidates(
+        candidates = _cli.build_review_candidates(
             questions,
             corpus,
-            config.covid_policy,
+            policy,
             term_lookup=lookup,
             queue_depth=config.queue_depth,
         )
         queue_path = config.output_dir / "review_queue.tsv"
-        export_review_queue(candidates, queue_path)
+        _cli.export_review_queue(candidates, queue_path)
         rows = sum(len(c.candidate_sentences) for c in candidates)
         counts = {"questions": len(questions), "candidates": len(candidates), "rows": rows}
         _write_summary(config, "curate_export", **counts)
@@ -336,7 +350,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
     if args.mode == "templates-import":
         review_path = Path(args.review) if args.review else _require_path(config, "review_queue")
-        pairs, unreviewed = import_review_queue(review_path)
+        pairs, unreviewed = _cli.import_review_queue(review_path)
         out_path = config.output_dir / "d3.json"
         formats.write_squad(out_path, pairs, config.provenance)
         _write_summary(config, "curate_import", emitted=len(pairs), unreviewed=unreviewed)
@@ -358,6 +372,9 @@ def _load_lexicon(config: RunConfig, key: str, builtin, load):
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
+    from .morph import load_lemma_lexicon, load_morpheme_lexicon
+    from .schedule import YESNO_SUBSETS, SplitSpec, get_schedule, make_folds, make_target_split
+
     config = load_run_config(args)
     _echo_config(config)
     schedules = [get_schedule(s) for s in config.schedules]
@@ -393,12 +410,14 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     lems = morphs = None
     if any(stage.chain is not None for s in schedules for stage in s.stages):
         morphs = _load_lexicon(
-            config, "morpheme_lexicon", default_morpheme_lexicon, load_morpheme_lexicon
+            config, "morpheme_lexicon", _cli.default_morpheme_lexicon, load_morpheme_lexicon
         )
-        lems = _load_lexicon(config, "lemma_exceptions", default_lemma_lexicon, load_lemma_lexicon)
+        lems = _load_lexicon(
+            config, "lemma_exceptions", _cli.default_lemma_lexicon, load_lemma_lexicon
+        )
 
     print(f"{'schedule':<10} {'stage':>5} {'subset':<7} {'n':>7}")
-    manifests = emit_schedule(
+    manifests = _cli.emit_schedule(
         schedules, datasets, split, config.output_dir / "schedules",
         folds=folds, lems=lems, morphs=morphs, provenance=config.provenance,
     )
@@ -415,13 +434,15 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .metrics import ScoringError
+
     predictions = formats.read_predictions(Path(args.predictions))
     if args.task == "extractive":
         golds = formats.iter_squad(Path(args.gold), subset=DatasetSubsetId.D1)
     else:
         golds = formats.iter_yesno(Path(args.gold))
     try:
-        report = evaluate(golds, predictions, args.task)
+        report = _cli.evaluate(golds, predictions, args.task)
     except ScoringError as exc:
         raise ValidationError(f"{args.predictions} against {args.gold}: {exc}") from exc
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)

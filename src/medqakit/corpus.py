@@ -121,6 +121,23 @@ class YesNoInstance:
             raise ValidationError(f"{self.id}: context is empty")
 
 
+@dataclass(frozen=True)
+class SourceInstance:
+    """Raw yes/no-style source record; context may still be degenerate."""
+
+    id: str
+    question: str
+    context: str
+    label: str | None = None
+
+
+@dataclass(frozen=True)
+class Prediction:
+    id: str
+    predicted_text: str | None = None
+    predicted_label: str | None = None
+
+
 _ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 

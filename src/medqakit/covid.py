@@ -8,7 +8,6 @@ by filtering abstracts and weak-labeling their conclusion sections (d4).
 from __future__ import annotations
 
 import bisect
-import hashlib
 import itertools
 import logging
 import re
@@ -28,6 +27,8 @@ from .corpus import (
     StructuredAbstract,
     segment_sentences,
 )
+from .defaults import COVID_CUTOFF_DATE, COVID_PHRASES, TSV_BREAK_RE, check_one_line
+from .digest import sha1
 from .errors import (
     STRING,
     STRINGS,
@@ -48,17 +49,7 @@ CONCLUSION_INCLUDE_KEYWORDS = ("ANSWER", "CONCLUSION", "CONCULSION", "CONLUSION"
 CONCLUSION_EXCLUDE_KEYWORDS = ("RESULT", "SUMMARY", "FINDING", "DISCUSSION")
 
 REVIEW_QUEUE_COLUMNS = ("question", "pmid", "sentence_index", "sentence_text", "selected")
-# A tab, or a character str.splitlines splits on: such a TSV field cannot be read back.
-_TSV_BREAK_RE = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 _INDEX_RE = re.compile("[0-9]+")
-
-
-def check_one_line(where: str, texts: Iterable[str]) -> None:
-    """A ParseError naming `where` for the first text holding a tab or line
-    break: it would split a line of search_queries.txt or the TSV queue."""
-    for text in texts:
-        if _TSV_BREAK_RE.search(text):
-            raise ParseError(f"{where}: {text!r} holds a tab or line break")
 
 
 @dataclass(frozen=True)
@@ -119,12 +110,10 @@ class InstantiatedQuestion:
 
 @dataclass(frozen=True)
 class CovidFilterPolicy:
-    phrases: tuple[str, ...] = ("COVID", "SARS-CoV-2", "novel coronavirus")
-    cutoff_date: date = date(2019, 11, 1)
+    phrases: tuple[str, ...] = COVID_PHRASES
+    cutoff_date: date = COVID_CUTOFF_DATE
 
     def __post_init__(self) -> None:
-        if not self.phrases:
-            raise ConfigError("covid filter needs at least one phrase")
         check_one_line("covid filter phrase", self.phrases)
 
 
@@ -258,7 +247,7 @@ def instantiate_templates(
                     params[pos] = value[offset]
             filled = list(params)
             question = _SLOT_RE.sub(lambda _m: filled.pop(0), template.pattern)
-            if _TSV_BREAK_RE.search(question):
+            if TSV_BREAK_RE.search(question):
                 raise ConfigError(
                     f"template {template.template_id}: question {question!r} holds a tab or "
                     "line break, so it cannot be one line of the search queries or the TSV queue"
@@ -474,7 +463,7 @@ def export_review_queue(candidates: Sequence[CurationCandidate], path: str | Pat
     for candidate in candidates:
         sentences = candidate.candidate_sentences
         fields = (candidate.question, candidate.pmid, *(s.text for s in sentences))
-        if any(_TSV_BREAK_RE.search(field) for field in fields):
+        if any(TSV_BREAK_RE.search(field) for field in fields):
             raise ValidationError(
                 f"{path}: question {candidate.question!r}, pmid {candidate.pmid!r}: "
                 "a tab or line break cannot be written to a TSV field"
@@ -485,7 +474,7 @@ def export_review_queue(candidates: Sequence[CurationCandidate], path: str | Pat
 
 
 def _pair_id(pmid: str, question: str) -> str:
-    digest = hashlib.sha1(question.encode("utf-8")).hexdigest()[:8]
+    digest = sha1(question.encode("utf-8")).hexdigest()[:8]
     return f"d3-{pmid}-{digest}"
 
 

@@ -7,7 +7,6 @@ uses the SQuAD-style nested JSON shape; yes/no data is flat JSONL.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -19,7 +18,15 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from . import corpus
-from .corpus import DatasetSubsetId, Provenance, QAPair, StructuredAbstract, YesNoInstance
+from .corpus import (
+    DatasetSubsetId,
+    Prediction,
+    Provenance,
+    QAPair,
+    SourceInstance,
+    StructuredAbstract,
+    YesNoInstance,
+)
 from .errors import (
     INTEGER,
     STRING,
@@ -29,8 +36,6 @@ from .errors import (
     check,
     expected,
 )
-from .metrics import Prediction
-from .weak_label import SourceInstance
 
 SQUAD_VERSION = "1.1"
 
@@ -612,7 +617,3 @@ def read_predictions(path: str | Path) -> list[Prediction]:
     id and predicted_text must be JSON strings, predicted_label "yes" or "no".
     """
     return list(_iter_jsonl(Path(path), ("id",), _prediction))
-
-
-def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

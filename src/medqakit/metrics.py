@@ -8,15 +8,8 @@ from itertools import pairwise
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .corpus import QAPair, YesNoInstance, normalize_answer
+from .corpus import Prediction, QAPair, YesNoInstance, normalize_answer
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class Prediction:
-    id: str
-    predicted_text: str | None = None
-    predicted_label: str | None = None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ any stage's training file.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import random
 from dataclasses import dataclass, field
@@ -19,6 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import formats
 from .corpus import DatasetSubsetId, QAPair, YesNoInstance
+from .defaults import DEFAULT_HOLDOUT_FRACTIONS
+from .digest import sha256
 from .errors import ConfigError, ValidationError
 from .morph import (
     LemmaLexicon,
@@ -123,13 +124,6 @@ def get_schedule(schedule_id: str) -> Schedule:
     return schedule
 
 
-DEFAULT_HOLDOUT_FRACTIONS: dict[DatasetSubsetId, float] = {
-    DatasetSubsetId.D1: 0.10,
-    DatasetSubsetId.D3: 0.10,
-    DatasetSubsetId.D4: 0.10,
-}
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     seed: int
@@ -157,7 +151,7 @@ class TargetSplit:
 
 
 def _derived_rng(seed: int, label: str) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
+    digest = sha256(f"{seed}:{label}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

@@ -19,6 +19,7 @@ from .corpus import (
     Provenance,
     QAPair,
     Sentence,
+    SourceInstance,
     segment_sentences,
 )
 from .errors import ValidationError
@@ -35,16 +36,6 @@ PRIME_SUBSET: dict[DatasetSubsetId, DatasetSubsetId] = {
     DatasetSubsetId.PQA_L: DatasetSubsetId.D1,
     DatasetSubsetId.PQA_A: DatasetSubsetId.D2,
 }
-
-
-@dataclass(frozen=True)
-class SourceInstance:
-    """Raw yes/no-style source record; context may still be degenerate."""
-
-    id: str
-    question: str
-    context: str
-    label: str | None = None
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -10,6 +11,16 @@ from medqakit import (
     default_lemma_lexicon,
     default_morpheme_lexicon,
 )
+
+
+def tree_sha256(root):
+    """{path relative to root: sha256 of its bytes} for every file under root."""
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
 
 # Worked example: template question over a four-sentence conclusions paragraph;
 # the first sentence is the manually identified answer.

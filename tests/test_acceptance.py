@@ -36,7 +36,6 @@ from medqakit import (
 )
 from medqakit import Prediction, SplitSpec, YesNoInstance
 from medqakit.covid import build_artificial_pairs
-from medqakit.formats import file_sha256
 from medqakit.weak_label import QUERY_STOPWORDS
 
 from tests.conftest import (
@@ -47,6 +46,7 @@ from tests.conftest import (
     OPTOTYPE_LEMMAS_REPLACED,
     OPTOTYPE_ORIGINAL,
     make_corpus_lines,
+    tree_sha256,
 )
 from tests.test_bm25 import bm25_score, brute_force_scores, build_candidates
 from tests.test_covid import CONCLUSION_LABEL_TABLE, abstract
@@ -293,8 +293,8 @@ def test_cli_determinism(tmp_path):
     config = write_config(tmp_path)
     run_pipeline(tmp_path, config)
     out = tmp_path / "out"
-    first = {str(p.relative_to(out)): file_sha256(p) for p in sorted(out.rglob("*")) if p.is_file()}
+    first = tree_sha256(out)
     run_pipeline(tmp_path, config)
-    second = {str(p.relative_to(out)): file_sha256(p) for p in sorted(out.rglob("*")) if p.is_file()}
+    second = tree_sha256(out)
     assert first == second and len(first) > 20
     _report(f"cli determinism: {len(first)} output files byte-identical across reruns", started)

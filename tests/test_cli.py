@@ -7,9 +7,8 @@ import pytest
 
 from medqakit import formats
 from medqakit.cli import main
-from medqakit.formats import file_sha256
 
-from tests.conftest import make_corpus_lines, make_paragraph, make_question
+from tests.conftest import make_corpus_lines, make_paragraph, make_question, tree_sha256
 
 
 def write_sources(root: Path, n_l=30, n_a=40, seed=5):
@@ -566,13 +565,9 @@ class TestDeterminismAndOverrides:
         root, config = workspace
         run_pipeline(root, config)
         out = root / "out"
-        before = {
-            str(p.relative_to(out)): file_sha256(p) for p in sorted(out.rglob("*")) if p.is_file()
-        }
+        before = tree_sha256(out)
         run_pipeline(root, config)
-        after = {
-            str(p.relative_to(out)): file_sha256(p) for p in sorted(out.rglob("*")) if p.is_file()
-        }
+        after = tree_sha256(out)
         assert before == after
         assert len(before) > 20
 

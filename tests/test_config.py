@@ -95,6 +95,7 @@ BAD_CONFIGS = [
     ({"paths": {"lemma_exceptions": ["a", 3]}}, "config paths.lemma_exceptions"),
     ({"schedules": []}, "config schedules: expected at least one schedule id"),
     ({"schedules": ["1", "I", "1"]}, "config schedules: '1' is listed twice"),
+    ({"schedules": ["1", "XIII"]}, "config schedules: unknown schedule 'XIII'"),
 ]
 
 

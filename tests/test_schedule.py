@@ -21,8 +21,9 @@ from medqakit import (
     make_target_split,
 )
 from medqakit import formats
-from medqakit.formats import file_sha256
 from medqakit.schedule import DEFAULT_HOLDOUT_FRACTIONS, get_schedule
+
+from tests.conftest import tree_sha256
 
 EXPECTED_STAGE_ORDERS = {
     "1": ["d1"],
@@ -316,13 +317,9 @@ class TestEmitSchedule:
 
     def test_rerun_is_byte_identical(self, materialized, tmp_path):
         first, _ = self._emit("XII", materialized, tmp_path)
-        hashes_before = {
-            p.name: file_sha256(p) for p in sorted((tmp_path / "XII").iterdir())
-        }
+        hashes_before = tree_sha256(tmp_path / "XII")
         second, _ = self._emit("XII", materialized, tmp_path)
-        hashes_after = {
-            p.name: file_sha256(p) for p in sorted((tmp_path / "XII").iterdir())
-        }
+        hashes_after = tree_sha256(tmp_path / "XII")
         assert hashes_before == hashes_after
 
     def test_shared_stages_rendered_once_with_equal_bytes(
