@@ -318,11 +318,12 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
     if args.mode == "artificial":
         corpus = formats.iter_abstracts(_require_path(config, "covid_corpus"))
-        pairs, skipped = _cli.build_artificial_pairs(corpus, policy, config.bm25)
         out_path = config.output_dir / "d4.json"
-        formats.write_squad(out_path, pairs, config.provenance)
-        _write_summary(config, "curate_artificial", emitted=len(pairs), skipped=skipped)
-        print(f"artificial -> {out_path}  emitted={len(pairs)} skipped={skipped}")
+        emitted, skipped = _cli.build_artificial_pairs(
+            corpus, out_path, policy, config.bm25, config.provenance
+        )
+        _write_summary(config, "curate_artificial", emitted=emitted, skipped=skipped)
+        print(f"artificial -> {out_path}  emitted={emitted} skipped={skipped}")
         return EXIT_OK
 
     if args.mode == "templates-export":
@@ -373,7 +374,9 @@ def _load_lexicon(config: RunConfig, key: str, builtin, load):
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     from .morph import load_lemma_lexicon, load_morpheme_lexicon
-    from .schedule import YESNO_SUBSETS, SplitSpec, get_schedule, make_folds, make_target_split
+    from .schedule import (
+        YESNO_SUBSETS, SplitSpec, get_schedule, make_folds, make_target_split, read_datasets
+    )
 
     config = load_run_config(args)
     _echo_config(config)
@@ -381,46 +384,43 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
     fractions = {DatasetSubsetId(k): v for k, v in config.split_fractions.items()}
     subsets = {stage.subset for schedule in schedules for stage in schedule.stages}
-    # A subset is read into a list only when the split or the folds need its
-    # ids; any other is decoded from its file once, while its stages are written.
-    datasets: dict[DatasetSubsetId, Any] = {}
-    for subset in sorted(subsets, key=lambda s: s.value):
-        listed = subset in fractions or subset is DatasetSubsetId.PQA_L
+
+    def path_of(subset: DatasetSubsetId) -> Path:
         if subset in YESNO_SUBSETS:
-            path = _require_path(config, subset.value)
-            datasets[subset] = (formats.read_yesno if listed else formats.iter_yesno)(path)
-            continue
+            return _require_path(config, subset.value)
         path = config.output_dir / f"{subset.value}.json"
         if not path.exists():
             raise ValidationError(
                 f"subset {subset.value!r} is not materialized (expected {path}); "
                 "run 'medqakit label' / 'medqakit curate' first"
             )
-        read = formats.read_squad if listed else formats.iter_squad
-        datasets[subset] = read(path, subset=subset)
+        return path
 
-    split_inputs = {s: [i.id for i in data] for s, data in datasets.items() if s in fractions}
-    split = None
-    if split_inputs:
-        split = make_target_split(split_inputs, SplitSpec(seed=config.seed, fractions=fractions))
-    folds = None
-    if DatasetSubsetId.PQA_L in datasets:
-        folds = make_folds([i.id for i in datasets[DatasetSubsetId.PQA_L]], config.seed)
+    # the split needs the ids of each subset with a fraction, the folds those of pqa_l
+    listed = {*fractions, DatasetSubsetId.PQA_L}
+    with read_datasets(subsets, path_of, listed, config.output_dir) as (datasets, ids):
+        split_inputs = {s: subset_ids for s, subset_ids in ids.items() if s in fractions}
+        split = None
+        if split_inputs:
+            split = make_target_split(split_inputs, SplitSpec(seed=config.seed, fractions=fractions))
+        folds = None
+        if DatasetSubsetId.PQA_L in ids:
+            folds = make_folds(ids[DatasetSubsetId.PQA_L], config.seed)
 
-    lems = morphs = None
-    if any(stage.chain is not None for s in schedules for stage in s.stages):
-        morphs = _load_lexicon(
-            config, "morpheme_lexicon", _cli.default_morpheme_lexicon, load_morpheme_lexicon
+        lems = morphs = None
+        if any(stage.chain is not None for s in schedules for stage in s.stages):
+            morphs = _load_lexicon(
+                config, "morpheme_lexicon", _cli.default_morpheme_lexicon, load_morpheme_lexicon
+            )
+            lems = _load_lexicon(
+                config, "lemma_exceptions", _cli.default_lemma_lexicon, load_lemma_lexicon
+            )
+
+        print(f"{'schedule':<10} {'stage':>5} {'subset':<7} {'n':>7}")
+        manifests = _cli.emit_schedule(
+            schedules, datasets, split, config.output_dir / "schedules",
+            folds=folds, lems=lems, morphs=morphs, provenance=config.provenance,
         )
-        lems = _load_lexicon(
-            config, "lemma_exceptions", _cli.default_lemma_lexicon, load_lemma_lexicon
-        )
-
-    print(f"{'schedule':<10} {'stage':>5} {'subset':<7} {'n':>7}")
-    manifests = _cli.emit_schedule(
-        schedules, datasets, split, config.output_dir / "schedules",
-        folds=folds, lems=lems, morphs=morphs, provenance=config.provenance,
-    )
     manifest_index = []
     for schedule, (manifest_path, stages) in zip(schedules, manifests):
         for stage in stages:
@@ -436,13 +436,15 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     from .metrics import ScoringError
 
-    predictions = formats.read_predictions(Path(args.predictions))
     if args.task == "extractive":
         golds = formats.iter_squad(Path(args.gold), subset=DatasetSubsetId.D1)
     else:
         golds = formats.iter_yesno(Path(args.gold))
     try:
-        report = _cli.evaluate(golds, predictions, args.task)
+        # no reference to the predictions is kept here, so evaluate can drop them
+        report = _cli.evaluate(
+            golds, formats.read_predictions(Path(args.predictions)), args.task
+        )
     except ScoringError as exc:
         raise ValidationError(f"{args.predictions} against {args.gold}: {exc}") from exc
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)

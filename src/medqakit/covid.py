@@ -309,37 +309,46 @@ def extract_conclusion_section(abstract: StructuredAbstract) -> AbstractSection 
 
 def build_artificial_pairs(
     corpus: Iterable[StructuredAbstract],
+    path: str | Path,
     policy: CovidFilterPolicy = CovidFilterPolicy(),
     params: Bm25Params = Bm25Params(),
-) -> tuple[list[QAPair], int]:
-    """Fully automatic d4 pairs; abstracts that fail any rule are skipped.
+    provenance: Mapping[str, Any] | None = None,
+) -> tuple[int, int]:
+    """Write the fully automatic d4 pairs to `path` in the SQuAD shape;
+    abstracts that fail any rule are skipped.
 
-    Each abstract's pair is built as the corpus is read, and only the pairs
-    are kept; they are emitted in pmid order. Returns (pairs,
-    skipped_count) where skipped counts abstracts that passed the filter
-    but yielded no pair.
+    Each abstract's pair is built as the corpus is read, and its article
+    goes at once to a spool next to `path`, which keeps in memory only the
+    pair's pmid and offsets. The articles are written in pair id (`d4-{pmid}`) order, which
+    is pmid string order, a repeated pmid in corpus order; on a corpus in
+    pmid order the spool is read straight through. Returns (emitted,
+    skipped) where skipped counts abstracts that passed the filter but
+    yielded no pair.
     """
-    pairs: list[QAPair] = []
+    from .spool import Spool  # here, so that only `curate artificial` loads it
+
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     skipped = 0
-    for abstract in corpus:
-        if not covid_filter(abstract, policy):
-            continue
-        question = extract_question(abstract)
-        if question is None:
-            skipped += 1
-            continue
-        section = extract_conclusion_section(abstract)
-        if section is None:
-            skipped += 1
-            continue
-        try:
-            sentence, _score, _n = select_answer_sentence(question, section.text, params)
-        except ValidationError as exc:
-            log.warning("pmid %s: %s", abstract.pmid, exc)
-            skipped += 1
-            continue
-        pairs.append(
-            QAPair(
+    with Spool(path.parent) as spool:
+        for abstract in corpus:
+            if not covid_filter(abstract, policy):
+                continue
+            question = extract_question(abstract)
+            if question is None:
+                skipped += 1
+                continue
+            section = extract_conclusion_section(abstract)
+            if section is None:
+                skipped += 1
+                continue
+            try:
+                sentence, _score, _n = select_answer_sentence(question, section.text, params)
+            except ValidationError as exc:
+                log.warning("pmid %s: %s", abstract.pmid, exc)
+                skipped += 1
+                continue
+            pair = QAPair(
                 id=f"d4-{abstract.pmid}",
                 question=question,
                 context=section.text,
@@ -348,9 +357,11 @@ def build_artificial_pairs(
                 subset=DatasetSubsetId.D4,
                 provenance=Provenance.PUBMED_ARTIFICIAL,
             )
+            spool.add(abstract.pmid, formats.squad_article(pair))
+        emitted = formats.write_squad_articles(
+            path, spool.texts(spool.sorted_indices()), provenance
         )
-    pairs.sort(key=lambda pair: pair.id)  # "d4-{pmid}": pmid order, stable for a repeated pmid
-    return pairs, skipped
+    return emitted, skipped
 
 
 def _mentions_terms(lowered_text: str, lowered_terms: Sequence[str]) -> bool:
@@ -384,9 +395,10 @@ def build_review_candidates(
     The candidate context is the whitespace-normalized concatenation of those
     sections, so a TSV round trip preserves sentence text exactly. Each
     question takes the queue_depth qualifying abstracts of smallest pmid.
-    The corpus is read once, and for each question only the contexts of the
-    queue_depth smallest pmids found so far are kept; they are segmented
-    at the end. A term holding a tab or a line break raises a ParseError.
+    The corpus is read once, and for each question only the answer-section
+    texts of the queue_depth smallest pmids found so far are kept; each kept
+    abstract's context is built and segmented once, at the end. A term
+    holding a tab or a line break raises a ParseError.
     """
     lookup = term_lookup or {}
     terms_per_question = [
@@ -396,13 +408,13 @@ def build_review_candidates(
     for terms in terms_per_question:
         for alternatives in terms:
             check_one_line("search term", alternatives)
-    # per question, the sorted (pmid, corpus index, context) of the smallest
-    # pmids so far; the index keeps a repeated pmid in corpus order
-    kept: list[list[tuple[str, int, str]]] = [[] for _ in questions]
+    # per question, the sorted (pmid, corpus index, answer-section texts) of
+    # the smallest pmids so far; the index keeps a repeated pmid in corpus order
+    kept: list[list[tuple[str, int, tuple[str, ...]]]] = [[] for _ in questions]
     for index, abstract in enumerate(corpus):
         if not covid_filter(abstract, policy):
             continue
-        searchable = context = None
+        searchable = sections = None
         for q, queue in enumerate(kept):
             # a full queue takes only a smaller pmid: an equal one comes later in the corpus
             if len(queue) == queue_depth and (not queue or abstract.pmid >= queue[-1][0]):
@@ -415,27 +427,30 @@ def build_review_candidates(
                 )
             if not all(_mentions_terms(searchable, terms) for terms in terms_per_question[q]):
                 continue
-            if context is None:
-                sections = [s.text for s in _answer_sections(abstract) if s.text.strip()]
-                context = " ".join(" ".join(text.split()) for text in sections)
-            # a non-empty normalized context holds at least one sentence
-            if not context:
+            if sections is None:
+                sections = tuple(s.text for s in _answer_sections(abstract) if s.text.strip())
+            # without a non-blank section the context would be empty
+            if not sections:
                 continue
-            bisect.insort(queue, (abstract.pmid, index, context))
+            bisect.insort(queue, (abstract.pmid, index, sections))
             if len(queue) > queue_depth:
                 queue.pop()
-    segmented: dict[int, tuple[Sentence, ...]] = {}  # by corpus index: one segmentation each
+    # by corpus index: each kept abstract's context and sentences, built once;
+    # a non-empty normalized context holds at least one sentence
+    built: dict[int, tuple[str, tuple[Sentence, ...]]] = {}
     candidates = []
     for question, queue in zip(questions, kept):
-        for pmid, index, context in queue:
-            if index not in segmented:
-                segmented[index] = tuple(segment_sentences(context))
+        for pmid, index, sections in queue:
+            if index not in built:
+                context = " ".join(" ".join(text.split()) for text in sections)
+                built[index] = context, tuple(segment_sentences(context))
+            context, sentences = built[index]
             candidates.append(
                 CurationCandidate(
                     question=question.question,
                     pmid=pmid,
                     context=context,
-                    candidate_sentences=segmented[index],
+                    candidate_sentences=sentences,
                 )
             )
     return candidates

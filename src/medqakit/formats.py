@@ -84,12 +84,26 @@ def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
         handle.writelines((text,) if isinstance(text, str) else text)
 
 
-def copy_file_atomic(path: str | Path, source: str | Path) -> None:
-    """Copy the bytes of `source` to `path` the way `write_text_atomic`
-    writes a file: through a temp file and a rename, with the same mode."""
-    with _atomic_file(path) as fd, os.fdopen(fd, "wb") as handle:
-        with Path(source).open("rb") as src:
-            shutil.copyfileobj(src, handle)
+def link_file_atomic(path: str | Path, source: str | Path) -> None:
+    """Make `path` a hard link to `source`, put in place the way
+    `write_text_atomic` puts a file: a link under a temp name in the target
+    directory, then a rename. Where the file system cannot link, `path` gets
+    a copy of the bytes, with the mode `write_text_atomic` gives."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        os.link(source, tmp)
+    except OSError:
+        with _atomic_file(path) as fd, os.fdopen(fd, "wb") as handle:
+            with Path(source).open("rb") as src:
+                shutil.copyfileobj(src, handle)
+        return
+    try:
+        os.replace(tmp, path)
+    finally:
+        # a rename onto a link to the same file leaves both names in place
+        tmp.unlink(missing_ok=True)
 
 
 @contextmanager
@@ -165,14 +179,20 @@ def _iter_jsonl(path: Path, required: Sequence[str], build: Callable[[dict], T])
 def iter_abstracts(path: str | Path) -> Iterator[StructuredAbstract]:
     """The abstracts of a JSONL corpus, one line at a time; a pmid seen on
     an earlier line raises."""
-    seen: set[str] = set()
+    # A pmid of up to 18 ASCII digits without a leading zero is kept as its
+    # int, about half the size of the str; no other pmid has that int's digits.
+    seen: set[int | str] = set()
 
     def build(raw: dict) -> StructuredAbstract:
         # looked up on the module for each record, so a wrapper set there sees every one
         abstract = corpus.parse_abstract_record(raw)
-        if abstract.pmid in seen:
-            raise ValidationError(f"duplicate pmid {abstract.pmid!r}")
-        seen.add(abstract.pmid)
+        pmid = abstract.pmid
+        key = pmid
+        if len(pmid) <= 18 and pmid.isascii() and pmid.isdigit() and pmid[0] != "0":
+            key = int(pmid)
+        if key in seen:
+            raise ValidationError(f"duplicate pmid {pmid!r}")
+        seen.add(key)
         return abstract
 
     return _iter_jsonl(Path(path), ("pmid", "sections"), build)
@@ -268,7 +288,7 @@ _YESNO_LINE = '{"id": %s, "question": %s, "context": %s, "label": %s}\n'
 
 def yesno_lines(instances: Iterable[YesNoInstance]) -> Iterator[str]:
     """The JSONL line of each instance; the string fields go through json's
-    own (C) string encoder, as in `_squad_chunks`."""
+    own (C) string encoder, as in `squad_article`."""
     enc = json.encoder.encode_basestring
     for i in instances:
         yield _YESNO_LINE % (enc(i.id), enc(i.question), enc(i.context), enc(i.label))
@@ -308,34 +328,51 @@ _SQUAD_ARTICLE = """
     }"""
 
 
-def _squad_chunks(pairs: Iterable[QAPair], provenance: Mapping[str, Any] | None) -> Iterator[str]:
+def squad_article(pair: QAPair) -> str:
+    """The pair's article (title = pair id) as it stands in the `data` list
+    of `write_squad`'s output; the string fields go through json's own (C)
+    string encoder."""
+    enc = json.encoder.encode_basestring
+    return _SQUAD_ARTICLE % (
+        enc(pair.context),
+        pair.answer_start,
+        enc(pair.answer_text),
+        enc(pair.id),
+        enc(pair.provenance.value),
+        enc(pair.question),
+        enc(pair.subset.value),
+        enc(pair.id),
+    )
+
+
+def _squad_chunks(articles: Iterable[str], provenance: Mapping[str, Any] | None) -> Iterator[str]:
     """The text of `json.dumps(document, ensure_ascii=False, indent=2, sort_keys=True)`
     plus a newline, one article per chunk.
 
     With `indent`, json.dumps puts every value through its pure-Python
     encoder and builds the whole text before it returns; here only the
-    string leaves are encoded, by json's own (C) string encoder.
+    string leaves are encoded, by `squad_article`.
     """
-    enc = json.encoder.encode_basestring
     yield '{\n  "data": ['
     separator = ""
-    for pair in pairs:
-        yield separator + _SQUAD_ARTICLE % (
-            enc(pair.context),
-            pair.answer_start,
-            enc(pair.answer_text),
-            enc(pair.id),
-            enc(pair.provenance.value),
-            enc(pair.question),
-            enc(pair.subset.value),
-            enc(pair.id),
-        )
+    for article in articles:
+        yield separator + article
         separator = ","
     yield "\n  ]," if separator else "],"
     if provenance is not None:
         block = json.dumps(dict(provenance), ensure_ascii=False, indent=2, sort_keys=True)
         yield '\n  "provenance": ' + block.replace("\n", "\n  ") + ","
     yield f'\n  "version": "{SQUAD_VERSION}"\n}}\n'
+
+
+def write_squad_articles(
+    path: str | Path, articles: Iterable[str], provenance: Mapping[str, Any] | None = None
+) -> int:
+    """Write a SQuAD document of `squad_article` texts, as they come;
+    returns their number."""
+    counted = _Counted(articles)
+    write_text_atomic(path, _squad_chunks(counted, provenance))
+    return counted.n
 
 
 def write_squad(
@@ -347,9 +384,7 @@ def write_squad(
     The bytes are those of the whole document put through
     `json.dumps(..., ensure_ascii=False, indent=2, sort_keys=True)`.
     """
-    counted = _Counted(pairs)
-    write_text_atomic(path, _squad_chunks(counted, provenance))
-    return counted.n
+    return write_squad_articles(path, map(squad_article, pairs), provenance)
 
 
 _SUBSETS = {s.value: s for s in DatasetSubsetId}

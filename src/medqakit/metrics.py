@@ -4,7 +4,7 @@ accuracy for yes/no QA."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import chain, pairwise
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -74,9 +74,12 @@ class ScoringError(ValidationError):
     the field its task scores."""
 
 
+_NO_PREDICTION = object()
+
+
 def evaluate(
     golds: Iterable[QAPair] | Iterable[YesNoInstance],
-    predictions: Sequence[Prediction],
+    predictions: Iterable[Prediction],
     task: str,
 ) -> EvalReport:
     """Score predictions against gold instances aligned by id.
@@ -84,53 +87,72 @@ def evaluate(
     Extractive reports EM and F1 as percentages, the means of
     `exact_match` and `token_f1` over the pairs; yes/no reports accuracy as
     a fraction in [0, 1]. Gold ids must be unique, and every gold id needs
-    exactly one prediction. The golds are taken in one pass, which keeps
-    only each id with its normalized answer or its label, so they may come
-    straight from a reader's generator; the sums run in gold id order.
-    Errors of the golds' own iterable pass through; every other raises a
-    ScoringError.
+    exactly one prediction.
+
+    The predictions are indexed as id -> predicted text (or label) and then
+    dropped, so a caller that keeps no reference to them frees them here.
+    The golds are taken in one pass, each scored as it comes, so they may
+    come straight from a reader's generator; only each gold's id and scores
+    are kept, and the sums run in gold id order. Errors of the golds' own
+    iterable pass through. Every other raises a ScoringError, the first of:
+    no gold, repeated gold ids, repeated prediction ids, ids that do not
+    align, and the smallest gold id whose prediction lacks the field its
+    task scores.
     """
     if task not in ("extractive", "yesno"):
         raise ScoringError(f"unknown task {task!r}; expected 'extractive' or 'yesno'")
-    if task == "extractive":
-        keyed = [(g.id, normalize_answer(g.answer_text)) for g in golds]
-    else:
-        keyed = [(g.id, g.label) for g in golds]
-    if not keyed:
+    extractive = task == "extractive"
+    predicted: dict[str, str | None] = {}
+    n_predictions = 0
+    for p in predictions:
+        predicted[p.id] = p.predicted_text if extractive else p.predicted_label
+        n_predictions += 1
+    del predictions
+    repeated_predictions = len(predicted) != n_predictions
+
+    scores: list[tuple] = []  # (gold id, em, f1) or (gold id, correct)
+    unpredicted: list[str] = []  # gold ids without a prediction
+    unscorable: list[str] = []  # gold ids whose prediction lacks the scored field
+    for gold in golds:
+        value = predicted.pop(gold.id, _NO_PREDICTION)
+        if value is _NO_PREDICTION:
+            unpredicted.append(gold.id)
+        elif value is None:
+            unscorable.append(gold.id)
+        elif extractive:
+            # each text normalized once
+            normalized = normalize_answer(value)
+            gold_normalized = normalize_answer(gold.answer_text)
+            em = int(normalized == gold_normalized)
+            scores.append((gold.id, em, _f1(normalized.split(), gold_normalized.split())))
+        else:
+            scores.append((gold.id, int(value == gold.label)))
+
+    scores.sort(key=itemgetter(0))
+    gold_ids = sorted(chain(map(itemgetter(0), scores), unpredicted, unscorable))
+    if not gold_ids:
         raise ScoringError("no gold instances")
-    keyed.sort(key=itemgetter(0))
-    repeated = sorted({a for (a, _), (b, _) in pairwise(keyed) if a == b})
+    repeated = sorted({a for a, b in pairwise(gold_ids) if a == b})
     if repeated:
         raise ScoringError(f"duplicate gold ids: {repeated}")
-    by_id = {p.id: p for p in predictions}
-    if len(by_id) != len(predictions):
+    if repeated_predictions:
         raise ScoringError("duplicate prediction ids")
-    n = len(keyed)
-    if len(by_id) != n or not all(gold_id in by_id for gold_id, _ in keyed):
-        gold_ids = {gold_id for gold_id, _ in keyed}
-        missing = sorted(gold_ids - by_id.keys())
-        extra = sorted(by_id.keys() - gold_ids)
+    # with unique ids, what is left of `predicted` is the extra predictions
+    if unpredicted or predicted:
         raise ScoringError(
-            f"prediction ids do not align with gold ids: missing={missing} extra={extra}"
+            "prediction ids do not align with gold ids: "
+            f"missing={sorted(unpredicted)} extra={sorted(predicted)}"
         )
+    if unscorable:
+        field = "predicted_text" if extractive else "predicted_label"
+        raise ScoringError(f"{min(unscorable)}: prediction has no {field}")
 
-    if task == "extractive":
+    n = len(scores)
+    if extractive:
         em_total = 0.0
         f1_total = 0.0
-        for gold_id, gold_normalized in keyed:
-            pred = by_id[gold_id]
-            if pred.predicted_text is None:
-                raise ScoringError(f"{gold_id}: prediction has no predicted_text")
-            # each prediction normalized once
-            normalized = normalize_answer(pred.predicted_text)
-            em_total += int(normalized == gold_normalized)
-            f1_total += _f1(normalized.split(), gold_normalized.split())
+        for _id, em, f1 in scores:
+            em_total += em
+            f1_total += f1
         return EvalReport(n=n, exact_match=100.0 * em_total / n, f1=100.0 * f1_total / n)
-
-    correct = 0
-    for gold_id, label in keyed:
-        pred = by_id[gold_id]
-        if pred.predicted_label is None:
-            raise ScoringError(f"{gold_id}: prediction has no predicted_label")
-        correct += int(pred.predicted_label == label)
-    return EvalReport(n=n, accuracy=correct / n)
+    return EvalReport(n=n, accuracy=sum(correct for _id, correct in scores) / n)

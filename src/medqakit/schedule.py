@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import logging
 import random
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
+from itertools import pairwise
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from . import formats
 from .corpus import DatasetSubsetId, QAPair, YesNoInstance
@@ -30,6 +32,9 @@ from .morph import (
     TransformTarget,
     transform_dataset,
 )
+
+if TYPE_CHECKING:
+    from .spool import Spool
 
 log = logging.getLogger(__name__)
 
@@ -168,7 +173,8 @@ def make_target_split(
     test_by_subset: dict[DatasetSubsetId, tuple[str, ...]] = {}
     for subset in sorted(datasets, key=lambda s: s.value):
         ids = sorted(datasets[subset])
-        if len(set(ids)) != len(ids):
+        # checked on the sorted ids: a set of them would be the split's largest allocation
+        if any(a == b for a, b in pairwise(ids)):
             raise ValidationError(f"duplicate ids in subset {subset.value}")
         fraction = spec.fractions.get(subset)
         if fraction is None:
@@ -257,9 +263,57 @@ def _stage_filename(stage: StageSpec) -> str:
     return f"stage{stage.stage_index}_{stage.subset.value}.{extension}"
 
 
+@contextmanager
+def read_datasets(
+    subsets: Iterable[DatasetSubsetId],
+    path_of: Callable[[DatasetSubsetId], Path],
+    listed: Collection[DatasetSubsetId],
+    spool_dir: str | Path,
+) -> Iterator[tuple[dict[DatasetSubsetId, object], dict[DatasetSubsetId, list[str]]]]:
+    """The datasets `emit_schedule` takes for these subsets, each read from
+    `path_of(subset)` in subset order, and the ids of each listed subset.
+
+    A listed subset, one whose ids the split or the folds need, is decoded
+    and checked here, before any stage is written: a yes/no subset into a
+    list, a SQuAD subset into a spool under `spool_dir` (see
+    `spool.spool_squad`), so that only its ids stay in memory. Every other
+    subset is decoded from its file while its stages are written. The
+    spools are closed when the block ends.
+    """
+    datasets: dict[DatasetSubsetId, object] = {}
+    ids: dict[DatasetSubsetId, list[str]] = {}
+    with ExitStack() as spools:
+        for subset in sorted(subsets, key=lambda s: s.value):
+            path = path_of(subset)
+            if subset not in listed:
+                datasets[subset] = (
+                    formats.iter_yesno(path)
+                    if subset in YESNO_SUBSETS
+                    else formats.iter_squad(path, subset=subset)
+                )
+            elif subset in YESNO_SUBSETS:
+                datasets[subset] = formats.read_yesno(path)
+                ids[subset] = [i.id for i in datasets[subset]]
+            else:
+                from .spool import spool_squad  # here: a run without a spool does not load it
+
+                spool = spools.enter_context(spool_squad(path, subset, spool_dir))
+                datasets[subset], ids[subset] = spool, list(spool.ids())
+        yield datasets, ids
+
+
+def _squad_articles(data: Iterable[QAPair] | Spool) -> Iterable[tuple[str, str]]:
+    """Each pair's id and SQuAD article: a spool holds them already encoded."""
+    from .spool import Spool  # here, not at import: a yes/no-only run never loads it
+
+    if isinstance(data, Spool):
+        return data
+    return ((pair.id, formats.squad_article(pair)) for pair in data)
+
+
 def emit_schedule(
     schedules: Sequence[Schedule],
-    datasets: Mapping[DatasetSubsetId, Iterable[QAPair] | Iterable[YesNoInstance]],
+    datasets: Mapping[DatasetSubsetId, Iterable[QAPair] | Iterable[YesNoInstance] | Spool],
     split: TargetSplit | None,
     out_dir: str | Path,
     *,
@@ -278,9 +332,10 @@ def emit_schedule(
     The plan maps each subset, in order of first use, to its distinct chains
     and each chain to its stage paths; a missing dataset raises before any
     file is written. Each dataset is then iterated once (it may be a
-    reader's generator): a SQuAD subset into `write_squad`, a yes/no subset
-    a batch at a time into one file per chain, all kept or all removed. A
-    chain's other paths get copies; a manifest follows its last stage.
+    reader's generator, or a spool of `read_datasets`): a SQuAD subset into
+    `write_squad_articles`, a yes/no subset a batch at a time into one file
+    per chain, all kept or all removed. A chain's other paths get hard links
+    to its first file; a manifest follows its last stage.
     """
     out_dir = Path(out_dir)
     plan: dict[DatasetSubsetId, dict[TransformChain | None, list[Path]]] = {}
@@ -309,13 +364,22 @@ def emit_schedule(
     manifests: dict[int, tuple[Path, list[dict]]] = {}
     for subset, chains in plan.items():
         pool = set(folds.pool) if folds is not None and subset is DatasetSubsetId.PQA_L else None
-        instances = (
-            i for i in datasets[subset] if i.id not in test_ids and (pool is None or i.id in pool)
-        )
         firsts = [paths[0] for paths in chains.values()]
         if subset not in YESNO_SUBSETS:
-            n_instances[subset, None] = formats.write_squad(firsts[0], instances, provenance)
+            articles = (
+                article
+                for id_, article in _squad_articles(datasets[subset])
+                if id_ not in test_ids
+            )
+            n_instances[subset, None] = formats.write_squad_articles(
+                firsts[0], articles, provenance
+            )
         else:
+            instances = (
+                i
+                for i in datasets[subset]
+                if i.id not in test_ids and (pool is None or i.id in pool)
+            )
             n_instances.update(((subset, chain), 0) for chain in chains)
             with formats.atomic_text_files(firsts) as handles:
                 for batch in formats.batched(instances, _TRANSFORM_BATCH):
@@ -325,7 +389,7 @@ def emit_schedule(
                         n_instances[subset, chain] += len(out)
         for paths in chains.values():
             for path in paths[1:]:
-                formats.copy_file_atomic(path, paths[0])
+                formats.link_file_atomic(path, paths[0])
         for k, schedule in enumerate(schedules):
             stages = schedule.stages
             if k in manifests or any((s.subset, s.chain) not in n_instances for s in stages):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,9 @@ from medqakit import (
     MorphemeType,
     default_lemma_lexicon,
     default_morpheme_lexicon,
+    formats,
 )
+from medqakit.covid import build_artificial_pairs
 
 
 def tree_sha256(root):
@@ -20,6 +24,15 @@ def tree_sha256(root):
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def artificial_pairs(corpus, *args):
+    """The pairs `build_artificial_pairs(corpus, path, *args)` writes to a
+    temporary d4 file, read back, and its skip count."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d4.json"
+        _emitted, skipped = build_artificial_pairs(corpus, path, *args)
+        return formats.read_squad(path), skipped
 
 
 # Worked example: template question over a four-sentence conclusions paragraph;

@@ -4,8 +4,8 @@ two sizes.
     PYTHONPATH=src python tests/scale_memory.py [WORK_DIR]
 
 For 6k and then 60k PQA-A records (made by `tests.test_cli.write_sources`)
-and as many abstracts (made by `tests.test_cli.write_corpus`), it runs, each
-in a fresh child process:
+and as many abstracts (made by `tests.test_cli.write_corpus`, in pmid
+order), it runs, each in a fresh child process:
 
     label
     schedule --schedule 2 --schedule baseline
@@ -14,28 +14,39 @@ in a fresh child process:
     eval out/d2.json predictions.jsonl --task extractive
     curate artificial
     curate templates-export
+    curate templates-import    (on the queue with the first row of each group marked)
+    schedule --schedule 4
+    curate artificial          (on the corpus with its lines shuffled)
 
 where the predictions hold one line per gold id. It reads each child's peak
-RSS with os.wait4 and prints one line per command, with both peaks. The
-temporary inputs go under WORK_DIR (default: the system's). It exits 1 if
+RSS with os.wait4 and prints one line per measured command, with both peaks.
+The temporary inputs go under WORK_DIR (default: the system's). It exits 1
+if the shuffled corpus gives other d4 bytes than the sorted one, or if
 
-- at 60k, the peak of `label` or of any `schedule` run is above 1.25x its
-  peak at 6k: they stream every large input, and `schedule` writes every
-  stage of PQA-A, through each transformation chain, from one pass over it
-  a batch at a time (13 stages with the 13 yes/no schedules), so their
-  memory must not grow with PQA-A;
-- the peak of `eval` grows by more than 1 KiB per added gold record. eval
-  streams the gold file, but aligning by id means holding every prediction
-  and each gold's id and normalized answer (about 0.5 KiB per record on
-  CPython 3.11); decoding the whole gold file instead costs over 2 KiB per
-  record (json.load alone takes about 2.85x the file's size);
-- the peak of `curate artificial` grows by more than 1.5 KiB per added d4
-  pair. It keeps only the pairs, which it must sort by pmid (about 0.9 KiB
-  each); keeping every eligible abstract until the end cost about 2.6 KiB;
+- at 60k, the peak of `label`, of any `schedule` run or of either `curate
+  artificial` run is above 1.25x its peak at 6k. `label` and `schedule`
+  stream every large input, and `schedule` writes every stage of PQA-A,
+  through each transformation chain, from one pass over it a batch at a
+  time (13 stages with the 13 yes/no schedules). `schedule 4` keeps d4
+  (about 19k pairs at 60k) in a spool, and `curate artificial` its pairs:
+  in memory, each is its id and offsets, so their memory grows with the
+  corpus only by those, the split's ids and the corpus reader's set of
+  the pmids seen so far (1.90x at 60k when `curate artificial` kept every
+  pair, about 0.9 KiB each);
+- the peak of `eval` grows by more than 0.5 KiB per added gold record. eval
+  streams the gold file and scores each gold as it comes, keeping its id
+  and scores; what it must hold is every prediction while it indexes them
+  (about 0.3 KiB per record on CPython 3.11). Holding each gold's
+  normalized answer beside every prediction cost about 0.55 KiB;
+- the peak of `curate artificial` grows by more than 0.5 KiB per added d4
+  pair: it holds the corpus reader's set of the pmids seen so far, and
+  each pair's id and offsets (together about 0.2 KiB per pair, at about
+  3 abstracts to a pair); keeping every pair cost about 0.93 KiB;
 - the peak of `curate templates-export` grows by more than 0.25 KiB per
   added abstract. It keeps only each question's queue, and the corpus
-  reader's set of the pmids seen so far (about 0.09 KiB per abstract);
-  keeping every eligible abstract cost about 0.85 KiB.
+  reader's set of the pmids seen so far (about 0.06 KiB per abstract, 0.09
+  while the set held each pmid as a string); keeping every eligible
+  abstract cost about 0.85 KiB.
 
 pytest does not collect this file (its name does not start with test_).
 """
@@ -44,6 +55,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -52,17 +64,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
-from tests.test_cli import write_corpus, write_sources  # noqa: E402
+from tests.test_cli import mark_first_per_group, write_corpus, write_sources  # noqa: E402
 
 SIZES = (6_000, 60_000)
 YESNO_SCHEDULES = (
     "baseline", "I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII"
 )
-MAX_RATIO = {"label": 1.25, "schedule": 1.25, "schedule I": 1.25, "schedule yes/no": 1.25}
+MAX_RATIO = dict.fromkeys(
+    ("label", "schedule", "schedule I", "schedule yes/no", "schedule 4", "artificial",
+     "artificial shuffled"),
+    1.25,
+)
 # command: (the records its growth is counted per, the most KiB each may add)
 MAX_GROWTH_KB = {
-    "eval": ("gold", 1.0),
-    "artificial": ("d4 pair", 1.5),
+    "eval": ("gold", 0.5),
+    "artificial": ("d4 pair", 0.5),
     "export": ("abstract", 0.25),
 }
 
@@ -118,7 +134,22 @@ def measure(root: Path, n: int) -> tuple[dict[str, float], dict[str, int]]:
         root, "eval", "out/d2.json", "predictions.jsonl", "--task", "extractive"
     )
     peaks["artificial"] = peak_rss_mb(root, "curate", "artificial", "--config", "config.json")
+    d4 = (root / "out" / "d4.json").read_bytes()
     peaks["export"] = peak_rss_mb(root, "curate", "templates-export", "--config", "config.json")
+    mark_first_per_group(root / "out" / "review_queue.tsv", root / "reviewed.tsv")
+    review = ["--review", "reviewed.tsv"]
+    peak_rss_mb(root, "curate", "templates-import", "--config", "config.json", *review)
+    peaks["schedule 4"] = peak_rss_mb(root, "schedule", "--config", "config.json", "--schedule", "4")
+    corpus = root / "covid.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(n).shuffle(lines)
+    corpus.write_text("".join(lines), encoding="utf-8")
+    del lines
+    peaks["artificial shuffled"] = peak_rss_mb(
+        root, "curate", "artificial", "--config", "config.json"
+    )
+    if (root / "out" / "d4.json").read_bytes() != d4:
+        sys.exit(f"{n} abstracts: the shuffled corpus gives other d4 bytes than the sorted one")
     summary = json.loads((root / "out" / "curate_artificial_summary.json").read_text())
     return peaks, {"gold": len(ids), "d4 pair": summary["emitted"], "abstract": n}
 
@@ -130,7 +161,7 @@ def main(argv: list[str]) -> int:
     for command in small:
         ratio = large[command] / small[command]
         line = (
-            f"{command:<15} {SIZES[0]}: {small[command]:6.1f} MB  {SIZES[1]}: "
+            f"{command:<19} {SIZES[0]}: {small[command]:6.1f} MB  {SIZES[1]}: "
             f"{large[command]:6.1f} MB  ratio {ratio:.2f}"
         )
         if command in MAX_RATIO and ratio > MAX_RATIO[command]:

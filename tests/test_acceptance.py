@@ -35,7 +35,6 @@ from medqakit import (
     weak_label,
 )
 from medqakit import Prediction, SplitSpec, YesNoInstance
-from medqakit.covid import build_artificial_pairs
 from medqakit.weak_label import QUERY_STOPWORDS
 
 from tests.conftest import (
@@ -45,6 +44,7 @@ from tests.conftest import (
     OPTOTYPE_LEMMAS_CONCATENATED,
     OPTOTYPE_LEMMAS_REPLACED,
     OPTOTYPE_ORIGINAL,
+    artificial_pairs,
     make_corpus_lines,
     tree_sha256,
 )
@@ -152,7 +152,7 @@ def test_anchoring_suite_synthetic_corpus():
             SourceInstance(id=f"s-{a.pmid}", question=a.title or "Is it?", context=conclusion.text)
         )
     records, _skipped = build_prime_subset(sources, DatasetSubsetId.PQA_L)
-    artificial, _ = build_artificial_pairs(abstracts)
+    artificial, _ = artificial_pairs(abstracts)
 
     pairs = [r.pair for r in records] + list(artificial)
     assert len(pairs) >= 500  # every abstract has a conclusion-style section

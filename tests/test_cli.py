@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import shutil
 import sys
 from pathlib import Path
 
@@ -150,6 +152,32 @@ class TestCurateCommand:
         assert main(["curate", "artificial", "--config", str(config)]) == 0
         d4 = json.loads((tmp_path / "out" / "d4.json").read_text())
         assert d4["data"] == []
+
+    def test_artificial_d4_bytes_do_not_depend_on_corpus_order(self, tmp_path):
+        """pmids of 1 to 5 digits, whose string order is not their numeric
+        order, in ascending, shuffled and descending string order."""
+        rng = random.Random(11)
+        records = [json.loads(line) for line in make_corpus_lines(60)]
+        for record, pmid in zip(records, rng.sample(range(1, 100_000), len(records))):
+            record["pmid"] = str(pmid // 10 ** rng.randint(0, 4))
+        records = list({r["pmid"]: r for r in records}.values())
+        shuffled = rng.sample(records, len(records))
+        ascending = sorted(records, key=lambda r: r["pmid"])
+        descending = ascending[::-1]
+        config = str(write_config(tmp_path))
+        written = []
+        for order in (ascending, shuffled, descending):
+            (tmp_path / "covid.jsonl").write_text("".join(json.dumps(r) + "\n" for r in order))
+            assert main(["curate", "artificial", "--config", config]) == 0
+            out = tmp_path / "out"
+            assert sorted(p.name for p in out.iterdir()) == [
+                "config.json", "curate_artificial_summary.json", "d4.json"
+            ]
+            written.append((out / "d4.json").read_bytes())
+        assert written[0] == written[1] == written[2]
+        ids = [a["title"] for a in json.loads(written[0])["data"]]
+        assert len(ids) > 10 and ids == sorted(ids)
+        assert [int(i[3:]) for i in ids] != sorted(int(i[3:]) for i in ids)
 
     def test_export_then_import(self, workspace):
         root, config = workspace
@@ -307,17 +335,70 @@ class TestScheduleCommand:
         run_pipeline(root, config)
         schedules = root / "out" / "schedules"
         first = {p: p.read_bytes() for p in schedules.rglob("*") if p.is_file()}
-        rendered = []
-        write_squad = formats.write_squad
-        monkeypatch.setattr(
-            formats, "write_squad", lambda path, *a: rendered.append(path) or write_squad(path, *a)
+        n_pairs = sum(
+            len(json.loads((root / "out" / f"{name}.json").read_text())["data"])
+            for name in ("d1", "d2", "d3", "d4")
         )
+        rendered, encoded = [], []
+        write, encode = formats.write_squad_articles, formats.squad_article
+        monkeypatch.setattr(
+            formats, "write_squad_articles", lambda path, *a: rendered.append(path) or write(path, *a)
+        )
+        monkeypatch.setattr(formats, "squad_article", lambda pair: encoded.append(pair) or encode(pair))
         assert main(["schedule", "--config", str(config)]) == 0
         assert len(rendered) == 4
+        # every pair of d1-d4, test ids included, is encoded once: d2 as its
+        # stage is written, the others into the spool the split reads
+        assert len(encoded) == n_pairs
         assert {p: p.read_bytes() for p in schedules.rglob("*") if p.is_file()} == first
         d1 = (schedules / "1" / "stage1_d1.json").read_bytes()
         for sid, stage in (("2", 2), ("3", 2), ("4", 2)):
             assert (schedules / sid / f"stage{stage}_d1.json").read_bytes() == d1
+
+    def test_shared_stages_are_links_and_a_rerun_replaces_only_its_own(self, workspace):
+        root, config = workspace
+        run_pipeline(root, config)
+        schedules = root / "out" / "schedules"
+        first = schedules / "1" / "stage1_d1.json"
+        for sid in ("2", "3", "4"):
+            assert os.path.samefile(schedules / sid / "stage2_d1.json", first)
+        before = first.read_bytes()
+        # another seed holds out other d1 ids, so schedule 2's d1 stage changes
+        assert main(["schedule", "--config", str(config), "--seed", "14", "--schedule", "2"]) == 0
+        assert first.read_bytes() == before
+        assert (schedules / "2" / "stage2_d1.json").read_bytes() != before
+        assert os.path.samefile(schedules / "3" / "stage2_d1.json", first)
+        assert not [p for p in (root / "out").rglob("*") if p.name.startswith(".")]
+
+    def test_stages_are_copied_where_linking_fails(self, workspace, monkeypatch):
+        root, config = workspace
+        run_pipeline(root, config)
+        schedules = root / "out" / "schedules"
+        linked = tree_sha256(schedules)
+
+        def refuse(*args, **kwargs):
+            raise OSError(18, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "link", refuse)
+        assert main(["schedule", "--config", str(config)]) == 0
+        assert tree_sha256(schedules) == linked
+        first = schedules / "1" / "stage1_d1.json"
+        for sid in ("2", "3", "4"):
+            assert not os.path.samefile(schedules / sid / "stage2_d1.json", first)
+        assert not [p for p in (root / "out").rglob("*") if p.name.startswith(".")]
+
+    def test_malformed_d4_exits_1_before_any_stage_is_written(self, workspace, capsys):
+        root, config = workspace
+        run_pipeline(root, config)
+        shutil.rmtree(root / "out" / "schedules")
+        d4 = root / "out" / "d4.json"
+        text = d4.read_text()
+        d4.write_text(text[: len(text) // 2])
+        before = sorted(p.name for p in (root / "out").iterdir())
+        assert main(["schedule", "--config", str(config)]) == 1
+        assert "d4.json" in capsys.readouterr().err
+        assert sorted(p.name for p in (root / "out").iterdir()) == before
+        assert "schedules" not in before
 
     def test_missing_subset_exits_nonzero(self, workspace, capsys):
         root, config = workspace

@@ -16,7 +16,6 @@ from medqakit import (
     QuestionTemplate,
     Sentence,
     ValidationError,
-    build_artificial_pairs,
     covid_filter,
     export_review_queue,
     extract_conclusion_section,
@@ -36,7 +35,12 @@ from medqakit.covid import (
     load_template_config,
 )
 
-from tests.conftest import DIABETES_ANSWER, DIABETES_CONTEXT, DIABETES_QUESTION
+from tests.conftest import (
+    DIABETES_ANSWER,
+    DIABETES_CONTEXT,
+    DIABETES_QUESTION,
+    artificial_pairs,
+)
 
 
 def abstract(pmid="1", title="T", pub_date="2020-03-01", keywords=(), sections=()):
@@ -267,7 +271,7 @@ class TestBuildArtificialPairs:
         ]
 
     def test_pipeline_composition(self):
-        pairs, skipped = build_artificial_pairs(self._corpus())
+        pairs, skipped = artificial_pairs(self._corpus())
         assert [p.id for p in pairs] == ["d4-3"]
         assert skipped == 2  # pmid 2 (no question), pmid 4 (no conclusion)
         pair = pairs[0]
@@ -281,17 +285,17 @@ class TestBuildArtificialPairs:
                      sections=[("conclusions", "COVID-19 treatment worked well.")])
             for pmid in ("9", "2", "5")
         ]
-        pairs, _ = build_artificial_pairs(corpus)
+        pairs, _ = artificial_pairs(corpus)
         assert [p.id for p in pairs] == ["d4-2", "d4-5", "d4-9"]
 
     def test_empty_corpus(self):
-        pairs, skipped = build_artificial_pairs([])
+        pairs, skipped = artificial_pairs([])
         assert pairs == [] and skipped == 0
 
     def test_degenerate_conclusion_skipped(self):
         corpus = [abstract(pmid="7", title="Does it work?",
                            sections=[("background", "COVID-19 cohort."), ("conclusions", "   ")])]
-        pairs, skipped = build_artificial_pairs(corpus)
+        pairs, skipped = artificial_pairs(corpus)
         assert pairs == [] and skipped == 1
 
 

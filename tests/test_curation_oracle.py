@@ -1,15 +1,16 @@
 """Curation keeps only what it emits: `build_review_candidates` keeps, per
-question, the contexts of the queue_depth smallest pmids seen so far, and
-`build_artificial_pairs` keeps only the pairs. The implementations they
-replace, which kept every eligible abstract and sorted them by pmid first,
-are the oracles here."""
+question, the answer sections of the queue_depth smallest pmids seen so far,
+and `build_artificial_pairs` keeps only each pair's pmid and the offset of
+its article in a spool. The implementations they replace, which kept every
+eligible abstract and sorted them by pmid first, are the oracles here, on
+corpora in the order drawn, in ascending and in descending pmid order."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medqakit import covid
+from medqakit import covid, formats
 from medqakit.bm25 import Bm25Params
 from medqakit.corpus import (
     DatasetSubsetId,
@@ -22,7 +23,6 @@ from medqakit.covid import (
     CovidFilterPolicy,
     CurationCandidate,
     InstantiatedQuestion,
-    build_artificial_pairs,
     build_review_candidates,
     covid_filter,
     extract_conclusion_section,
@@ -30,6 +30,8 @@ from medqakit.covid import (
 )
 from medqakit.errors import ValidationError
 from medqakit.weak_label import select_answer_sentence
+
+from tests.conftest import artificial_pairs
 
 
 def eligible(corpus, policy):
@@ -113,9 +115,10 @@ def section_text(rng):
     return " ".join(sentence_text(rng) for _ in range(rng.randint(1, 3)))
 
 
-def make_corpus(seed):
+def make_corpus(seed, order="drawn"):
     """Up to 10 abstracts, some without a date or before the cutoff, some
-    whose answer sections are blank."""
+    whose answer sections are blank; in the order drawn, or sorted by pmid
+    ("ascending" or "descending", a repeated pmid in the order drawn)."""
     rng = random.Random(seed)
     records = [
         {
@@ -130,10 +133,13 @@ def make_corpus(seed):
         }
         for _ in range(rng.randint(0, 10))
     ]
+    if order != "drawn":
+        records.sort(key=lambda record: record["pmid"], reverse=order == "descending")
     return [parse_abstract_record(record) for record in records]
 
 
-CORPORA = st.integers(0, 2**32 - 1).map(make_corpus)
+ORDERS = ("drawn", "ascending", "descending")
+CORPORA = st.builds(make_corpus, st.integers(0, 2**32 - 1), st.sampled_from(ORDERS))
 
 
 POLICY = CovidFilterPolicy(phrases=("covid", "SARS-CoV-2"))
@@ -163,7 +169,25 @@ def test_review_candidates_equal_the_sorted_scan(data):
 @settings(max_examples=500, deadline=None)
 @given(corpus=CORPORA)
 def test_artificial_pairs_equal_the_list_path(corpus):
-    assert build_artificial_pairs(iter(corpus), POLICY) == oracle_artificial_pairs(corpus, POLICY)
+    assert artificial_pairs(iter(corpus), POLICY) == oracle_artificial_pairs(corpus, POLICY)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_d4_bytes_do_not_depend_on_corpus_order(seed, tmp_path_factory):
+    """The d4 file of one corpus, with each pmid once, in the order drawn,
+    ascending and descending: the same bytes, those of the oracle's pairs."""
+    by_pmid = {a.pmid: a for a in make_corpus(seed)}
+    expected, skipped = oracle_artificial_pairs(list(by_pmid.values()), POLICY)
+    tmp = tmp_path_factory.mktemp("d4")
+    formats.write_squad(tmp / "oracle.json", expected)
+    for order in (list(by_pmid), sorted(by_pmid), sorted(by_pmid, reverse=True)):
+        path = tmp / "d4.json"
+        assert covid.build_artificial_pairs(
+            (by_pmid[p] for p in order), path, POLICY
+        ) == (len(expected), skipped)
+        assert path.read_bytes() == (tmp / "oracle.json").read_bytes()
+    assert sorted(p.name for p in tmp.iterdir()) == ["d4.json", "oracle.json"]
 
 
 def test_queue_depth_above_the_matches_keeps_every_match():

@@ -16,7 +16,7 @@ from medqakit import (
 )
 from medqakit.formats import (
     SQUAD_VERSION,
-    copy_file_atomic,
+    link_file_atomic,
     read_abstracts,
     read_predictions,
     read_source_instances,
@@ -297,6 +297,26 @@ class TestAbstractsReader:
         with pytest.raises(ValidationError, match="duplicate pmid"):
             read_abstracts(path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(pmids=st.lists(
+        st.sampled_from(["9", "09", "90", "0", "00", "٩", "+9", "1" * 18, "1" * 19,
+                         "1" * 5000, "12345", "012345"]),
+        max_size=5,
+    ))
+    def test_a_pmid_is_a_duplicate_only_of_the_same_string(self, tmp_path_factory, pmids):
+        """The reader keeps a decimal pmid as an int; no other pmid may then
+        count as its duplicate."""
+        path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+        path.write_text("".join(
+            json.dumps({"pmid": p, "sections": [{"label": "C", "text": "x"}]}) + "\n" for p in pmids
+        ))
+        repeated = next((k for k, p in enumerate(pmids) if p in pmids[:k]), None)
+        if repeated is None:
+            assert [a.pmid for a in read_abstracts(path)] == pmids
+        else:
+            with pytest.raises(ValidationError, match=f"line {repeated + 1}: duplicate pmid"):
+                read_abstracts(path)
+
     def test_error_carries_path_and_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"pmid":"1","sections":[]}\nnot json\n')
@@ -499,29 +519,52 @@ class TestWriteTextAtomic:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestCopyFileAtomic:
-    def test_bytes_copied_as_stored(self, tmp_path):
+class TestLinkFileAtomic:
+    def test_bytes_linked_as_stored(self, tmp_path):
         raw = b'{"a": "\xc3\xa9"}\r\n\xff\x00 line\rend'
         (tmp_path / "src.bin").write_bytes(raw)
-        copy_file_atomic(tmp_path / "sub" / "dst.bin", tmp_path / "src.bin")
+        link_file_atomic(tmp_path / "sub" / "dst.bin", tmp_path / "src.bin")
         assert (tmp_path / "sub" / "dst.bin").read_bytes() == raw
+        assert os.path.samefile(tmp_path / "sub" / "dst.bin", tmp_path / "src.bin")
         assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["dst.bin"]
 
-    def test_mode_is_what_write_text_atomic_gives(self, tmp_path):
-        (tmp_path / "src.txt").write_text("x")
+    def test_a_copy_where_linking_fails_has_the_mode_write_text_atomic_gives(
+        self, tmp_path, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise OSError(18, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "link", refuse)
+        raw = b"x\r\n\xff"
+        (tmp_path / "src.txt").write_bytes(raw)
         old = os.umask(0o027)
         try:
-            copy_file_atomic(tmp_path / "copy.txt", tmp_path / "src.txt")
+            link_file_atomic(tmp_path / "copy.txt", tmp_path / "src.txt")
             write_text_atomic(tmp_path / "atomic.txt", "x")
         finally:
             os.umask(old)
+        assert (tmp_path / "copy.txt").read_bytes() == raw
+        assert not os.path.samefile(tmp_path / "copy.txt", tmp_path / "src.txt")
         modes = {stat.S_IMODE((tmp_path / n).stat().st_mode) for n in ("copy.txt", "atomic.txt")}
         assert modes == {0o640}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.txt", "copy.txt", "src.txt"]
 
     def test_missing_source_leaves_target_and_no_temp(self, tmp_path):
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "dst.txt").write_text("before\n")
         with pytest.raises(FileNotFoundError):
-            copy_file_atomic(tmp_path / "out" / "dst.txt", tmp_path / "missing.txt")
+            link_file_atomic(tmp_path / "out" / "dst.txt", tmp_path / "missing.txt")
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["dst.txt"]
         assert (tmp_path / "out" / "dst.txt").read_text() == "before\n"
+
+    def test_relinking_replaces_only_the_link(self, tmp_path):
+        write_text_atomic(tmp_path / "a.txt", "old\n")
+        link_file_atomic(tmp_path / "b.txt", tmp_path / "a.txt")
+        # a link onto a name that already links to the same file
+        link_file_atomic(tmp_path / "b.txt", tmp_path / "a.txt")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+        write_text_atomic(tmp_path / "c.txt", "new\n")
+        link_file_atomic(tmp_path / "b.txt", tmp_path / "c.txt")
+        assert (tmp_path / "a.txt").read_text() == "old\n"
+        assert (tmp_path / "b.txt").read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt", "c.txt"]

@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from itertools import pairwise
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from medqakit import (
     normalize_answer,
     token_f1,
 )
+from medqakit.metrics import ScoringError
 
 
 class TestExactMatch:
@@ -251,3 +254,115 @@ class TestEvaluateOracle:
         preds = [Prediction(id=f"y{i}", predicted_label=pred) for i, (_, pred) in enumerate(labels)]
         correct = sum(int(pred == gold) for gold, pred in labels)
         assert evaluate(golds, preds, "yesno").accuracy == correct / len(labels)
+
+
+# evaluate as it was while it held every prediction and each gold's id and
+# normalized answer before scoring: the oracle of the streamed evaluate.
+def oracle_evaluate(golds, predictions, task):
+    if task not in ("extractive", "yesno"):
+        raise ScoringError(f"unknown task {task!r}; expected 'extractive' or 'yesno'")
+    if task == "extractive":
+        keyed = [(g.id, normalize_answer(g.answer_text)) for g in golds]
+    else:
+        keyed = [(g.id, g.label) for g in golds]
+    if not keyed:
+        raise ScoringError("no gold instances")
+    keyed.sort(key=itemgetter(0))
+    repeated = sorted({a for (a, _), (b, _) in pairwise(keyed) if a == b})
+    if repeated:
+        raise ScoringError(f"duplicate gold ids: {repeated}")
+    by_id = {p.id: p for p in predictions}
+    if len(by_id) != len(predictions):
+        raise ScoringError("duplicate prediction ids")
+    n = len(keyed)
+    if len(by_id) != n or not all(gold_id in by_id for gold_id, _ in keyed):
+        gold_ids = {gold_id for gold_id, _ in keyed}
+        missing = sorted(gold_ids - by_id.keys())
+        extra = sorted(by_id.keys() - gold_ids)
+        raise ScoringError(
+            f"prediction ids do not align with gold ids: missing={missing} extra={extra}"
+        )
+    if task == "extractive":
+        em_total = 0.0
+        f1_total = 0.0
+        for gold_id, gold_normalized in keyed:
+            pred = by_id[gold_id]
+            if pred.predicted_text is None:
+                raise ScoringError(f"{gold_id}: prediction has no predicted_text")
+            normalized = normalize_answer(pred.predicted_text)
+            em_total += int(normalized == gold_normalized)
+            f1_total += oracle_f1(normalized.split(), gold_normalized.split())
+        return EvalReport(n=n, exact_match=100.0 * em_total / n, f1=100.0 * f1_total / n)
+    correct = 0
+    for gold_id, label in keyed:
+        pred = by_id[gold_id]
+        if pred.predicted_label is None:
+            raise ScoringError(f"{gold_id}: prediction has no predicted_label")
+        correct += int(pred.predicted_label == label)
+    return EvalReport(n=n, accuracy=correct / n)
+
+
+def outcome(score):
+    try:
+        return score()
+    except ScoringError as exc:
+        return type(exc), str(exc)
+
+
+# A few ids, so that golds and predictions repeat, miss and add ids.
+IDS = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+LABELS = st.sampled_from(["yes", "no"])
+
+
+@st.composite
+def golds_and_predictions(draw):
+    task = draw(st.sampled_from(["extractive", "yesno"] * 4 + ["ranking"]))
+    ids = draw(st.lists(IDS, max_size=6, unique=True) | st.lists(IDS, max_size=6))
+    if task == "yesno":
+        golds = [YesNoInstance(id=i, question="q?", context="c", label=draw(LABELS)) for i in ids]
+    else:
+        golds = []
+        for i in ids:
+            answer = draw(ANSWER_TEXT.filter(str.strip))
+            golds.append(QAPair(id=i, question="Q?", context="C " + answer, answer_text=answer,
+                                answer_start=2, subset=DatasetSubsetId.D1,
+                                provenance=Provenance.BM25_WEAK))
+    # mostly the gold ids, shuffled, with some dropped, repeated or added
+    pred_ids = draw(st.permutations(sorted(set(ids))))
+    pred_ids = [i for i in pred_ids if draw(st.integers(0, 9))] + draw(st.lists(IDS, max_size=1))
+    predictions = [
+        Prediction(
+            id=i,
+            predicted_text=draw(st.sampled_from([None, ""]) | ANSWER_TEXT | ANSWER_TEXT),
+            predicted_label=draw(st.none() | LABELS | LABELS),
+        )
+        for i in pred_ids
+    ]
+    return golds, predictions, task
+
+
+class TestStreamedEvaluateOracle:
+    @given(case=golds_and_predictions())
+    @settings(max_examples=1000, deadline=None)
+    def test_same_report_or_same_error(self, case):
+        golds, predictions, task = case
+        expected = outcome(lambda: oracle_evaluate(golds, predictions, task))
+        assert outcome(lambda: evaluate(iter(golds), list(predictions), task)) == expected
+
+    def test_errors_come_in_the_oracle_order(self):
+        pair = _gold_pairs()[0]
+        cases = [
+            # repeated gold ids before repeated prediction ids
+            ([pair, pair], [Prediction("g0", "x"), Prediction("g0", "x")], "duplicate gold"),
+            # repeated prediction ids before ids that do not align
+            ([pair], [Prediction("g0", "x"), Prediction("g0", "x"), Prediction("z", "x")],
+             "duplicate prediction"),
+            # ids that do not align before a missing text
+            ([pair], [Prediction("g0"), Prediction("z", "x")], "do not align"),
+            ([pair], [Prediction("g0")], "g0: prediction has no predicted_text"),
+        ]
+        for golds, predictions, message in cases:
+            with pytest.raises(ScoringError, match=message):
+                evaluate(iter(golds), predictions, "extractive")
+            with pytest.raises(ScoringError, match=message):
+                oracle_evaluate(golds, predictions, "extractive")

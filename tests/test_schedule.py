@@ -329,9 +329,9 @@ class TestEmitSchedule:
         for sid in schedule_ids:
             self._emit(sid, materialized, tmp_path / "alone")
         rendered = []
-        write_squad = formats.write_squad
+        write = formats.write_squad_articles
         monkeypatch.setattr(
-            formats, "write_squad", lambda path, *a: rendered.append(path) or write_squad(path, *a)
+            formats, "write_squad_articles", lambda path, *a: rendered.append(path) or write(path, *a)
         )
         self._emit_all(schedule_ids, materialized, tmp_path / "shared")
         assert [p.name for p in rendered] == [
