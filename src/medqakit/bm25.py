@@ -29,7 +29,7 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self) -> None:
-        if self.k1 < 0:
+        if not self.k1 >= 0:  # NaN too
             raise ValidationError(f"k1 must be non-negative, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValidationError(f"b must be in [0, 1], got {self.b}")

@@ -14,6 +14,7 @@ import argparse
 import importlib
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -94,6 +95,32 @@ def _is_path(value: Any) -> bool:
     return isinstance(value, str) and "\0" not in value
 
 
+def _path(what: str, ok: Callable[[Any], bool], convert: Callable[[Any], Any] = lambda v: v):
+    """`check(what, ok, convert)` that refuses an empty path first: Path("")
+    is the working directory, where a user's own file could be overwritten."""
+    checked = check(what, ok, convert)
+
+    def nonempty(where: str, value: Any) -> Any:
+        if value == "" or (type(value) is list and "" in value):
+            raise ConfigError(f"{where}: expected a path, got an empty string")
+        return checked(where, value)
+
+    return nonempty
+
+
+def _number(where: str, value: Any) -> float:
+    """A finite float: NaN and the infinities have no JSON form to echo."""
+    if type(value) not in (int, float):
+        raise expected(where, "a number", value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: expected a finite number, got an integer too large") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {number}")
+    return number
+
+
 def _date(where: str, value: Any) -> str:
     try:
         return parse_iso_date(value).isoformat()
@@ -104,7 +131,7 @@ def _date(where: str, value: Any) -> str:
 def _fraction(where: str, value: Any) -> float:
     if where.rpartition(".")[2] not in _SUBSETS:
         raise ConfigError(f"{where}: unknown subset; expected one of {_SUBSETS}")
-    fraction = _NUMBER(where, value)
+    fraction = _number(where, value)
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"{where}: expected a number in (0, 1), got {fraction}")
     return fraction
@@ -144,10 +171,9 @@ def _path_setting(where: str, value: Any) -> Any:
 
 
 _SUBSETS = [s.value for s in DatasetSubsetId]
-_NUMBER = check("a number", lambda v: type(v) in (int, float), float)
-_DIRECTORY = check("a path", _is_path, lambda v: str(Path(v)))
-_FILE = check("a path or null", lambda v: v is None or _is_path(v))
-_LEXICON = check(
+_DIRECTORY = _path("a path", _is_path, lambda v: str(Path(v)))
+_FILE = _path("a path or null", lambda v: v is None or _is_path(v))
+_LEXICON = _path(
     "a path, an array of paths or null",
     lambda v: v is None or _is_path(v) or (isinstance(v, list) and all(map(_is_path, v))),
 )
@@ -169,8 +195,8 @@ class ConfigField(NamedTuple):
 CONFIG_FIELDS = (
     ConfigField("seed", INTEGER, 13, flag="seed"),
     ConfigField("output_dir", _DIRECTORY, "out", flag="output_dir", env=ENV_OUTPUT_DIR),
-    ConfigField("bm25.k1", _NUMBER, Bm25Params().k1, flag="k1"),
-    ConfigField("bm25.b", _NUMBER, Bm25Params().b, flag="b"),
+    ConfigField("bm25.k1", _number, Bm25Params().k1, flag="k1"),
+    ConfigField("bm25.b", _number, Bm25Params().b, flag="b"),
     ConfigField("covid_filter.phrases", _phrases, list(COVID_PHRASES)),
     ConfigField("covid_filter.cutoff_date", _date, COVID_CUTOFF_DATE.isoformat()),
     ConfigField("curation.queue_depth", _queue_depth, 50),
@@ -374,9 +400,7 @@ def _load_lexicon(config: RunConfig, key: str, builtin, load):
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     from .morph import load_lemma_lexicon, load_morpheme_lexicon
-    from .schedule import (
-        YESNO_SUBSETS, SplitSpec, get_schedule, make_folds, make_target_split, read_datasets
-    )
+    from .schedule import YESNO_SUBSETS, get_schedule, read_datasets
 
     config = load_run_config(args)
     _echo_config(config)
@@ -396,17 +420,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             )
         return path
 
-    # the split needs the ids of each subset with a fraction, the folds those of pqa_l
-    listed = {*fractions, DatasetSubsetId.PQA_L}
-    with read_datasets(subsets, path_of, listed, config.output_dir) as (datasets, ids):
-        split_inputs = {s: subset_ids for s, subset_ids in ids.items() if s in fractions}
-        split = None
-        if split_inputs:
-            split = make_target_split(split_inputs, SplitSpec(seed=config.seed, fractions=fractions))
-        folds = None
-        if DatasetSubsetId.PQA_L in ids:
-            folds = make_folds(ids[DatasetSubsetId.PQA_L], config.seed)
-
+    reading = read_datasets(subsets, path_of, config.seed, fractions, config.output_dir)
+    with reading as (datasets, split, folds):
         lems = morphs = None
         if any(stage.chain is not None for s in schedules for stage in s.stages):
             morphs = _load_lexicon(

@@ -16,7 +16,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import pairwise
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import formats
 from .corpus import DatasetSubsetId, QAPair, YesNoInstance
@@ -144,10 +144,9 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class TargetSplit:
-    """Held-out test ids per subset plus the remaining training ids."""
+    """Held-out test ids per subset."""
 
     seed: int
-    train_ids: dict[DatasetSubsetId, tuple[str, ...]]
     test_by_subset: dict[DatasetSubsetId, tuple[str, ...]]
 
     @property
@@ -161,7 +160,7 @@ def _derived_rng(seed: int, label: str) -> random.Random:
 
 
 def make_target_split(
-    datasets: Mapping[DatasetSubsetId, Sequence[str]], spec: SplitSpec
+    datasets: Mapping[DatasetSubsetId, Iterable[str]], spec: SplitSpec
 ) -> TargetSplit:
     """Deterministically hold out the configured fraction of each subset.
 
@@ -169,7 +168,6 @@ def make_target_split(
     pool. Subsets smaller than 10 still hold out at least one instance,
     with a warning.
     """
-    train_ids: dict[DatasetSubsetId, tuple[str, ...]] = {}
     test_by_subset: dict[DatasetSubsetId, tuple[str, ...]] = {}
     for subset in sorted(datasets, key=lambda s: s.value):
         ids = sorted(datasets[subset])
@@ -178,7 +176,6 @@ def make_target_split(
             raise ValidationError(f"duplicate ids in subset {subset.value}")
         fraction = spec.fractions.get(subset)
         if fraction is None:
-            train_ids[subset] = tuple(ids)
             test_by_subset[subset] = ()
             continue
         if not ids:
@@ -190,11 +187,8 @@ def make_target_split(
             )
             k = max(1, k)
         rng = _derived_rng(spec.seed, f"split:{subset.value}")
-        held = sorted(rng.sample(ids, k))
-        held_set = set(held)
-        train_ids[subset] = tuple(i for i in ids if i not in held_set)
-        test_by_subset[subset] = tuple(held)
-    return TargetSplit(seed=spec.seed, train_ids=train_ids, test_by_subset=test_by_subset)
+        test_by_subset[subset] = tuple(sorted(rng.sample(ids, k)))
+    return TargetSplit(seed=spec.seed, test_by_subset=test_by_subset)
 
 
 @dataclass(frozen=True)
@@ -216,7 +210,7 @@ class FoldSpec:
         return len(self.pool) - len(self.folds[0])
 
 
-def make_folds(ids: Sequence[str], seed: int, n_folds: int = 10) -> FoldSpec:
+def make_folds(ids: Iterable[str], seed: int, n_folds: int = 10) -> FoldSpec:
     """Sample half the ids into a CV pool, reserve the rest, cut the pool
     into n_folds validation folds.
 
@@ -267,21 +261,24 @@ def _stage_filename(stage: StageSpec) -> str:
 def read_datasets(
     subsets: Iterable[DatasetSubsetId],
     path_of: Callable[[DatasetSubsetId], Path],
-    listed: Collection[DatasetSubsetId],
+    seed: int,
+    fractions: Mapping[DatasetSubsetId, float],
     spool_dir: str | Path,
-) -> Iterator[tuple[dict[DatasetSubsetId, object], dict[DatasetSubsetId, list[str]]]]:
+) -> Iterator[tuple[dict[DatasetSubsetId, object], TargetSplit | None, FoldSpec | None]]:
     """The datasets `emit_schedule` takes for these subsets, each read from
-    `path_of(subset)` in subset order, and the ids of each listed subset.
+    `path_of(subset)` in subset order, the target split of those with a
+    holdout fraction, and the folds of `pqa_l` when it is among them.
 
     A listed subset, one whose ids the split or the folds need, is decoded
-    and checked here, before any stage is written: a yes/no subset into a
-    list, a SQuAD subset into a spool under `spool_dir` (see
-    `spool.spool_squad`), so that only its ids stay in memory. Every other
-    subset is decoded from its file while its stages are written. The
-    spools are closed when the block ends.
+    and checked here, before the split is drawn and any stage is written:
+    a yes/no subset into a list, a SQuAD subset into a spool under
+    `spool_dir` (see `spool.spool_squad`), whose ids go straight into the
+    split; no list of ids outlives the draw. Every other subset is decoded
+    from its file while its stages are written. The spools are closed when
+    the block ends.
     """
+    listed = {*fractions, DatasetSubsetId.PQA_L}
     datasets: dict[DatasetSubsetId, object] = {}
-    ids: dict[DatasetSubsetId, list[str]] = {}
     with ExitStack() as spools:
         for subset in sorted(subsets, key=lambda s: s.value):
             path = path_of(subset)
@@ -293,13 +290,21 @@ def read_datasets(
                 )
             elif subset in YESNO_SUBSETS:
                 datasets[subset] = formats.read_yesno(path)
-                ids[subset] = [i.id for i in datasets[subset]]
             else:
                 from .spool import spool_squad  # here: a run without a spool does not load it
 
-                spool = spools.enter_context(spool_squad(path, subset, spool_dir))
-                datasets[subset], ids[subset] = spool, list(spool.ids())
-        yield datasets, ids
+                datasets[subset] = spools.enter_context(spool_squad(path, subset, spool_dir))
+
+        def ids(subset: DatasetSubsetId) -> Iterator[str]:
+            data = datasets[subset]
+            return (i.id for i in data) if subset in YESNO_SUBSETS else data.ids()
+
+        held = {s: ids(s) for s in datasets if s in fractions}  # generators the split drains
+        split = make_target_split(held, SplitSpec(seed, fractions)) if held else None
+        folds = None
+        if DatasetSubsetId.PQA_L in datasets:
+            folds = make_folds(ids(DatasetSubsetId.PQA_L), seed)
+        yield datasets, split, folds
 
 
 def _squad_articles(data: Iterable[QAPair] | Spool) -> Iterable[tuple[str, str]]:

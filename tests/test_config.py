@@ -7,7 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from medqakit.bm25 import Bm25Params
 from medqakit.cli import CONFIG_FIELDS, build_parser, load_run_config, main
+from medqakit.errors import ValidationError
 
 from tests.test_cli import mark_first_per_group, write_config, write_corpus, write_sources
 
@@ -80,12 +82,16 @@ BAD_CONFIGS = [
     ({"bm25": {"k1": "fast"}}, "config bm25.k1: expected a number, got string"),
     ({"bm25": None}, "config bm25: expected an object, got null"),
     ({"bm25": {"b": 2}}, "b must be in [0, 1]"),
+    ({"bm25": {"k1": float("nan")}}, "config bm25.k1: expected a finite number, got nan"),
+    ({"bm25": {"b": float("-inf")}}, "config bm25.b: expected a finite number, got -inf"),
+    ({"bm25": {"k1": -(10**400)}}, "config bm25.k1: expected a finite number, got an integer too"),
     ({"split_fractions": {"d9": 0.1}}, "config split_fractions.d9: unknown subset"),
     ({"split_fractions": {"d1": "0.1"}}, "config split_fractions.d1: expected a number"),
     ({"split_fractions": {"d1": 5.0}}, "config split_fractions.d1: expected a number in (0, 1)"),
     ({"split_fractions": {"d3": 0}}, "config split_fractions.d3: expected a number in (0, 1)"),
     ({"split_fractions": {"d4": 1}}, "config split_fractions.d4: expected a number in (0, 1)"),
     ({"split_fractions": [0.1]}, "config split_fractions: expected an object, got array"),
+    ({"split_fractions": {"d1": float("nan")}}, "config split_fractions.d1: expected a finite"),
     ({"schedules": "baseline"}, "config schedules: expected an array of strings, got string"),
     ({"schedules": [1]}, "config schedules: expected an array of strings, got array"),
     ({"paths": [["pqa_l", "x.jsonl"]]}, "config paths: expected an object, got array"),
@@ -93,6 +99,9 @@ BAD_CONFIGS = [
     ({"paths": {"pqa_l": ["a.jsonl"]}}, "config paths.pqa_l: expected a path or null"),
     ({"paths": {"morpheme_lexicon": 3}}, "config paths.morpheme_lexicon: expected a path, an"),
     ({"paths": {"lemma_exceptions": ["a", 3]}}, "config paths.lemma_exceptions"),
+    ({"paths": {"pqa_l": ""}}, "config paths.pqa_l: expected a path, got an empty string"),
+    ({"paths": {"lemma_exceptions": ""}}, "config paths.lemma_exceptions: expected a path, got an"),
+    ({"paths": {"morpheme_lexicon": ["a", ""]}}, "config paths.morpheme_lexicon: expected a path"),
     ({"schedules": []}, "config schedules: expected at least one schedule id"),
     ({"schedules": ["1", "I", "1"]}, "config schedules: '1' is listed twice"),
     ({"schedules": ["1", "XIII"]}, "config schedules: unknown schedule 'XIII'"),
@@ -107,6 +116,71 @@ def test_bad_value_exits_1_naming_the_key(tmp_path, capsys, command, override, m
     assert code == 1
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--k1", "nan"], "config bm25.k1: expected a finite number, got nan"),
+        (["--b", "inf"], "config bm25.b: expected a finite number, got inf"),
+        (["--k1", "1e309"], "config bm25.k1: expected a finite number, got inf"),
+    ],
+)
+def test_a_number_flag_that_is_not_finite_exits_1(tmp_path, capsys, flags, message):
+    config = write_config(tmp_path)
+    code, err = run(["label", "--config", str(config), *flags], capsys)
+    assert (code, err) == (1, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"bm25": {"k1": 1e309}}', "config bm25.k1: expected a finite number, got inf"),
+        ('{"bm25": {"b": NaN}}', "config bm25.b: expected a finite number, got nan"),
+        ('{"bm25": {"k1": Infinity}}', "config bm25.k1: expected a finite number, got inf"),
+        (
+            '{"bm25": {"k1": %s}}' % ("9" * 400),
+            "config bm25.k1: expected a finite number, got an integer too large",
+        ),
+    ],
+    ids=["1e309", "NaN", "Infinity", "400 digits"],
+)
+def test_a_number_in_the_file_that_is_not_finite_exits_1(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, err = run(["label", "--config", str(path), "--output-dir", str(tmp_path / "out")], capsys)
+    assert (code, err) == (1, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bm25_params_refuse_nan():
+    with pytest.raises(ValidationError, match="k1 must be non-negative, got nan"):
+        Bm25Params(k1=float("nan"))
+    with pytest.raises(ValidationError, match="b must be in"):
+        Bm25Params(b=float("nan"))
+
+
+@pytest.mark.parametrize("command", [["label"], ["curate", "artificial"], ["schedule"]])
+def test_an_empty_output_dir_exits_1_writing_nothing(tmp_path, capsys, monkeypatch, command):
+    """Path("") is the working directory: the echoed config.json would land there."""
+    monkeypatch.delenv("MEDQAKIT_OUTPUT_DIR", raising=False)
+    config = write_config(tmp_path, output_dir="")
+    monkeypatch.chdir(tmp_path)
+    code, err = run([*command, "--config", str(config)], capsys)
+    assert (code, err) == (1, "error: config output_dir: expected a path, got an empty string\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_an_empty_output_dir_flag_falls_back_to_the_env_and_the_file(tmp_path, monkeypatch):
+    write_sources(tmp_path)
+    config = write_config(tmp_path)
+    monkeypatch.delenv("MEDQAKIT_OUTPUT_DIR", raising=False)
+    assert main(["label", "--config", str(config), "--output-dir", ""]) == 0
+    assert (tmp_path / "out" / "d1.json").exists()
+    monkeypatch.setenv("MEDQAKIT_OUTPUT_DIR", str(tmp_path / "env_out"))
+    assert main(["label", "--config", str(config), "--output-dir", ""]) == 0
+    assert (tmp_path / "env_out" / "d1.json").exists()
 
 
 def test_a_repeated_schedule_flag_exits_1(tmp_path, capsys):

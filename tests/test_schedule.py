@@ -21,7 +21,8 @@ from medqakit import (
     make_target_split,
 )
 from medqakit import formats
-from medqakit.schedule import DEFAULT_HOLDOUT_FRACTIONS, get_schedule
+from medqakit import spool as spool_module
+from medqakit.schedule import DEFAULT_HOLDOUT_FRACTIONS, YESNO_SUBSETS, get_schedule, read_datasets
 
 from tests.conftest import tree_sha256
 
@@ -104,11 +105,16 @@ def ids(prefix, n):
     return [f"{prefix}{i:04d}" for i in range(n)]
 
 
+def train_ids(split, subset, all_ids):
+    """The ids of a subset that the split leaves for training."""
+    return set(all_ids) - set(split.test_by_subset[subset])
+
+
 class TestMakeTargetSplit:
     def test_ten_percent_of_thousand(self):
         split = make_target_split({DatasetSubsetId.D1: ids("a", 1000)}, SplitSpec(seed=13))
         assert len(split.test_by_subset[DatasetSubsetId.D1]) == 100
-        assert len(split.train_ids[DatasetSubsetId.D1]) == 900
+        assert len(train_ids(split, DatasetSubsetId.D1, ids("a", 1000))) == 900
 
     def test_d2_contributes_nothing(self):
         split = make_target_split(
@@ -116,7 +122,7 @@ class TestMakeTargetSplit:
             SplitSpec(seed=13),
         )
         assert split.test_by_subset[DatasetSubsetId.D2] == ()
-        assert len(split.train_ids[DatasetSubsetId.D2]) == 100
+        assert len(train_ids(split, DatasetSubsetId.D2, ids("b", 100))) == 100
 
     def test_same_seed_identical(self):
         datasets = {DatasetSubsetId.D1: ids("a", 200), DatasetSubsetId.D3: ids("c", 60)}
@@ -134,7 +140,7 @@ class TestMakeTargetSplit:
         datasets = {DatasetSubsetId.D1: ids("a", 137), DatasetSubsetId.D4: ids("d", 83)}
         split = make_target_split(datasets, SplitSpec(seed=7))
         for subset, all_ids in datasets.items():
-            train = set(split.train_ids[subset])
+            train = train_ids(split, subset, all_ids)
             test = set(split.test_by_subset[subset])
             assert train & test == set()
             assert train | test == set(all_ids)
@@ -425,3 +431,78 @@ def test_one_plan_reads_each_dataset_once_and_matches_each_schedule_alone(tmp_pa
                 assert len(kept) < len(lines)
                 data = "".join(kept).encode()
             assert together[name] == data, name
+
+
+def write_inputs(root, lists):
+    """Each dataset written to a file of its format; returns `path_of`."""
+    paths = {}
+    for subset, data in lists.items():
+        if subset in YESNO_SUBSETS:
+            paths[subset] = root / f"{subset.value}.jsonl"
+            formats.write_yesno(paths[subset], data)
+        else:
+            paths[subset] = root / f"{subset.value}.json"
+            formats.write_squad(paths[subset], data)
+    return paths.__getitem__
+
+
+FRACTIONS = [
+    DEFAULT_HOLDOUT_FRACTIONS,
+    {DatasetSubsetId.D2: 0.2, DatasetSubsetId.PQA_A: 0.25, DatasetSubsetId.PQA_L: 0.1},
+    {},
+]
+
+
+@pytest.mark.parametrize("fractions", FRACTIONS, ids=["default", "d2-pqa", "none"])
+@pytest.mark.parametrize("schedule_ids", [["1"], ["4", "baseline"], ["II"], ["2", "XII"]])
+def test_read_datasets_draws_the_split_and_folds_of_the_ids_it_reads(
+    materialized, tmp_path, fractions, schedule_ids
+):
+    subsets = {stage.subset for sid in schedule_ids for stage in get_schedule(sid).stages}
+    path_of = write_inputs(tmp_path, materialized)
+    with read_datasets(subsets, path_of, 13, fractions, tmp_path) as (datasets, split, folds):
+        assert set(datasets) == subsets
+    held = {s: [i.id for i in materialized[s]] for s in subsets if s in fractions}
+    assert split == (make_target_split(held, SplitSpec(13, fractions)) if held else None)
+    pqa_l = [i.id for i in materialized[DatasetSubsetId.PQA_L]]
+    assert folds == (make_folds(pqa_l, 13) if DatasetSubsetId.PQA_L in subsets else None)
+
+
+@pytest.fixture()
+def spools(monkeypatch):
+    """Every spool made from here on."""
+    made = []
+
+    class Recorded(spool_module.Spool):
+        def __init__(self, directory):
+            super().__init__(directory)
+            made.append(self)
+
+    monkeypatch.setattr(spool_module, "Spool", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("fault", [None, "truncated d4", "truncated pqa_l", "repeated d3 id"])
+def test_read_datasets_closes_its_spools(materialized, tmp_path, spools, fault):
+    lists = dict(materialized)
+    if fault == "repeated d3 id":
+        lists[DatasetSubsetId.D3] = [*lists[DatasetSubsetId.D3], lists[DatasetSubsetId.D3][0]]
+    path_of = write_inputs(tmp_path, lists)
+    if fault and fault.startswith("truncated"):
+        path = path_of(DatasetSubsetId(fault.split()[1]))
+        path.write_bytes(path.read_bytes()[:-20])
+    subsets = set(lists)
+    if fault is None:
+        with read_datasets(subsets, path_of, 13, DEFAULT_HOLDOUT_FRACTIONS, tmp_path) as read:
+            assert not any(spool._file.closed for spool in spools)
+        assert read[0][DatasetSubsetId.D1] in spools
+    else:
+        with pytest.raises(ValidationError):
+            with read_datasets(subsets, path_of, 13, DEFAULT_HOLDOUT_FRACTIONS, tmp_path):
+                raise AssertionError("the block ran")
+    # d1, d3 and d4 are spooled (d4 in part, when it is the fault)
+    assert len(spools) == 3
+    assert all(spool._file.closed for spool in spools)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        path_of(s).name for s in subsets
+    )
