@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .corpus import Sentence
@@ -23,16 +23,15 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 1.2
-    b: float = 0.75
+class Bm25Params(namedtuple("Bm25Params", "k1 b")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.k1 >= 0:  # NaN too
-            raise ValidationError(f"k1 must be non-negative, got {self.k1}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValidationError(f"b must be in [0, 1], got {self.b}")
+    def __new__(cls, k1: float = 1.2, b: float = 0.75):
+        if not k1 >= 0:  # NaN too
+            raise ValidationError(f"k1 must be non-negative, got {k1}")
+        if not 0.0 <= b <= 1.0:
+            raise ValidationError(f"b must be in [0, 1], got {b}")
+        return tuple.__new__(cls, (k1, b))
 
 
 def best_sentence(

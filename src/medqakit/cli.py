@@ -523,7 +523,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the I/O code here
+        if exc.code == 2:
+            return EXIT_VALIDATION
+        raise
     try:
         return args.func(args)
     except ContractViolation as exc:

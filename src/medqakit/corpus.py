@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import date
 from enum import Enum
 
@@ -34,108 +34,91 @@ class Provenance(str, Enum):
     PUBMED_ARTIFICIAL = "pubmed_artificial"
 
 
-@dataclass(frozen=True)
-class AbstractSection:
-    """One labelled section of a structured abstract.
+class AbstractSection(namedtuple("AbstractSection", "label text")):
+    """One labelled section of a structured abstract; label and text are str.
 
     Labels are canonical (uppercased, trimmed) after parsing. Empty sections
     are kept rather than dropped, so curation rules can reject the abstract
     deterministically.
     """
 
-    label: str
-    text: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StructuredAbstract:
-    pmid: str
-    title: str
-    pub_date: date | None
-    keywords: tuple[str, ...]
-    sections: tuple[AbstractSection, ...]
+class StructuredAbstract(
+    namedtuple("StructuredAbstract", "pmid title pub_date keywords sections")
+):
+    """pmid and title are str, pub_date a date or None; keywords and
+    sections are tuples of str and AbstractSection."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(namedtuple("Sentence", "text char_start char_end")):
     """A sentence with character offsets into its parent text.
 
     Invariant: parent[char_start:char_end] == text.
     """
 
-    text: str
-    char_start: int
-    char_end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.char_start < self.char_end):
-            raise ValidationError(
-                f"invalid sentence span [{self.char_start}, {self.char_end})"
-            )
-        if self.char_end - self.char_start != len(self.text):
+    def __new__(cls, text: str, char_start: int, char_end: int):
+        if not (0 <= char_start < char_end):
+            raise ValidationError(f"invalid sentence span [{char_start}, {char_end})")
+        if char_end - char_start != len(text):
             raise ValidationError("sentence span length does not match text")
+        return tuple.__new__(cls, (text, char_start, char_end))
 
 
-@dataclass(frozen=True)
-class QAPair:
+class QAPair(namedtuple("QAPair", "id question context answer_text answer_start subset provenance")):
     """An extractive training instance; the answer is anchored in the context."""
 
-    id: str
-    question: str
-    context: str
-    answer_text: str
-    answer_start: int
-    subset: DatasetSubsetId
-    provenance: Provenance
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.question.strip():
-            raise ValidationError(f"{self.id}: question is empty")
-        if not self.context:
-            raise ValidationError(f"{self.id}: context is empty")
-        end = self.answer_start + len(self.answer_text)
-        if self.answer_start < 0 or end > len(self.context) or (
-            self.context[self.answer_start : end] != self.answer_text
-        ):
+    def __new__(cls, id: str, question: str, context: str, answer_text: str, answer_start: int,
+                subset: DatasetSubsetId, provenance: Provenance):
+        if not question.strip():
+            raise ValidationError(f"{id}: question is empty")
+        if not context:
+            raise ValidationError(f"{id}: context is empty")
+        end = answer_start + len(answer_text)
+        if answer_start < 0 or end > len(context) or context[answer_start:end] != answer_text:
             raise ValidationError(
-                f"{self.id}: answer span [{self.answer_start}:{end}] "
-                "does not reproduce answer_text"
+                f"{id}: answer span [{answer_start}:{end}] does not reproduce answer_text"
             )
+        return tuple.__new__(
+            cls, (id, question, context, answer_text, answer_start, subset, provenance)
+        )
 
 
-@dataclass(frozen=True)
-class YesNoInstance:
+class YesNoInstance(namedtuple("YesNoInstance", "id question context label")):
     """A yes/no classification training instance."""
 
-    id: str
-    question: str
-    context: str
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.label not in ("yes", "no"):
-            raise ValidationError(f"{self.id}: label must be 'yes' or 'no', got {self.label!r}")
-        if not self.question.strip():
-            raise ValidationError(f"{self.id}: question is empty")
-        if not self.context.strip():
-            raise ValidationError(f"{self.id}: context is empty")
+    def __new__(cls, id: str, question: str, context: str, label: str):
+        if label not in ("yes", "no"):
+            raise ValidationError(f"{id}: label must be 'yes' or 'no', got {label!r}")
+        if not question.strip():
+            raise ValidationError(f"{id}: question is empty")
+        if not context.strip():
+            raise ValidationError(f"{id}: context is empty")
+        return tuple.__new__(cls, (id, question, context, label))
 
 
-@dataclass(frozen=True)
-class SourceInstance:
-    """Raw yes/no-style source record; context may still be degenerate."""
+class SourceInstance(namedtuple("SourceInstance", "id question context label", defaults=(None,))):
+    """Raw yes/no-style source record; context may still be degenerate.
+    Each field is a str; label may also be None."""
 
-    id: str
-    question: str
-    context: str
-    label: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Prediction:
-    id: str
-    predicted_text: str | None = None
-    predicted_label: str | None = None
+class Prediction(
+    namedtuple("Prediction", "id predicted_text predicted_label", defaults=(None, None))
+):
+    """Each field is a str; the predicted ones may also be None."""
+
+    __slots__ = ()
 
 
 _ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")

@@ -11,7 +11,7 @@ import bisect
 import itertools
 import logging
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -52,46 +52,48 @@ REVIEW_QUEUE_COLUMNS = ("question", "pmid", "sentence_index", "sentence_text", "
 _INDEX_RE = re.compile("[0-9]+")
 
 
-@dataclass(frozen=True)
-class QuestionTemplate:
+class QuestionTemplate(namedtuple("QuestionTemplate", "template_id pattern slot_types")):
     """A question pattern with typed slots, e.g. "... with [CONDITION] ..."."""
 
-    template_id: str
-    pattern: str
-    slot_types: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        slots = _SLOT_RE.findall(self.pattern)
+    def __new__(cls, template_id: str, pattern: str, slot_types: tuple[str, ...]):
+        slots = _SLOT_RE.findall(pattern)
         if not slots:
-            raise ConfigError(f"template {self.template_id}: pattern declares no slots")
-        if len(slots) != len(self.slot_types):
+            raise ConfigError(f"template {template_id}: pattern declares no slots")
+        if len(slots) != len(slot_types):
             raise ConfigError(
-                f"template {self.template_id}: {len(slots)} slots in pattern "
-                f"but {len(self.slot_types)} slot types declared"
+                f"template {template_id}: {len(slots)} slots in pattern "
+                f"but {len(slot_types)} slot types declared"
             )
+        return tuple.__new__(cls, (template_id, pattern, slot_types))
 
 
-@dataclass(frozen=True)
-class ParameterVocabulary:
+class ParameterVocabulary(namedtuple("ParameterVocabulary", "name values aliases")):
     """Named value list for template slots.
 
     Values are strings, or fixed-length tuples for vocabularies that bind
-    several slots at once (e.g. treatment/condition pairs). Aliases map a
-    value to alternate spellings used for matching and search queries.
+    several slots at once (e.g. treatment/condition pairs); repeats are
+    dropped, case-insensitively, keeping the first. Aliases map a value to
+    alternate spellings used for matching and search queries.
     """
 
-    name: str
-    values: tuple[str | tuple[str, ...], ...]
-    aliases: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ConfigError(f"vocabulary {self.name!r} has no values")
-        paired = isinstance(self.values[0], tuple)
-        for v in self.values:
+    def __new__(
+        cls,
+        name: str,
+        values: tuple[str | tuple[str, ...], ...],
+        aliases: Mapping[str, tuple[str, ...]] | None = None,
+    ):
+        if not values:
+            raise ConfigError(f"vocabulary {name!r} has no values")
+        paired = isinstance(values[0], tuple)
+        for v in values:
             if isinstance(v, tuple) != paired:
-                raise ConfigError(f"vocabulary {self.name!r} mixes plain and paired values")
-        object.__setattr__(self, "values", _dedupe_case_insensitive(self.values))
+                raise ConfigError(f"vocabulary {name!r} mixes plain and paired values")
+        values = _dedupe_case_insensitive(values)
+        return tuple.__new__(cls, (name, values, {} if aliases is None else aliases))
 
     @property
     def is_paired(self) -> bool:
@@ -101,34 +103,35 @@ class ParameterVocabulary:
         return (value,) + tuple(self.aliases.get(value, ()))
 
 
-@dataclass(frozen=True)
-class InstantiatedQuestion:
-    question: str
-    template_id: str
-    parameters: tuple[str, ...]
+class InstantiatedQuestion(
+    namedtuple("InstantiatedQuestion", "question template_id parameters")
+):
+    """question: str, template_id: str, parameters: tuple[str, ...]."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CovidFilterPolicy:
-    phrases: tuple[str, ...] = COVID_PHRASES
-    cutoff_date: date = COVID_CUTOFF_DATE
+class CovidFilterPolicy(namedtuple("CovidFilterPolicy", "phrases cutoff_date")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_one_line("covid filter phrase", self.phrases)
+    def __new__(
+        cls, phrases: tuple[str, ...] = COVID_PHRASES, cutoff_date: date = COVID_CUTOFF_DATE
+    ):
+        check_one_line("covid filter phrase", phrases)
+        return tuple.__new__(cls, (phrases, cutoff_date))
 
 
-@dataclass(frozen=True)
-class CurationCandidate:
+class CurationCandidate(
+    namedtuple("CurationCandidate", "question pmid context candidate_sentences")
+):
     """One (question, abstract) pair awaiting manual answer selection.
 
-    candidate_sentences carry offsets into context, the whitespace-normalized
-    concatenation of the abstract's results/conclusion sections.
+    candidate_sentences, a tuple of Sentence, carry offsets into context,
+    the whitespace-normalized concatenation of the abstract's
+    results/conclusion sections.
     """
 
-    question: str
-    pmid: str
-    context: str
-    candidate_sentences: tuple[Sentence, ...]
+    __slots__ = ()
 
 
 def _dedupe_case_insensitive(values: Iterable) -> tuple:

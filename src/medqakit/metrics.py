@@ -3,7 +3,7 @@ accuracy for yes/no QA."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, pairwise
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -12,14 +12,15 @@ from .corpus import Prediction, QAPair, YesNoInstance, normalize_answer
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Aggregate scores; EM and F1 are percentages, accuracy is a fraction."""
+class EvalReport(
+    namedtuple("EvalReport", "n exact_match f1 accuracy", defaults=(None, None, None))
+):
+    """Aggregate scores; EM and F1 are percentages, accuracy is a fraction.
 
-    n: int
-    exact_match: float | None = None
-    f1: float | None = None
-    accuracy: float | None = None
+    n is an int; exact_match, f1 and accuracy are float | None.
+    """
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         out: dict = {"n": self.n}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import partial
 from importlib import resources
@@ -36,17 +36,15 @@ class MorphemeType(str, Enum):
 _TYPE_ORDER = (MorphemeType.PREFIX, MorphemeType.ROOT, MorphemeType.TERMINAL)
 
 
-@dataclass(frozen=True)
-class MorphemeEntry:
-    morpheme: str
-    meaning: str
-    mtype: MorphemeType
+class MorphemeEntry(namedtuple("MorphemeEntry", "morpheme meaning mtype")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.morpheme.isalpha() or self.morpheme != self.morpheme.lower():
-            raise ValidationError(f"morpheme must be lowercase alphabetic: {self.morpheme!r}")
-        if not self.meaning.strip():
-            raise ValidationError(f"morpheme {self.morpheme!r} has an empty meaning")
+    def __new__(cls, morpheme: str, meaning: str, mtype: MorphemeType):
+        if not morpheme.isalpha() or morpheme != morpheme.lower():
+            raise ValidationError(f"morpheme must be lowercase alphabetic: {morpheme!r}")
+        if not meaning.strip():
+            raise ValidationError(f"morpheme {morpheme!r} has an empty meaning")
+        return tuple.__new__(cls, (morpheme, meaning, mtype))
 
 
 class MorphemeLexicon:
@@ -137,17 +135,16 @@ def default_morpheme_lexicon() -> MorphemeLexicon:
     return MorphemeLexicon(_parse_morpheme_lines(text.splitlines(), "neoclassical_forms.txt"))
 
 
-@dataclass(frozen=True)
 class LemmaLexicon:
     """Exception table consulted before the built-in suffix rules.
 
-    The transforms keep each token's lemma on the instance.
+    The transforms keep each token's lemma on the instance: the word table
+    per (target, constituent mode) is a memo shared by every caller.
     """
 
-    exceptions: Mapping[str, str]
-    _tables: dict[tuple[TransformTarget, bool], _Table] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, exceptions: Mapping[str, str]):
+        self.exceptions = exceptions
+        self._tables: dict[tuple[TransformTarget, bool], _Table] = {}
 
 
 _VOWELS = "aeiou"
@@ -271,23 +268,21 @@ def default_lemma_lexicon() -> LemmaLexicon:
     return lexicon
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "word parts")):
     """A full segmentation of a word into combining-form parts.
 
     Parts follow the pattern prefix? root root? terminal?, concatenate back
     to the word exactly, and always include at least one root.
     """
 
-    word: str
-    parts: tuple[MorphemeEntry, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if "".join(p.morpheme for p in self.parts) != self.word:
-            raise ValidationError(f"parts do not concatenate to {self.word!r}")
-        if not 1 <= len(self.parts) <= 4:
+    def __new__(cls, word: str, parts: tuple[MorphemeEntry, ...]):
+        if "".join(p.morpheme for p in parts) != word:
+            raise ValidationError(f"parts do not concatenate to {word!r}")
+        if not 1 <= len(parts) <= 4:
             raise ValidationError("decompositions have between 1 and 4 parts")
-        types = [p.mtype for p in self.parts]
+        types = [p.mtype for p in parts]
         if MorphemeType.ROOT not in types:
             raise ValidationError("decomposition needs at least one root")
         if types != sorted(types, key=_TYPE_ORDER.index):
@@ -296,6 +291,7 @@ class Decomposition:
             raise ValidationError("at most one prefix and one terminal allowed")
         if types.count(MorphemeType.ROOT) > 2:
             raise ValidationError("at most two roots allowed")
+        return tuple.__new__(cls, (word, parts))
 
 
 # The grammar prefix? root root? terminal? as states of one walk: from each
@@ -388,23 +384,23 @@ class TransformTarget(str, Enum):
     NEO_MEANING = "neo_meaning"
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    kind: TransformKind
-    target: TransformTarget
+class TransformSpec(namedtuple("TransformSpec", "kind target")):
+    """kind: TransformKind, target: TransformTarget."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TransformChain:
-    specs: tuple[TransformSpec, ...]
+class TransformChain(namedtuple("TransformChain", "specs")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        targets = [s.target for s in self.specs]
+    def __new__(cls, specs: tuple[TransformSpec, ...]):
+        targets = [s.target for s in specs]
         if len(set(targets)) != len(targets):
             raise ConfigError("at most one transformation per feature source")
         if TransformTarget.NEO_FORM in targets and TransformTarget.NEO_MEANING in targets:
             if targets.index(TransformTarget.NEO_FORM) > targets.index(TransformTarget.NEO_MEANING):
                 raise ConfigError("form expansion must precede meaning substitution")
+        return tuple.__new__(cls, (specs,))
 
 
 def _feature_value(

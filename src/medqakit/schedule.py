@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import logging
 import random
+from collections import namedtuple
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
 from itertools import pairwise
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -43,33 +43,32 @@ YESNO_SUBSETS = (DatasetSubsetId.PQA_A, DatasetSubsetId.PQA_L)
 _TRANSFORM_BATCH = 256
 
 
-@dataclass(frozen=True)
-class StageSpec:
-    stage_index: int
-    subset: DatasetSubsetId
-    chain: TransformChain | None = None
+class StageSpec(namedtuple("StageSpec", "stage_index subset chain")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.stage_index < 1:
+    def __new__(
+        cls, stage_index: int, subset: DatasetSubsetId, chain: TransformChain | None = None
+    ):
+        if stage_index < 1:
             raise ValidationError("stage_index starts at 1")
-        if self.chain is not None and self.subset not in YESNO_SUBSETS:
+        if chain is not None and subset not in YESNO_SUBSETS:
             raise ValidationError(
-                f"stage {self.stage_index}: transform chains apply to yes/no subsets only, "
-                f"not {self.subset.value!r}"
+                f"stage {stage_index}: transform chains apply to yes/no subsets only, "
+                f"not {subset.value!r}"
             )
+        return tuple.__new__(cls, (stage_index, subset, chain))
 
 
-@dataclass(frozen=True)
-class Schedule:
-    schedule_id: str
-    stages: tuple[StageSpec, ...]
+class Schedule(namedtuple("Schedule", "schedule_id stages")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.stages:
-            raise ValidationError(f"schedule {self.schedule_id}: no stages")
-        indices = [s.stage_index for s in self.stages]
+    def __new__(cls, schedule_id: str, stages: tuple[StageSpec, ...]):
+        if not stages:
+            raise ValidationError(f"schedule {schedule_id}: no stages")
+        indices = [s.stage_index for s in stages]
         if indices != sorted(set(indices)):
-            raise ValidationError(f"schedule {self.schedule_id}: stage indices must increase")
+            raise ValidationError(f"schedule {schedule_id}: stage indices must increase")
+        return tuple.__new__(cls, (schedule_id, stages))
 
 
 _EXTRACTIVE_STAGES: dict[str, tuple[str, ...]] = {
@@ -129,25 +128,26 @@ def get_schedule(schedule_id: str) -> Schedule:
     return schedule
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    seed: int
-    fractions: Mapping[DatasetSubsetId, float] = field(
-        default_factory=lambda: dict(DEFAULT_HOLDOUT_FRACTIONS)
-    )
+class SplitSpec(namedtuple("SplitSpec", "seed fractions")):
+    """Held-out fraction per subset; each instance gets its own copy of the
+    default fractions."""
 
-    def __post_init__(self) -> None:
-        for subset, fraction in self.fractions.items():
+    __slots__ = ()
+
+    def __new__(cls, seed: int, fractions: Mapping[DatasetSubsetId, float] | None = None):
+        if fractions is None:
+            fractions = dict(DEFAULT_HOLDOUT_FRACTIONS)
+        for subset, fraction in fractions.items():
             if not 0.0 < fraction < 1.0:
                 raise ValidationError(f"holdout fraction for {subset} must be in (0, 1)")
+        return tuple.__new__(cls, (seed, fractions))
 
 
-@dataclass(frozen=True)
-class TargetSplit:
-    """Held-out test ids per subset."""
+class TargetSplit(namedtuple("TargetSplit", "seed test_by_subset")):
+    """Held-out test ids per subset: seed, an int, and test_by_subset, a
+    dict of DatasetSubsetId to tuple[str, ...]."""
 
-    seed: int
-    test_by_subset: dict[DatasetSubsetId, tuple[str, ...]]
+    __slots__ = ()
 
     @property
     def test_ids(self) -> frozenset[str]:
@@ -191,15 +191,15 @@ def make_target_split(
     return TargetSplit(seed=spec.seed, test_by_subset=test_by_subset)
 
 
-@dataclass(frozen=True)
-class FoldSpec:
+class FoldSpec(namedtuple("FoldSpec", "n_folds pool reserved_test folds")):
     """Cross-validation layout: a sampled pool split into folds plus a
-    reserved test half."""
+    reserved test half.
 
-    n_folds: int
-    pool: tuple[str, ...]
-    reserved_test: tuple[str, ...]
-    folds: tuple[tuple[str, ...], ...]
+    n_folds is an int; pool and reserved_test are tuple[str, ...], folds a
+    tuple of them.
+    """
+
+    __slots__ = ()
 
     def train_ids(self, fold: int) -> tuple[str, ...]:
         held = set(self.folds[fold])

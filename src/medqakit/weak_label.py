@@ -10,7 +10,7 @@ the selected sentence stops tracking the question's content words.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .bm25 import Bm25Params, best_sentence
@@ -38,12 +38,13 @@ PRIME_SUBSET: dict[DatasetSubsetId, DatasetSubsetId] = {
 }
 
 
-@dataclass(frozen=True)
-class WeakLabelRecord:
-    pair: QAPair
-    source_subset: DatasetSubsetId
-    bm25_score: float
-    n_candidates: int
+class WeakLabelRecord(
+    namedtuple("WeakLabelRecord", "pair source_subset bm25_score n_candidates")
+):
+    """pair: QAPair, source_subset: DatasetSubsetId, bm25_score: float,
+    n_candidates: int."""
+
+    __slots__ = ()
 
 
 def select_answer_sentence(

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -747,3 +748,44 @@ def test_too_long_json_integer_exits_1_naming_the_file(
     err = capsys.readouterr().err
     assert "error: " in err and f"{name}{where}: malformed JSON: " in err
     assert "Traceback" not in err
+
+
+# (case, argv, part of argparse's message); each is a usage error.
+USAGE_ERRORS = [
+    ("bad --seed", ["label", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    # argparse reads "-nan" as an option, so --k1 has no value
+    ("--k1 -nan", ["label", "--k1", "-nan"], "argument --k1: expected one argument"),
+    ("unknown command", ["relabel"], "invalid choice"),
+    ("eval without --task", ["eval", "gold.json", "predictions.jsonl"],
+     "the following arguments are required: --task"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", [c[1:] for c in USAGE_ERRORS], ids=[c[0] for c in USAGE_ERRORS]
+)
+def test_usage_error_exits_1_with_the_usage_on_stderr(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: medqakit")
+    assert message in captured.err
+
+
+def test_usage_error_is_the_process_exit_code(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "medqakit.cli", "label", "--seed", "abc"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "argument --seed: invalid int value: 'abc'" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["eval", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out

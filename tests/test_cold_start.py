@@ -1,6 +1,7 @@
-"""Cold start: each command imports only the modules it runs, `import
-medqakit` imports none and keeps every name, short digests need no OpenSSL,
-and the config defaults agree with the modules they stand in for.
+"""Cold start: each command imports only the modules it runs and never
+`dataclasses`, `import medqakit` imports none and keeps every name, short
+digests need no OpenSSL, and the config defaults agree with the modules
+they stand in for.
 
 The contract is checked on `sys.modules` in a fresh interpreter per
 command, not on timings."""
@@ -98,6 +99,9 @@ def test_each_command_imports_only_the_modules_it_runs(loaded, command):
     assert needed in medqakit_modules
     assert not medqakit_modules & forbidden, sorted(medqakit_modules & forbidden)
     assert "_hashlib" not in loaded[command]
+    # records are named tuples; `inspect` is not checked, since from 3.12
+    # `importlib.resources` (morph, the template loader) imports it
+    assert "dataclasses" not in loaded[command]
 
 
 def test_import_medqakit_imports_no_submodule(tmp_path):

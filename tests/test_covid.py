@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -335,9 +334,9 @@ class TestReviewQueue:
             first = candidate.candidate_sentences[0]
             text = first.text[:5] + char + first.text[6:]
             sentences = (Sentence(text, first.char_start, first.char_end),)
-            candidate = replace(candidate, candidate_sentences=sentences)
+            candidate = candidate._replace(candidate_sentences=sentences)
         else:
-            candidate = replace(candidate, **{field: f"a{char}b"})
+            candidate = candidate._replace(**{field: f"a{char}b"})
         path = tmp_path / "queue.tsv"
         path.write_text("earlier queue\n")
         with pytest.raises(ValidationError) as raised:
