@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import closing
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -40,8 +41,6 @@ from .errors import (
     check,
     expected,
 )
-
-log = logging.getLogger(__name__)
 
 ENV_OUTPUT_DIR = "MEDQAKIT_OUTPUT_DIR"
 
@@ -455,13 +454,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         golds = formats.iter_squad(Path(args.gold), subset=DatasetSubsetId.D1)
     else:
         golds = formats.iter_yesno(Path(args.gold))
-    try:
-        # no reference to the predictions is kept here, so evaluate can drop them
-        report = _cli.evaluate(
-            golds, formats.read_predictions(Path(args.predictions)), args.task
-        )
-    except ScoringError as exc:
-        raise ValidationError(f"{args.predictions} against {args.gold}: {exc}") from exc
+    predictions = formats.read_predictions(Path(args.predictions))
+    # evaluate reads both files in step; each is closed here on every exit,
+    # also when the other one or the scoring fails first
+    with closing(golds), closing(predictions):
+        try:
+            report = _cli.evaluate(golds, predictions, args.task)
+        except ScoringError as exc:
+            raise ValidationError(f"{args.predictions} against {args.gold}: {exc}") from exc
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -646,9 +646,12 @@ def _prediction(raw: dict) -> Prediction:
     return Prediction(id=pred_id, predicted_text=text, predicted_label=label)
 
 
-def read_predictions(path: str | Path) -> list[Prediction]:
-    """Load predictions JSONL: {id, predicted_text} or {id, predicted_label}.
+def read_predictions(path: str | Path) -> Iterator[Prediction]:
+    """The predictions of a JSONL file, one line at a time: {id,
+    predicted_text} or {id, predicted_label}.
 
     id and predicted_text must be JSON strings, predicted_label "yes" or "no".
+    The file is opened when the first prediction is taken, and a faulty line
+    raises when it is read.
     """
-    return list(_iter_jsonl(Path(path), ("id",), _prediction))
+    return _iter_jsonl(Path(path), ("id",), _prediction)

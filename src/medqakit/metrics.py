@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain, pairwise
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .corpus import Prediction, QAPair, YesNoInstance, normalize_answer
@@ -90,32 +90,44 @@ def evaluate(
     a fraction in [0, 1]. Gold ids must be unique, and every gold id needs
     exactly one prediction.
 
-    The predictions are indexed as id -> predicted text (or label) and then
-    dropped, so a caller that keeps no reference to them frees them here.
-    The golds are taken in one pass, each scored as it comes, so they may
-    come straight from a reader's generator; only each gold's id and scores
-    are kept, and the sums run in gold id order. Errors of the golds' own
-    iterable pass through. Every other raises a ScoringError, the first of:
-    no gold, repeated gold ids, repeated prediction ids, ids that do not
-    align, and the smallest gold id whose prediction lacks the field its
-    task scores.
+    Both are taken in one pass, in step, so both may come straight from a
+    reader's generator. Each gold takes its prediction from those read
+    ahead of it, or else reads on until its id comes up. Only a prediction
+    read before its gold is held, as its id and predicted text (or label),
+    and of each gold only its id and scores, so that the sums run in gold
+    id order. The predictions after the last gold are read too. A fault of
+    either iterable passes through when it is read; every other error is
+    raised once the last prediction is read, as a ScoringError, the first
+    of: no gold, repeated gold ids, repeated prediction ids, ids that do
+    not align, and the smallest gold id whose prediction lacks the field
+    its task scores.
     """
     if task not in ("extractive", "yesno"):
         raise ScoringError(f"unknown task {task!r}; expected 'extractive' or 'yesno'")
     extractive = task == "extractive"
-    predicted: dict[str, str | None] = {}
-    n_predictions = 0
-    for p in predictions:
-        predicted[p.id] = p.predicted_text if extractive else p.predicted_label
-        n_predictions += 1
-    del predictions
-    repeated_predictions = len(predicted) != n_predictions
+    field = "predicted_text" if extractive else "predicted_label"
+    incoming = map(attrgetter("id", field), predictions)
+    ahead: dict[str, str | None] = {}  # predictions read before their gold
+    repeated_predictions = False
+
+    def read_until(gold_id: object) -> object:
+        """The value of gold_id's prediction, read on from the stream; every
+        prediction passed on the way goes into `ahead`."""
+        nonlocal repeated_predictions
+        for pred_id, value in incoming:
+            if pred_id == gold_id:
+                return value
+            repeated_predictions |= pred_id in ahead
+            ahead[pred_id] = value
+        return _NO_PREDICTION
 
     scores: list[tuple] = []  # (gold id, em, f1) or (gold id, correct)
     unpredicted: list[str] = []  # gold ids without a prediction
     unscorable: list[str] = []  # gold ids whose prediction lacks the scored field
     for gold in golds:
-        value = predicted.pop(gold.id, _NO_PREDICTION)
+        value = ahead.pop(gold.id, _NO_PREDICTION)
+        if value is _NO_PREDICTION:
+            value = read_until(gold.id)
         if value is _NO_PREDICTION:
             unpredicted.append(gold.id)
         elif value is None:
@@ -128,6 +140,7 @@ def evaluate(
             scores.append((gold.id, em, _f1(normalized.split(), gold_normalized.split())))
         else:
             scores.append((gold.id, int(value == gold.label)))
+    read_until(_NO_PREDICTION)  # no id is that object: the rest goes into `ahead`
 
     scores.sort(key=itemgetter(0))
     gold_ids = sorted(chain(map(itemgetter(0), scores), unpredicted, unscorable))
@@ -136,16 +149,17 @@ def evaluate(
     repeated = sorted({a for a, b in pairwise(gold_ids) if a == b})
     if repeated:
         raise ScoringError(f"duplicate gold ids: {repeated}")
-    if repeated_predictions:
+    # A prediction left in `ahead` under a gold id is a second one: that gold
+    # took the first (had it found none, the stream was already at its end).
+    if repeated_predictions or not ahead.keys().isdisjoint(gold_ids):
         raise ScoringError("duplicate prediction ids")
-    # with unique ids, what is left of `predicted` is the extra predictions
-    if unpredicted or predicted:
+    # with unique ids, what is left in `ahead` is the extra predictions
+    if unpredicted or ahead:
         raise ScoringError(
             "prediction ids do not align with gold ids: "
-            f"missing={sorted(unpredicted)} extra={sorted(predicted)}"
+            f"missing={sorted(unpredicted)} extra={sorted(ahead)}"
         )
     if unscorable:
-        field = "predicted_text" if extractive else "predicted_label"
         raise ScoringError(f"{min(unscorable)}: prediction has no {field}")
 
     n = len(scores)

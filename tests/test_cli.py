@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -642,6 +643,101 @@ class TestEvalCommand:
         assert captured.err == f"error: {preds} against {gold}: duplicate gold ids: ['x']\n"
 
 
+# Rows of a yes/no gold file and of a predictions file for eval's reading order.
+GOLD_ROW = '{"id": "%s", "question": "Q?", "context": "A.", "label": "yes"}'
+PREDICTION_ROW = '{"id": "%s", "predicted_label": "yes"}'
+BAD_ROW = '{"id": "%s", "label": "yes"'
+
+
+def write_eval_files(root: Path, gold_rows, prediction_rows) -> tuple[Path, Path]:
+    gold, preds = root / "gold.jsonl", root / "preds.jsonl"
+    gold.write_text("".join(row + "\n" for row in gold_rows))
+    preds.write_text("".join(row + "\n" for row in prediction_rows))
+    return gold, preds
+
+
+def recorded_readers(monkeypatch, *names) -> list:
+    """Make formats' readers of these names keep each stream they return in
+    the list returned here."""
+    readers = []
+
+    def recording(reader):
+        return lambda path, **kw: readers.append(reader(path, **kw)) or readers[-1]
+
+    for name in names:
+        monkeypatch.setattr(formats, name, recording(getattr(formats, name)))
+    return readers
+
+
+class TestEvalReadingOrder:
+    """eval reads the golds and the predictions in step: each gold, then the
+    predictions up to its own; so when both files are faulty, the fault read
+    first is reported."""
+
+    @pytest.mark.parametrize(
+        "gold_rows, prediction_rows, faulty",
+        [
+            # the first gold is read before any prediction
+            ([BAD_ROW % "a"], [BAD_ROW % "a"], "gold"),
+            # the first gold's prediction is read before the second gold
+            ([GOLD_ROW % "a", BAD_ROW % "b"], [BAD_ROW % "a"], "preds"),
+            ([GOLD_ROW % "a", BAD_ROW % "b"], [PREDICTION_ROW % "a", BAD_ROW % "b"], "gold"),
+            # a prediction of another id is read on past, up to the fault
+            ([GOLD_ROW % "a", BAD_ROW % "b"], [PREDICTION_ROW % "z", BAD_ROW % "a"], "preds"),
+        ],
+    )
+    def test_the_fault_read_first_is_reported(
+        self, tmp_path, capsys, gold_rows, prediction_rows, faulty
+    ):
+        gold, preds = write_eval_files(tmp_path, gold_rows, prediction_rows)
+        assert main(["eval", str(gold), str(preds), "--task", "yesno"]) == 1
+        path, line = (gold, len(gold_rows)) if faulty == "gold" else (preds, len(prediction_rows))
+        assert capsys.readouterr().err.startswith(f"error: {path} line {line}: malformed JSON: ")
+
+    def test_every_prediction_is_read_before_a_scoring_error(self, tmp_path, capsys):
+        rows = [PREDICTION_ROW % "z", PREDICTION_ROW % "a", BAD_ROW % "y"]
+        gold, preds = write_eval_files(tmp_path, [GOLD_ROW % "a"], rows)
+        assert main(["eval", str(gold), str(preds), "--task", "yesno"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {preds} line 3: malformed JSON: ")
+
+    @pytest.mark.parametrize(
+        "gold_rows, prediction_rows, message",
+        [
+            ([GOLD_ROW % "a", BAD_ROW % "b"], [PREDICTION_ROW % "a", PREDICTION_ROW % "b"],
+             "gold.jsonl line 2: malformed JSON"),
+            ([GOLD_ROW % "a", GOLD_ROW % "b"], [PREDICTION_ROW % "a", BAD_ROW % "b"],
+             "preds.jsonl line 2: malformed JSON"),
+            ([GOLD_ROW % "a", GOLD_ROW % "b"], [PREDICTION_ROW % "b", PREDICTION_ROW % "z"],
+             "do not align with gold ids: missing=['a'] extra=['z']"),
+        ],
+        ids=["gold fault", "prediction fault", "misaligned ids"],
+    )
+    def test_both_readers_are_closed_on_a_fault(
+        self, tmp_path, capsys, monkeypatch, gold_rows, prediction_rows, message
+    ):
+        """A reader left in the middle of its file by the other's fault is
+        closed before main returns, not when the traceback is freed."""
+        readers = recorded_readers(monkeypatch, "iter_yesno", "read_predictions")
+        gold, preds = write_eval_files(tmp_path, gold_rows, prediction_rows)
+        assert main(["eval", str(gold), str(preds), "--task", "yesno"]) == 1
+        assert message in capsys.readouterr().err
+        assert [inspect.getgeneratorstate(r) for r in readers] == [inspect.GEN_CLOSED] * 2
+
+    def test_squad_gold_fault_after_the_first_article_closes_the_predictions(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        qa = {"id": "a", "question": "Q?", "answers": [{"text": "A.", "answer_start": 0}]}
+        article = {"paragraphs": [{"context": "A.", "qas": [qa]}]}
+        gold = tmp_path / "gold.json"
+        gold.write_text(json.dumps({"data": [article, 1]}))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "a", "predicted_text": "A."}\n' * 2)
+        readers = recorded_readers(monkeypatch, "read_predictions")
+        assert main(["eval", str(gold), str(preds), "--task", "extractive"]) == 1
+        assert "data[1]: expected a JSON object, got number" in capsys.readouterr().err
+        assert inspect.getgeneratorstate(readers[0]) == inspect.GEN_CLOSED
+
+
 class TestDeterminismAndOverrides:
     def test_rerun_byte_identical(self, workspace):
         root, config = workspace
@@ -683,7 +779,8 @@ NON_UTF8_INPUTS = [
     ("templates", "templates.json", ["curate", "templates-export"]),
     ("review_queue", "reviewed.tsv", ["curate", "templates-import", "--review", "{file}"]),
     ("gold", "gold.json", ["eval", "{file}", "predictions.jsonl", "--task", "extractive"]),
-    ("predictions", "predictions.jsonl", ["eval", "gold.json", "{file}", "--task", "yesno"]),
+    # eval reads a prediction once it has read a gold, so the gold file must be valid
+    ("predictions", "predictions.jsonl", ["eval", "pqa_l.jsonl", "{file}", "--task", "yesno"]),
 ]
 
 

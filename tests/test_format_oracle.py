@@ -199,7 +199,8 @@ def oracle_squad_pairs(path, document, subset):
 JSONL_READERS = {
     "yesno": (formats.read_yesno, SOURCE_FIELDS, oracle_yesno_instance),
     "source": (formats.read_source_instances, SOURCE_FIELDS, oracle_source_instance),
-    "predictions": (formats.read_predictions, ("id",), oracle_prediction),
+    # a stream, listed here so that every fault raises in the call
+    "predictions": (lambda path: list(formats.read_predictions(path)), ("id",), oracle_prediction),
 }
 
 

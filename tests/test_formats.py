@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from medqakit import (
     DatasetSubsetId,
     ParseError,
+    Prediction,
     Provenance,
     QAPair,
     ValidationError,
@@ -330,15 +331,23 @@ class TestPredictionsReader:
         path.write_text(
             '{"id":"a","predicted_text":"x"}\n{"id":"b","predicted_label":"yes"}\n'
         )
-        preds = read_predictions(path)
+        preds = list(read_predictions(path))
         assert preds[0].predicted_text == "x"
         assert preds[1].predicted_label == "yes"
+
+    def test_a_stream_that_reads_each_line_when_taken(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        preds = read_predictions(path)  # no file yet: nothing is opened until a take
+        path.write_text('{"id":"a","predicted_text":"x"}\n{"id":"b"}\n')
+        assert next(preds) == Prediction(id="a", predicted_text="x")
+        with pytest.raises(ValidationError, match="preds.jsonl line 2: need predicted_text"):
+            next(preds)
 
     def test_shapeless_row_rejected(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         path.write_text('{"id":"a"}\n')
         with pytest.raises(ValidationError):
-            read_predictions(path)
+            list(read_predictions(path))
 
     @pytest.mark.parametrize(
         "row, field",
@@ -358,7 +367,7 @@ class TestPredictionsReader:
         path = tmp_path / "preds.jsonl"
         path.write_text('{"id":"a","predicted_text":"x"}\n' + row + "\n")
         with pytest.raises(ParseError, match=f"preds.jsonl line 2: field {field}"):
-            read_predictions(path)
+            list(read_predictions(path))
 
 
 def squad_file(tmp_path, paragraph):

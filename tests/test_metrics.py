@@ -366,3 +366,95 @@ class TestStreamedEvaluateOracle:
                 evaluate(iter(golds), predictions, "extractive")
             with pytest.raises(ScoringError, match=message):
                 oracle_evaluate(golds, predictions, "extractive")
+
+
+def gold_of(task, gold_id, draw):
+    if task == "yesno":
+        return YesNoInstance(id=gold_id, question="q?", context="c", label=draw(LABELS))
+    answer = draw(ANSWER_TEXT.filter(str.strip))
+    return QAPair(id=gold_id, question="Q?", context="C " + answer, answer_text=answer,
+                  answer_start=2, subset=DatasetSubsetId.D1, provenance=Provenance.BM25_WEAK)
+
+
+def prediction_of(task, pred_id, draw):
+    value = draw(LABELS) if task == "yesno" else draw(ANSWER_TEXT)
+    other = draw(st.none() | LABELS) if task == "extractive" else draw(st.none() | ANSWER_TEXT)
+    if task == "yesno":
+        return Prediction(id=pred_id, predicted_text=other, predicted_label=value)
+    return Prediction(id=pred_id, predicted_text=value, predicted_label=other)
+
+
+ARRANGEMENTS = ["gold order", "reversed", "shuffled", "one far ahead", "one far behind"]
+FAULTS = ["repeated gold", "repeated prediction before its gold",
+          "repeated prediction after its gold", "missing", "extra", "unscorable"]
+
+
+@st.composite
+def streamed_case(draw):
+    """Golds in an order that is not their id order, and one prediction per
+    gold, arranged against the golds, with up to two faults."""
+    task = draw(st.sampled_from(["extractive", "yesno"]))
+    numbers = draw(st.lists(st.integers(0, 999), min_size=1, max_size=30, unique=True))
+    golds = [gold_of(task, f"q{i}", draw) for i in numbers]  # "q10" sorts before "q9"
+    predictions = [prediction_of(task, g.id, draw) for g in golds]
+    arrangement = draw(st.sampled_from(ARRANGEMENTS))
+    if arrangement == "reversed":
+        predictions.reverse()
+    elif arrangement == "shuffled":
+        predictions = draw(st.permutations(predictions))
+    elif arrangement != "gold order" and len(predictions) > 1:
+        # moved from one end of the stream to the other
+        k = len(predictions) - 1
+        i, j = (k, 0) if arrangement == "one far ahead" else (0, k)
+        i = draw(st.integers(min(i, k // 2), max(i, k // 2)))
+        predictions.insert(j, predictions.pop(i))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        i = draw(st.integers(0, len(predictions) - 1)) if predictions else None
+        if fault == "repeated gold":
+            golds.insert(draw(st.integers(0, len(golds))), draw(st.sampled_from(golds)))
+        elif fault.startswith("repeated prediction") and predictions:
+            # read before the gold takes the first one, or after it has
+            before = fault.endswith("before its gold")
+            j = draw(st.integers(0, i) if before else st.integers(i + 1, len(predictions)))
+            predictions.insert(j, predictions[i])
+        elif fault == "missing" and predictions:
+            del predictions[i]
+        elif fault == "extra":
+            extra = prediction_of(task, f"x{draw(st.integers(0, 9))}", draw)
+            predictions.insert(draw(st.integers(0, len(predictions))), extra)
+        elif fault == "unscorable" and predictions:
+            field = "predicted_label" if task == "yesno" else "predicted_text"
+            predictions[i] = predictions[i]._replace(**{field: None})
+    return golds, predictions, task
+
+
+class TestInStepEvaluateOracle:
+    @given(case=streamed_case())
+    @settings(max_examples=1000, deadline=None)
+    def test_one_shot_streams_give_the_oracle_report_or_error(self, case):
+        golds, predictions, task = case
+        expected = outcome(lambda: oracle_evaluate(golds, predictions, task))
+        assert outcome(lambda: evaluate(iter(golds), iter(predictions), task)) == expected
+
+    @given(data=st.data(), task=st.sampled_from(["extractive", "yesno"]))
+    @settings(max_examples=50, deadline=None)
+    def test_aligned_predictions_are_read_in_step(self, data, task):
+        """A gold is taken only once every gold before it has read just its
+        own prediction."""
+        golds = [gold_of(task, f"q{i}", data.draw) for i in (3, 20, 1, 100)]
+        predictions = [Prediction(g.id, "A", "yes") for g in golds]
+        read = []
+
+        def stream():
+            for p in predictions:
+                read.append(p.id)
+                yield p
+
+        def golds_in_step():
+            for k, gold in enumerate(golds):
+                assert read == [g.id for g in golds[:k]]
+                yield gold
+
+        report = evaluate(golds_in_step(), stream(), task)
+        assert report == oracle_evaluate(golds, predictions, task)
+        assert read == [g.id for g in golds]

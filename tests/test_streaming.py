@@ -189,6 +189,21 @@ def test_streaming_memory_does_not_grow_with_the_records(tmp_path):
     assert peaks["evaluate", 1_000] <= 1.5 * peaks["evaluate", 20], peaks
 
 
+def test_evaluate_memory_does_not_grow_with_the_prediction_texts():
+    """evaluate reads aligned predictions in step with the golds and holds
+    none of them: 2k predictions of 1,000 words each peak within 1.5x of 2k
+    of 20 words each."""
+    peaks = {}
+    for words in (20, 1_000):
+
+        def predictions():
+            for i in range(2_000):
+                # a new text per prediction, so that holding them would show
+                yield Prediction(id=f"p{i:06d}", predicted_text=f"alpha{i}" + " beta" * words)
+
+        peaks[words] = traced_peak(lambda: evaluate(pairs(2_000, 20), predictions(), "extractive"))
+    assert peaks[1_000] <= 1.5 * peaks[20], peaks
+
 def test_a_transformed_stage_memory_does_not_grow_with_the_records(tmp_path):
     """emit_schedule streams a chained yes/no stage through transform_dataset
     a batch at a time: 20k instances peak within 1.5x of 2k."""
