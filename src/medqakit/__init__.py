@@ -23,11 +23,11 @@ _EXPORTS = {
     "errors": "ConfigError ContractViolation ParseError ValidationError",
     "metrics": "EvalReport Prediction evaluate exact_match token_f1",
     "morph": "Decomposition LemmaLexicon MorphemeEntry MorphemeLexicon MorphemeType"
-    " TransformChain TransformKind TransformSpec TransformTarget apply_chain decompose"
+    " TransformChain TransformKind TransformSpec TransformTarget decompose"
     " default_lemma_lexicon default_morpheme_lexicon lemmatize_token load_lemma_lexicon"
     " load_morpheme_lexicon meanings_of transform_dataset",
-    "schedule": "FoldSpec Schedule SplitSpec StageSpec TargetSplit builtin_schedules"
-    " emit_schedule make_folds make_target_split",
+    "schedule": "FoldSpec Schedule SplitSpec StageSpec TargetSplit emit_schedule make_folds"
+    " make_target_split",
     "weak_label": "SourceInstance WeakLabelRecord build_prime_subset select_answer_sentence"
     " weak_label",
 }

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import logging
 import math
 import os
 import sys
@@ -151,13 +150,17 @@ def _phrases(where: str, value: Any) -> list[str]:
     return phrases
 
 
-def _schedule_ids(where: str, value: Any) -> list[str]:
-    ids = STRINGS(where, value)
-    if not ids:
-        raise ConfigError(f"{where}: expected at least one schedule id")
-    repeated = next((sid for k, sid in enumerate(ids) if sid in ids[:k]), None)
+def _once_each(where: str, values: list[str]) -> list[str]:
+    repeated = next((v for k, v in enumerate(values) if v in values[:k]), None)
     if repeated is not None:
         raise ConfigError(f"{where}: {repeated!r} is listed twice")
+    return values
+
+
+def _schedule_ids(where: str, value: Any) -> list[str]:
+    ids = _once_each(where, STRINGS(where, value))
+    if not ids:
+        raise ConfigError(f"{where}: expected at least one schedule id")
     unknown = next((sid for sid in ids if sid not in SCHEDULE_IDS), None)
     if unknown is not None:
         raise ConfigError(f"{where}: unknown schedule {unknown!r}; expected one of {SCHEDULE_IDS}")
@@ -288,6 +291,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 
     config = load_run_config(args)
     subsets = args.subsets or [s for s in ("pqa_l", "pqa_a") if config.paths.get(s)]
+    _once_each("--subset", subsets)
     if not subsets:
         raise ConfigError("no PQA source paths configured (paths.pqa_l / paths.pqa_a)")
     _echo_config(config)
@@ -521,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import logging
 import re
 from collections import namedtuple
 from datetime import date
@@ -38,10 +37,9 @@ from .errors import (
     check,
     expected,
     is_strings,
+    warn,
 )
 from .weak_label import select_answer_sentence
-
-log = logging.getLogger(__name__)
 
 _SLOT_RE = re.compile(r"\[([A-Z][A-Z_]*)\]")
 
@@ -275,7 +273,7 @@ def _searchable_texts(abstract: StructuredAbstract) -> Iterable[str]:
 def covid_filter(abstract: StructuredAbstract, policy: CovidFilterPolicy = CovidFilterPolicy()) -> bool:
     """True iff published on/after the cutoff and any phrase occurs anywhere."""
     if abstract.pub_date is None:
-        log.warning("pmid %s: missing pub_date, excluded from COVID set", abstract.pmid)
+        warn(__name__, f"pmid {abstract.pmid}: missing pub_date, excluded from COVID set")
         return False
     if abstract.pub_date < policy.cutoff_date:
         return False
@@ -348,7 +346,7 @@ def build_artificial_pairs(
             try:
                 sentence, _score, _n = select_answer_sentence(question, section.text, params)
             except ValidationError as exc:
-                log.warning("pmid %s: %s", abstract.pmid, exc)
+                warn(__name__, f"pmid {abstract.pmid}: {exc}")
                 skipped += 1
                 continue
             pair = QAPair(

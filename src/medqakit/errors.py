@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the one field check every
-reader of outside input uses.
+"""Exception types shared across the toolkit, the one field check every
+reader of outside input uses, and the one writer of warnings.
 
 The CLI maps these to exit codes: ValidationError (and subclasses) -> 1,
 OSError -> 2, ContractViolation -> 3.
@@ -7,6 +7,7 @@ OSError -> 2, ContractViolation -> 3.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable
 
 
@@ -25,6 +26,12 @@ class ConfigError(ValidationError):
 
 class ContractViolation(RuntimeError):
     """An internal invariant was broken; indicates a bug, not bad input."""
+
+
+def warn(module: str, message: str) -> None:
+    """Print one warning line, `WARNING {module}: {message}`, to the stderr
+    of the moment, so a command goes on past input it can skip."""
+    print(f"WARNING {module}: {message}", file=sys.stderr)
 
 
 def json_kind(value: Any) -> str:

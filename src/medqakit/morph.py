@@ -12,7 +12,6 @@ running text instead of re-decomposing whole words.
 
 from __future__ import annotations
 
-import logging
 import re
 from collections import namedtuple
 from enum import Enum
@@ -23,9 +22,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import formats
 from .corpus import YesNoInstance
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError, warn
 
-log = logging.getLogger(__name__)
 
 class MorphemeType(str, Enum):
     PREFIX = "prefix"
@@ -63,11 +61,8 @@ class MorphemeLexicon:
         for entry in entries:
             bucket = self._by_type[entry.mtype]
             if entry.morpheme in bucket:
-                log.warning(
-                    "duplicate morpheme (%s, %s): last entry wins",
-                    entry.morpheme,
-                    entry.mtype.value,
-                )
+                key = f"{entry.morpheme}, {entry.mtype.value}"
+                warn(__name__, f"duplicate morpheme ({key}): last entry wins")
             bucket[entry.morpheme] = entry
         self._lengths = {t: sorted({len(m) for m in b}) for t, b in self._by_type.items()}
         self._decompositions: dict[str, Decomposition | None] = {}
@@ -504,23 +499,6 @@ def _run_steps(text: str, steps: Sequence[tuple[_Table, bool]]) -> list[str]:
                 next_texts.append("".join(pieces))
         texts = next_texts
     return texts
-
-
-def apply_chain(
-    text: str,
-    chain: TransformChain,
-    lems: LemmaLexicon | None = None,
-    morphs: MorphemeLexicon | None = None,
-) -> list[tuple[str, bool]]:
-    """Apply a chain sequentially; returns (text, is_new_example) variants.
-
-    The first variant is always the running original. Augmentation steps add
-    new variants that flow through the remaining steps. After a form
-    expansion, meaning substitution rewrites constituent-form tokens in the
-    running text; otherwise it expands decomposable whole words directly.
-    """
-    texts = _run_steps(text, _chain_steps(chain, lems, morphs))
-    return [(variant, k > 0) for k, variant in enumerate(texts)]
 
 
 def transform_dataset(

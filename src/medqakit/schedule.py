@@ -10,7 +10,6 @@ any stage's training file.
 
 from __future__ import annotations
 
-import logging
 import random
 from collections import namedtuple
 from contextlib import ExitStack, contextmanager
@@ -22,7 +21,7 @@ from . import formats
 from .corpus import DatasetSubsetId, QAPair, YesNoInstance
 from .defaults import DEFAULT_HOLDOUT_FRACTIONS
 from .digest import sha256
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, warn
 from .morph import (
     LemmaLexicon,
     MorphemeLexicon,
@@ -35,8 +34,6 @@ from .morph import (
 
 if TYPE_CHECKING:
     from .spool import Spool
-
-log = logging.getLogger(__name__)
 
 YESNO_SUBSETS = (DatasetSubsetId.PQA_A, DatasetSubsetId.PQA_L)
 # Instances of a yes/no subset written at a time, each batch through every chain.
@@ -116,11 +113,6 @@ def _build_schedules() -> dict[str, Schedule]:
 _BY_ID: dict[str, Schedule] = _build_schedules()
 
 
-def builtin_schedules() -> list[Schedule]:
-    """All 17 built-in schedules, in canonical order."""
-    return list(_BY_ID.values())
-
-
 def get_schedule(schedule_id: str) -> Schedule:
     schedule = _BY_ID.get(schedule_id)
     if schedule is None:
@@ -182,9 +174,8 @@ def make_target_split(
             raise ValidationError(f"subset {subset.value} is empty")
         k = int(len(ids) * fraction + 0.5)
         if len(ids) < 10:
-            log.warning(
-                "subset %s has only %d instances; holding out at least 1", subset.value, len(ids)
-            )
+            n = len(ids)
+            warn(__name__, f"subset {subset.value} has only {n} instances; holding out at least 1")
             k = max(1, k)
         rng = _derived_rng(spec.seed, f"split:{subset.value}")
         test_by_subset[subset] = tuple(sorted(rng.sample(ids, k)))
@@ -200,10 +191,6 @@ class FoldSpec(namedtuple("FoldSpec", "n_folds pool reserved_test folds")):
     """
 
     __slots__ = ()
-
-    def train_ids(self, fold: int) -> tuple[str, ...]:
-        held = set(self.folds[fold])
-        return tuple(i for i in self.pool if i not in held)
 
     @property
     def train_size(self) -> int:
@@ -224,7 +211,7 @@ def make_folds(ids: Iterable[str], seed: int, n_folds: int = 10) -> FoldSpec:
     if len(ids) < 2 * n_folds:
         raise ValidationError(f"need at least {2 * n_folds} ids for {n_folds}-fold CV")
     if len(ids) != 1000:
-        log.warning("expected 1000 ids, got %d; scaling the CV layout proportionally", len(ids))
+        warn(__name__, f"expected 1000 ids, got {len(ids)}; scaling the CV layout proportionally")
     ids_sorted = sorted(ids)
     pool_size = len(ids_sorted) // 2
     rng = _derived_rng(seed, "cv:pool")

@@ -9,7 +9,6 @@ the selected sentence stops tracking the question's content words.
 
 from __future__ import annotations
 
-import logging
 from collections import namedtuple
 from typing import Iterable
 
@@ -22,9 +21,7 @@ from .corpus import (
     SourceInstance,
     segment_sentences,
 )
-from .errors import ValidationError
-
-log = logging.getLogger(__name__)
+from .errors import ValidationError, warn
 
 # Lucene's EnglishAnalyzer default stopword set.
 QUERY_STOPWORDS: frozenset[str] = frozenset(
@@ -104,7 +101,7 @@ def build_prime_subset(
     skipped = 0
     for instance in instances:
         if not instance.question.strip():
-            log.warning("skipping %s: empty question", instance.id)
+            warn(__name__, f"skipping {instance.id}: empty question")
             skipped += 1
             continue
         try:
@@ -118,7 +115,7 @@ def build_prime_subset(
                 )
             )
         except ValidationError as exc:
-            log.warning("skipping %s: %s", instance.id, exc)
+            warn(__name__, f"skipping {instance.id}: {exc}")
             skipped += 1
     return records, skipped
 

@@ -15,10 +15,8 @@ from medqakit import (
     TransformKind,
     TransformSpec,
     TransformTarget,
-    apply_chain,
     best_sentence,
     build_prime_subset,
-    builtin_schedules,
     covid_filter,
     decompose,
     evaluate,
@@ -35,6 +33,8 @@ from medqakit import (
     weak_label,
 )
 from medqakit import Prediction, SplitSpec, YesNoInstance
+from medqakit.defaults import SCHEDULE_IDS
+from medqakit.schedule import get_schedule
 from medqakit.weak_label import QUERY_STOPWORDS
 
 from tests.conftest import (
@@ -51,6 +51,7 @@ from tests.conftest import (
 from tests.test_bm25 import bm25_score, brute_force_scores, build_candidates
 from tests.test_covid import CONCLUSION_LABEL_TABLE, abstract
 from tests.test_cli import run_pipeline, write_config, write_corpus, write_sources
+from tests.test_morph import variants
 from tests.test_schedule import EXPECTED_CHAINS, EXPECTED_STAGE_ORDERS
 
 
@@ -67,7 +68,7 @@ def test_golden_lemma_transforms(lemma_lexicon, morpheme_lexicon):
     started = time.perf_counter()
     def one_spec(kind):
         chain = TransformChain((TransformSpec(kind, TransformTarget.LEMMA),))
-        return apply_chain(OPTOTYPE_ORIGINAL, chain, lemma_lexicon, morpheme_lexicon)
+        return variants(OPTOTYPE_ORIGINAL, chain, lemma_lexicon, morpheme_lexicon)
 
     assert one_spec(TransformKind.REPLACEMENT) == [(OPTOTYPE_LEMMAS_REPLACED, False)]
     assert one_spec(TransformKind.CONCATENATION) == [(OPTOTYPE_LEMMAS_CONCATENATED, False)]
@@ -182,7 +183,7 @@ def test_curation_rule_suite():
 
 def test_schedule_golden_manifests(tmp_path):
     started = time.perf_counter()
-    schedules = builtin_schedules()
+    schedules = [get_schedule(s) for s in SCHEDULE_IDS]
     assert [s.schedule_id for s in schedules] == list(EXPECTED_STAGE_ORDERS)
     for schedule in schedules:
         assert [st.subset.value for st in schedule.stages] == EXPECTED_STAGE_ORDERS[
@@ -202,7 +203,7 @@ def test_schedule_golden_manifests(tmp_path):
     assert len(folds.pool) == 500 and len(folds.reserved_test) == 500
     assert len(folds.folds) == 10
     assert all(len(f) == 50 for f in folds.folds)
-    assert all(len(folds.train_ids(k)) == 450 for k in range(10))
+    assert all(len(set(folds.pool) - set(fold)) == 450 for fold in folds.folds)
 
     from tests.test_schedule import make_pairs, make_yesno
     from medqakit import default_lemma_lexicon, default_morpheme_lexicon, emit_schedule

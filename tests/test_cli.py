@@ -120,6 +120,15 @@ class TestLabelCommand:
         assert (root / "out" / "d2.json").exists()
         assert not (root / "out" / "d1.json").exists()
 
+    def test_a_repeated_subset_flag_exits_1_writing_nothing(self, workspace, capsys):
+        root, config = workspace
+        repeated = ["--subset", "pqa_l", "--subset", "pqa_a", "--subset", "pqa_l"]
+        assert main(["label", "--config", str(config), *repeated]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --subset: 'pqa_l' is listed twice\n"
+        assert captured.out == ""
+        assert not (root / "out").exists()
+
     def test_anchoring_in_outputs(self, workspace):
         root, config = workspace
         main(["label", "--config", str(config)])

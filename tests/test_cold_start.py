@@ -1,7 +1,7 @@
 """Cold start: each command imports only the modules it runs and never
-`dataclasses`, `import medqakit` imports none and keeps every name, short
-digests need no OpenSSL, and the config defaults agree with the modules
-they stand in for.
+`dataclasses` or `logging`, `import medqakit` imports none and keeps every
+name, short digests need no OpenSSL, and the config defaults agree with the
+modules they stand in for.
 
 The contract is checked on `sys.modules` in a fresh interpreter per
 command, not on timings."""
@@ -18,9 +18,9 @@ from pathlib import Path
 import pytest
 
 import medqakit
-from medqakit import CovidFilterPolicy, SplitSpec, builtin_schedules, digest
+from medqakit import CovidFilterPolicy, SplitSpec, digest
 from medqakit.cli import CONFIG_FIELDS
-from medqakit.schedule import DEFAULT_HOLDOUT_FRACTIONS
+from medqakit.schedule import _BY_ID, DEFAULT_HOLDOUT_FRACTIONS
 
 from tests.test_cli import mark_first_per_group, write_config, write_corpus, write_sources
 
@@ -102,6 +102,10 @@ def test_each_command_imports_only_the_modules_it_runs(loaded, command):
     # records are named tuples; `inspect` is not checked, since from 3.12
     # `importlib.resources` (morph, the template loader) imports it
     assert "dataclasses" not in loaded[command]
+    # warnings are printed by `errors.warn`; `tokenize`, `linecache` and
+    # `threading` are not checked, since 3.12+ load the first two through
+    # `inspect` and 3.10 loads `threading` without `logging`
+    assert "logging" not in loaded[command]
 
 
 def test_import_medqakit_imports_no_submodule(tmp_path):
@@ -127,10 +131,10 @@ EAGER = {
     "errors": "ConfigError ContractViolation ParseError ValidationError",
     "metrics": "EvalReport Prediction evaluate exact_match token_f1",
     "morph": "Decomposition LemmaLexicon MorphemeEntry MorphemeLexicon MorphemeType"
-    " TransformChain TransformKind TransformSpec TransformTarget apply_chain decompose"
+    " TransformChain TransformKind TransformSpec TransformTarget decompose"
     " default_lemma_lexicon default_morpheme_lexicon lemmatize_token load_lemma_lexicon"
     " load_morpheme_lexicon meanings_of transform_dataset",
-    "schedule": "FoldSpec Schedule SplitSpec StageSpec TargetSplit builtin_schedules"
+    "schedule": "FoldSpec Schedule SplitSpec StageSpec TargetSplit"
     " emit_schedule make_folds make_target_split",
     "weak_label": "SourceInstance WeakLabelRecord build_prime_subset select_answer_sentence"
     " weak_label",
@@ -192,4 +196,4 @@ def test_config_defaults_agree_with_covid_and_schedule():
     fractions = {s.value: f for s, f in DEFAULT_HOLDOUT_FRACTIONS.items()}
     assert defaults["split_fractions"] == fractions
     assert {s.value: f for s, f in SplitSpec(seed=0).fractions.items()} == fractions
-    assert defaults["schedules"] == [s.schedule_id for s in builtin_schedules()]
+    assert defaults["schedules"] == list(_BY_ID)

@@ -21,8 +21,6 @@ from medqakit import (
     TransformTarget,
     ValidationError,
     YesNoInstance,
-    apply_chain,
-    builtin_schedules,
     decompose,
     default_lemma_lexicon,
     default_morpheme_lexicon,
@@ -34,6 +32,8 @@ from medqakit import (
 )
 
 from medqakit import morph
+from medqakit.defaults import SCHEDULE_IDS
+from medqakit.schedule import get_schedule
 from tests.conftest import (
     OPTOTYPE_LEMMAS_CONCATENATED,
     OPTOTYPE_LEMMAS_REPLACED,
@@ -383,9 +383,19 @@ class TestDecompose:
         assert decompose("Dacryoadenitis", morpheme_lexicon) is None
 
 
+def variants(text, chain, lems=None, morphs=None):
+    """The (text, is_new) variants of `text` under `chain`: transform_dataset
+    on one instance with `text` as its question and its context, where an
+    `#aug{k}` id marks a new example."""
+    out = transform_dataset([YesNoInstance("t", text, text, "yes")], chain, lems, morphs)
+    assert all(i.question == i.context for i in out)
+    assert [i.id for i in out] == ["t"] + [f"t#aug{k}" for k in range(1, len(out))]
+    return [(i.question, i.id != "t") for i in out]
+
+
 def edited(text, spec, lems, morphs):
     """The in-line result of a one-spec replacement or concatenation chain."""
-    [(result, is_new)] = apply_chain(text, TransformChain((spec,)), lems, morphs)
+    [(result, is_new)] = variants(text, TransformChain((spec,)), lems, morphs)
     assert not is_new
     return result
 
@@ -394,26 +404,26 @@ class TestTransformText:
     """Single transformations, as one-spec chains."""
 
     def test_golden_replacement(self, lemma_lexicon, morpheme_lexicon):
-        variants = apply_chain(
+        out = variants(
             OPTOTYPE_ORIGINAL, TransformChain((REPLACE_LEMMA,)), lemma_lexicon, morpheme_lexicon
         )
-        assert variants == [(OPTOTYPE_LEMMAS_REPLACED, False)]
+        assert out == [(OPTOTYPE_LEMMAS_REPLACED, False)]
 
     def test_golden_concatenation(self, lemma_lexicon, morpheme_lexicon):
         text = edited(OPTOTYPE_ORIGINAL, CONCAT_LEMMA, lemma_lexicon, morpheme_lexicon)
         assert text == OPTOTYPE_LEMMAS_CONCATENATED
 
     def test_golden_augmentation(self, lemma_lexicon, morpheme_lexicon):
-        variants = apply_chain(
+        out = variants(
             OPTOTYPE_ORIGINAL, TransformChain((AUGMENT_LEMMA,)), lemma_lexicon, morpheme_lexicon
         )
-        assert variants == [(OPTOTYPE_ORIGINAL, False), (OPTOTYPE_LEMMAS_REPLACED, True)]
+        assert out == [(OPTOTYPE_ORIGINAL, False), (OPTOTYPE_LEMMAS_REPLACED, True)]
 
     def test_augmentation_suppressed_when_nothing_changes(self, lemma_lexicon, morpheme_lexicon):
-        variants = apply_chain(
+        out = variants(
             "Stable text only.", TransformChain((AUGMENT_LEMMA,)), lemma_lexicon, morpheme_lexicon
         )
-        assert variants == [("Stable text only.", False)]
+        assert out == [("Stable text only.", False)]
 
     def test_form_replacement(self, lemma_lexicon, tiny_morpheme_lexicon):
         spec = TransformSpec(TransformKind.REPLACEMENT, TransformTarget.NEO_FORM)
@@ -487,7 +497,7 @@ class TestTransformChain:
             )
 
     def test_empty_chain_is_identity(self, lemma_lexicon, tiny_morpheme_lexicon):
-        assert apply_chain("anything goes", TransformChain(()), lemma_lexicon, tiny_morpheme_lexicon) == [
+        assert variants("anything goes", TransformChain(()), lemma_lexicon, tiny_morpheme_lexicon) == [
             ("anything goes", False)
         ]
 
@@ -499,29 +509,29 @@ class TestTransformChain:
                 TransformSpec(TransformKind.REPLACEMENT, TransformTarget.NEO_MEANING),
             )
         )
-        variants = apply_chain("dacryoadenitis persists", chain, lemma_lexicon, tiny_morpheme_lexicon)
-        assert variants == [("tear gland inflammation persists persist", False)]
+        out = variants("dacryoadenitis persists", chain, lemma_lexicon, tiny_morpheme_lexicon)
+        assert out == [("tear gland inflammation persists persist", False)]
 
     def test_meaning_consumes_forms_only_after_expansion(self, lemma_lexicon, tiny_morpheme_lexicon):
         # without a preceding form expansion, the whole word is expanded in two stages
         chain = TransformChain(
             (TransformSpec(TransformKind.REPLACEMENT, TransformTarget.NEO_MEANING),)
         )
-        variants = apply_chain("dacryoadenitis persists", chain, lemma_lexicon, tiny_morpheme_lexicon)
-        assert variants == [("tear gland inflammation persists", False)]
+        out = variants("dacryoadenitis persists", chain, lemma_lexicon, tiny_morpheme_lexicon)
+        assert out == [("tear gland inflammation persists", False)]
 
     def test_augmentation_inside_chain(self, lemma_lexicon, tiny_morpheme_lexicon):
         chain = TransformChain((AUGMENT_LEMMA,))
-        variants = apply_chain("dacryoadenitis persists", chain, lemma_lexicon, tiny_morpheme_lexicon)
-        assert variants == [
+        out = variants("dacryoadenitis persists", chain, lemma_lexicon, tiny_morpheme_lexicon)
+        assert out == [
             ("dacryoadenitis persists", False),
             ("dacryoadenitis persist", True),
         ]
 
     def test_noop_augmentation_single_output(self, lemma_lexicon, tiny_morpheme_lexicon):
         chain = TransformChain((AUGMENT_LEMMA,))
-        variants = apply_chain("stable text", chain, lemma_lexicon, tiny_morpheme_lexicon)
-        assert variants == [("stable text", False)]
+        out = variants("stable text", chain, lemma_lexicon, tiny_morpheme_lexicon)
+        assert out == [("stable text", False)]
 
     def test_determinism(self, lemma_lexicon, morpheme_lexicon):
         chain = TransformChain(
@@ -532,7 +542,7 @@ class TestTransformChain:
             )
         )
         text = "Patients with dacryoadenitis and hyperglycemia were assessed."
-        runs = {tuple(apply_chain(text, chain, lemma_lexicon, morpheme_lexicon)) for _ in range(5)}
+        runs = {tuple(variants(text, chain, lemma_lexicon, morpheme_lexicon)) for _ in range(5)}
         assert len(runs) == 1
 
 
@@ -673,7 +683,10 @@ def oracle_transform_dataset(instances, chain, lems, morphs):
 
 
 BUILTIN_CHAINS = [
-    stage.chain for s in builtin_schedules() for stage in s.stages[:1] if stage.chain is not None
+    stage.chain
+    for s in map(get_schedule, SCHEDULE_IDS)
+    for stage in s.stages[:1]
+    if stage.chain is not None
 ]
 # Two and three augmentation steps, so variants multiply and flow on.
 AUGMENTING_CHAINS = [
@@ -741,11 +754,12 @@ class TestTransformOracle:
 
     @given(text=texts(), chain=CHAINS, fresh=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_apply_chain(self, text, chain, fresh):
+    def test_one_text(self, text, chain, fresh):
+        text += "."  # an instance's question and context are never blank
         lems, morphs = fresh_or_warm_lexicons(fresh)
         want = oracle_apply_chain(text, chain, lems, morphs)
-        assert apply_chain(text, chain, lems, morphs) == want
-        assert apply_chain(text, chain, lems, morphs) == want
+        assert variants(text, chain, lems, morphs) == want
+        assert variants(text, chain, lems, morphs) == want
 
     @given(
         pairs=st.lists(st.tuples(texts(), texts()), max_size=6),
@@ -800,7 +814,7 @@ class TestFeatureTables:
         text = "Dacryoadenitis and dacryoadenitis; hyperglycemia."
         for kind in TransformKind:
             chain = TransformChain((TransformSpec(kind, TransformTarget.NEO_FORM),))
-            apply_chain(text, chain, None, morphs)
+            variants(text, chain, None, morphs)
         assert sorted(calls) == ["and", "dacryoadenitis", "dacryoadenitis", "hyperglycemia"]
 
     def test_each_value_computed_once_per_lexicon_across_the_builtin_chains(self, monkeypatch):
@@ -850,7 +864,7 @@ class TestFeatureTables:
         chain = TransformChain((REPLACE_LEMMA,))
         rules_only, with_mice = load_lemma_lexicon(), load_lemma_lexicon(path)
         for lexicon, want in ((with_mice, "Mouse"), (rules_only, "Mice"), (with_mice, "Mouse")):
-            assert apply_chain("Mice", chain, lexicon) == [(want, False)]
+            assert variants("Mice", chain, lexicon) == [(want, False)]
 
     @pytest.mark.parametrize(
         "spec,lexicons",
@@ -861,7 +875,5 @@ class TestFeatureTables:
     )
     def test_missing_lexicon_raises_when_applied(self, spec, lexicons):
         chain = TransformChain((spec,))
-        with pytest.raises(ConfigError, match="lexicon"):
-            apply_chain("text", chain, *lexicons)
         with pytest.raises(ConfigError, match="lexicon"):
             transform_dataset([YesNoInstance("a", "q?", "c.", "yes")], chain, *lexicons)

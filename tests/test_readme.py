@@ -24,3 +24,4 @@ def test_library_example_runs():
     lines = result.stdout.splitlines()
     assert lines[0].startswith("There is evidence of increased incidence")
     assert lines[1] == "tear gland inflammation"
+    assert lines[2] == "tear gland inflammation persists persist"

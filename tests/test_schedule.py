@@ -13,7 +13,6 @@ from medqakit import (
     TransformTarget,
     ValidationError,
     YesNoInstance,
-    builtin_schedules,
     default_lemma_lexicon,
     default_morpheme_lexicon,
     emit_schedule,
@@ -22,6 +21,7 @@ from medqakit import (
 )
 from medqakit import formats
 from medqakit import spool as spool_module
+from medqakit.defaults import SCHEDULE_IDS
 from medqakit.schedule import DEFAULT_HOLDOUT_FRACTIONS, YESNO_SUBSETS, get_schedule, read_datasets
 
 from tests.conftest import tree_sha256
@@ -59,7 +59,7 @@ EXPECTED_CHAINS = {
 
 class TestBuiltinSchedules:
     def test_seventeen_schedules(self):
-        schedules = builtin_schedules()
+        schedules = [get_schedule(s) for s in SCHEDULE_IDS]
         assert len(schedules) == 17
         assert [s.schedule_id for s in schedules] == list(EXPECTED_STAGE_ORDERS)
 
@@ -170,7 +170,7 @@ class TestMakeFolds:
         assert len(folds.folds) == 10
         assert all(len(f) == 50 for f in folds.folds)
         assert folds.train_size == 450
-        assert len(folds.train_ids(0)) == 450
+        assert len(set(folds.pool) - set(folds.folds[0])) == 450
 
     def test_folds_partition_the_pool(self):
         folds = make_folds(ids("l", 1000), seed=13)
@@ -402,7 +402,7 @@ def test_one_plan_reads_each_dataset_once_and_matches_each_schedule_alone(tmp_pa
     the pqa_l stage: with d1 loaded, its test ids, which here are pqa_l ids,
     are dropped from it (ROADMAP item 1), so exactly those inside the CV
     pool are missing from it in the all-17 tree."""
-    all_ids = [s.schedule_id for s in builtin_schedules()]
+    all_ids = list(SCHEDULE_IDS)
     lists = {
         DatasetSubsetId.D1: make_pairs(DatasetSubsetId.D1, 100),
         DatasetSubsetId.D2: make_pairs(DatasetSubsetId.D2, 50),

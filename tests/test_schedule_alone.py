@@ -14,11 +14,12 @@ import shutil
 import pytest
 
 from medqakit.cli import main
-from medqakit.schedule import YESNO_SUBSETS, builtin_schedules
+from medqakit.defaults import SCHEDULE_IDS
+from medqakit.schedule import YESNO_SUBSETS, get_schedule
 
 from tests.test_cli import run_pipeline, write_config, write_corpus, write_sources
 
-ALL_SCHEDULES = [s.schedule_id for s in builtin_schedules()]
+ALL_SCHEDULES = list(SCHEDULE_IDS)
 ITEM_1 = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -27,7 +28,7 @@ ITEM_1 = pytest.mark.xfail(
 
 
 def stage_cases():
-    for schedule in builtin_schedules():
+    for schedule in map(get_schedule, SCHEDULE_IDS):
         for stage in schedule.stages:
             yesno = stage.subset in YESNO_SUBSETS
             name = f"stage{stage.stage_index}_{stage.subset.value}.{'jsonl' if yesno else 'json'}"

@@ -6,7 +6,6 @@ consumers hold memory that does not grow with the number of records they
 pass on."""
 
 import json
-import logging
 import shutil
 import sys
 import tracemalloc
@@ -28,11 +27,12 @@ from medqakit import (
 from medqakit.cli import main
 from medqakit.errors import ParseError, ValidationError
 from medqakit.metrics import Prediction, evaluate
-from medqakit.schedule import builtin_schedules, emit_schedule, get_schedule
+from medqakit.defaults import SCHEDULE_IDS
+from medqakit.schedule import emit_schedule, get_schedule
 
 from tests.test_cli import mark_first_per_group, write_config, write_corpus, write_sources
 
-ALL_SCHEDULES = [s.schedule_id for s in builtin_schedules()]
+ALL_SCHEDULES = list(SCHEDULE_IDS)
 DATASET_FILES = ("d1.json", "d2.json", "d3.json", "d4.json", "pqa_l.jsonl", "pqa_a.jsonl")
 
 
@@ -268,20 +268,19 @@ def write_label_sources(root: Path, n_l: int, n_a: int) -> Path:
     return write_config(root)
 
 
-def label_outputs(root, config, capsys, caplog):
+def label_outputs(root, config, capsys):
     """Run `label`: its files, stdout and skip warnings."""
     shutil.rmtree(root / "out", ignore_errors=True)
     capsys.readouterr()
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="medqakit"):
-        assert main(["label", "--config", str(config)]) == 0
+    assert main(["label", "--config", str(config)]) == 0
     files = {name: (root / "out" / name).read_bytes() for name in ("d1.json", "d2.json")}
     summary = json.loads((root / "out" / "label_summary.json").read_text())
-    return files, summary, capsys.readouterr().out, [r.getMessage() for r in caplog.records]
+    captured = capsys.readouterr()
+    return files, summary, captured.out, captured.err.splitlines()
 
 
 @pytest.mark.parametrize("batch", [1, 7, None])
-def test_streamed_label_equals_the_list_path(tmp_path, monkeypatch, capsys, caplog, batch):
+def test_streamed_label_equals_the_list_path(tmp_path, monkeypatch, capsys, batch):
     """Batches of 1, 7 and the default size against every record read, then
     labeled, then written: the same bytes, summary, stdout and warnings."""
     config = write_label_sources(tmp_path, n_l=40, n_a=300)
@@ -292,7 +291,7 @@ def test_streamed_label_equals_the_list_path(tmp_path, monkeypatch, capsys, capl
     monkeypatch.setattr(
         cli, "build_prime_subset", lambda *args: calls.append(1) or build_prime_subset(*args)
     )
-    streamed = label_outputs(tmp_path, config, capsys, caplog)
+    streamed = label_outputs(tmp_path, config, capsys)
     size = batch or cli._LABEL_BATCH
     assert len(calls) == -(-43 // size) + -(-303 // size)
     assert {s: streamed[1]["subsets"][s]["skipped"] for s in ("d1", "d2")} == {"d1": 3, "d2": 3}
@@ -305,7 +304,7 @@ def test_streamed_label_equals_the_list_path(tmp_path, monkeypatch, capsys, capl
 
     monkeypatch.setattr(formats, "iter_source_instances", read_first)
     monkeypatch.setattr(cli, "_LABEL_BATCH", sys.maxsize)
-    assert label_outputs(tmp_path, config, capsys, caplog) == streamed
+    assert label_outputs(tmp_path, config, capsys) == streamed
 
 
 def test_a_malformed_source_line_near_the_end_exits_1_without_temp_files(tmp_path, capsys):
