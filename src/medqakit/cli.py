@@ -423,22 +423,21 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             )
         return path
 
-    reading = read_datasets(subsets, path_of, config.seed, fractions, config.output_dir)
-    with reading as (datasets, split, folds):
-        lems = morphs = None
-        if any(stage.chain is not None for s in schedules for stage in s.stages):
-            morphs = _load_lexicon(
-                config, "morpheme_lexicon", _cli.default_morpheme_lexicon, load_morpheme_lexicon
-            )
-            lems = _load_lexicon(
-                config, "lemma_exceptions", _cli.default_lemma_lexicon, load_lemma_lexicon
-            )
-
-        print(f"{'schedule':<10} {'stage':>5} {'subset':<7} {'n':>7}")
-        manifests = _cli.emit_schedule(
-            schedules, datasets, split, config.output_dir / "schedules",
-            folds=folds, lems=lems, morphs=morphs, provenance=config.provenance,
+    datasets, split, folds = read_datasets(subsets, path_of, config.seed, fractions)
+    lems = morphs = None
+    if any(stage.chain is not None for s in schedules for stage in s.stages):
+        morphs = _load_lexicon(
+            config, "morpheme_lexicon", _cli.default_morpheme_lexicon, load_morpheme_lexicon
         )
+        lems = _load_lexicon(
+            config, "lemma_exceptions", _cli.default_lemma_lexicon, load_lemma_lexicon
+        )
+
+    print(f"{'schedule':<10} {'stage':>5} {'subset':<7} {'n':>7}")
+    manifests = _cli.emit_schedule(
+        schedules, datasets, split, config.output_dir / "schedules",
+        folds=folds, lems=lems, morphs=morphs, provenance=config.provenance,
+    )
     manifest_index = []
     for schedule, (manifest_path, stages) in zip(schedules, manifests):
         for stage in stages:

@@ -117,15 +117,43 @@ def open_text(path: Path) -> Iterator[TextIO]:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+# A string UTF-8 cannot encode; in UTF-8 input only a \u escape gives one.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_LONE_SURROGATE = "a \\u escape decodes to a lone surrogate (U+D800-U+DFFF)"
+
+
+def _escapes_u(text: str) -> bool:
+    """Whether the text holds a `\\u`; a backslash is looked for first, a
+    search many times faster on text without one."""
+    return "\\" in text and "\\u" in text
+
+
+def _lone_surrogate(value: Any) -> bool:
+    """Whether a string of a decoded JSON value, a key included, holds a
+    lone surrogate. Readers call it only on text that `_escapes_u`."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if type(value) is str:
+            if _SURROGATE.search(value):
+                return True
+        elif type(value) is dict:
+            stack.extend(value)
+            stack.extend(value.values())
+        elif type(value) is list:
+            stack.extend(value)
+    return False
+
+
 def write_json_atomic(path: str | Path, obj: Any) -> None:
     write_text_atomic(path, json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path: str | Path) -> dict:
     """The JSON object a UTF-8 file holds. Bytes that are not UTF-8, text
-    that is not JSON (an integer longer than Python converts included) and
-    a top level that is not an object each raise a ParseError naming the
-    file."""
+    that is not JSON (an integer longer than Python converts included), a
+    top level that is not an object and a lone surrogate each raise a
+    ParseError naming the file."""
     path = Path(path)
     with open_text(path) as handle:
         text = handle.read()
@@ -135,6 +163,8 @@ def read_json(path: str | Path) -> dict:
         raise ParseError(f"{path}: malformed JSON: {exc}") from exc
     if type(raw) is not dict:
         raise expected(str(path), "a JSON object", raw)
+    if _escapes_u(text) and _lone_surrogate(raw):
+        raise ParseError(f"{path}: {_LONE_SURROGATE}")
     return raw
 
 
@@ -169,6 +199,8 @@ def _iter_jsonl(path: Path, required: Sequence[str], build: Callable[[dict], T])
                 raise ParseError(f"{path} line {line_number}: malformed JSON: {exc}") from exc
             if type(raw) is not dict:
                 raise expected(f"{path} line {line_number}", "a JSON object", raw)
+            if _escapes_u(line) and _lone_surrogate(raw):
+                raise ParseError(f"{path} line {line_number}: {_LONE_SURROGATE}")
             try:
                 record = _build(raw, required, build)
             except ValidationError as exc:
@@ -497,6 +529,9 @@ class _JsonText:
         self.pos = 0
         self.eof = False
         self.chars = 0  # read from the handle so far
+        # whether the buffer holds a \u: only then may a value decoded from it
+        # hold a lone surrogate (one search per read, not one per value)
+        self.escaped = False
 
     def _read(self, n: int) -> None:
         chunk = self.handle.read(n)
@@ -504,6 +539,7 @@ class _JsonText:
         self.chars += len(chunk)
         self.buf = self.buf[self.pos :] + chunk
         self.pos = 0
+        self.escaped = _escapes_u(self.buf)
 
     def peek(self) -> str:
         """The next character that is not JSON whitespace, not consumed; ""
@@ -570,6 +606,9 @@ def _squad_articles(
         for p, paragraph in enumerate(_squad_objects(path, article, "paragraphs", a)):
             for qa in _squad_objects(path, paragraph, "qas", a, p):
                 try:
+                    # the buffer the article was decoded from is still the current one
+                    if text.escaped and _lone_surrogate([paragraph.get("context"), qa]):
+                        raise ParseError(_LONE_SURROGATE)
                     pair = _squad_pair(paragraph, qa, subset)
                 except ValidationError as exc:
                     raise type(exc)(f"{path}: qa {qa.get('id')!r}: {exc}") from exc
@@ -580,15 +619,15 @@ def iter_squad(path: str | Path, *, subset: DatasetSubsetId | None = None) -> It
     """The extractive pairs of a file in the SQuAD shape, decoding one
     article of its `data` array at a time.
 
-    A qa's id must be a string. Its subset comes from its `subset` field,
+    A qa's id must be a string, and neither it nor its paragraph's context
+    may hold a lone surrogate. Its subset comes from its `subset` field,
     else from the argument. Its provenance comes from its `provenance`
     field; a qa without one reads as bm25_weak, whatever its subset. Other
-    top-level fields are decoded and dropped; a second `data` field is an
-    error. The first fault in file order raises: text that is not JSON with
-    json's own message, any other fault as soon as it is read. The text read
-    stops at a fault that more text could not cure, and json decodes that
-    text again for its message (the whole file if json's fault in it could
-    be cured).
+    fields are decoded and dropped; a second `data` field is an error. The
+    first fault in file order raises: text that is not JSON with json's own
+    message, any other fault as soon as it is read. The text read stops at
+    a fault that more text could not cure, and json decodes that text again
+    for its message (the whole file if json's fault in it could be cured).
     """
     path = Path(path)
     with open_text(path) as handle:

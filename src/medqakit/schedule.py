@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from contextlib import ExitStack, contextmanager
 from itertools import pairwise
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import formats
 from .corpus import DatasetSubsetId, QAPair, YesNoInstance
@@ -32,12 +31,11 @@ from .morph import (
     transform_dataset,
 )
 
-if TYPE_CHECKING:
-    from .spool import Spool
-
 YESNO_SUBSETS = (DatasetSubsetId.PQA_A, DatasetSubsetId.PQA_L)
 # Instances of a yes/no subset written at a time, each batch through every chain.
 _TRANSFORM_BATCH = 256
+
+T = TypeVar("T")
 
 
 class StageSpec(namedtuple("StageSpec", "stage_index subset chain")):
@@ -244,68 +242,52 @@ def _stage_filename(stage: StageSpec) -> str:
     return f"stage{stage.stage_index}_{stage.subset.value}.{extension}"
 
 
-@contextmanager
 def read_datasets(
     subsets: Iterable[DatasetSubsetId],
     path_of: Callable[[DatasetSubsetId], Path],
     seed: int,
     fractions: Mapping[DatasetSubsetId, float],
-    spool_dir: str | Path,
-) -> Iterator[tuple[dict[DatasetSubsetId, object], TargetSplit | None, FoldSpec | None]]:
-    """The datasets `emit_schedule` takes for these subsets, each read from
-    `path_of(subset)` in subset order, the target split of those with a
-    holdout fraction, and the folds of `pqa_l` when it is among them.
+) -> tuple[dict[DatasetSubsetId, Iterator], TargetSplit | None, FoldSpec | None]:
+    """A fresh reader of `path_of(subset)` per subset, for `emit_schedule`,
+    the target split of those with a holdout fraction, and the folds of
+    `pqa_l` when it is among them.
 
-    A listed subset, one whose ids the split or the folds need, is decoded
-    and checked here, before the split is drawn and any stage is written:
-    a yes/no subset into a list, a SQuAD subset into a spool under
-    `spool_dir` (see `spool.spool_squad`), whose ids go straight into the
-    split; no list of ids outlives the draw. Every other subset is decoded
-    from its file while its stages are written. The spools are closed when
-    the block ends.
+    Every path is resolved first, in subset order. The split, one subset at
+    a time in that order, and then the folds each read their subsets' ids in
+    a first pass, which decodes and checks every record of those files
+    before any stage is written; no list of ids outlives its draw, and a
+    fault of the ids (a repeated one, too few) names the file. The readers
+    returned read each file again.
     """
-    listed = {*fractions, DatasetSubsetId.PQA_L}
-    datasets: dict[DatasetSubsetId, object] = {}
-    with ExitStack() as spools:
-        for subset in sorted(subsets, key=lambda s: s.value):
-            path = path_of(subset)
-            if subset not in listed:
-                datasets[subset] = (
-                    formats.iter_yesno(path)
-                    if subset in YESNO_SUBSETS
-                    else formats.iter_squad(path, subset=subset)
-                )
-            elif subset in YESNO_SUBSETS:
-                datasets[subset] = formats.read_yesno(path)
-            else:
-                from .spool import spool_squad  # here: a run without a spool does not load it
 
-                datasets[subset] = spools.enter_context(spool_squad(path, subset, spool_dir))
+    def reader(subset: DatasetSubsetId) -> Iterator:
+        if subset in YESNO_SUBSETS:
+            return formats.iter_yesno(paths[subset])
+        return formats.iter_squad(paths[subset], subset=subset)
 
-        def ids(subset: DatasetSubsetId) -> Iterator[str]:
-            data = datasets[subset]
-            return (i.id for i in data) if subset in YESNO_SUBSETS else data.ids()
+    def draw(subset: DatasetSubsetId, make: Callable[[list[str]], T]) -> T:
+        ids = [record.id for record in reader(subset)]  # a reader's fault names the file
+        try:
+            return make(ids)
+        except ValidationError as exc:
+            raise type(exc)(f"{paths[subset]}: {exc}") from exc
 
-        held = {s: ids(s) for s in datasets if s in fractions}  # generators the split drains
-        split = make_target_split(held, SplitSpec(seed, fractions)) if held else None
-        folds = None
-        if DatasetSubsetId.PQA_L in datasets:
-            folds = make_folds(ids(DatasetSubsetId.PQA_L), seed)
-        yield datasets, split, folds
-
-
-def _squad_articles(data: Iterable[QAPair] | Spool) -> Iterable[tuple[str, str]]:
-    """Each pair's id and SQuAD article: a spool holds them already encoded."""
-    from .spool import Spool  # here, not at import: a yes/no-only run never loads it
-
-    if isinstance(data, Spool):
-        return data
-    return ((pair.id, formats.squad_article(pair)) for pair in data)
+    paths = {s: path_of(s) for s in sorted(subsets, key=lambda s: s.value)}
+    held = [s for s in paths if s in fractions]
+    test_by_subset: dict[DatasetSubsetId, tuple[str, ...]] = {}
+    for s in held:
+        part = draw(s, lambda ids: make_target_split({s: ids}, SplitSpec(seed, fractions)))
+        test_by_subset.update(part.test_by_subset)
+    split = TargetSplit(seed, test_by_subset) if held else None
+    folds = None
+    if DatasetSubsetId.PQA_L in paths:
+        folds = draw(DatasetSubsetId.PQA_L, lambda ids: make_folds(ids, seed))
+    return {s: reader(s) for s in paths}, split, folds
 
 
 def emit_schedule(
     schedules: Sequence[Schedule],
-    datasets: Mapping[DatasetSubsetId, Iterable[QAPair] | Iterable[YesNoInstance] | Spool],
+    datasets: Mapping[DatasetSubsetId, Iterable[QAPair] | Iterable[YesNoInstance]],
     split: TargetSplit | None,
     out_dir: str | Path,
     *,
@@ -323,11 +305,13 @@ def emit_schedule(
 
     The plan maps each subset, in order of first use, to its distinct chains
     and each chain to its stage paths; a missing dataset raises before any
-    file is written. Each dataset is then iterated once (it may be a
-    reader's generator, or a spool of `read_datasets`): a SQuAD subset into
-    `write_squad_articles`, a yes/no subset a batch at a time into one file
-    per chain, all kept or all removed. A chain's other paths get hard links
-    to its first file; a manifest follows its last stage.
+    file is written. Each dataset is then iterated once (it may be one of
+    the readers `read_datasets` gives, whose file is then read for the
+    second time when the split or the folds drew its ids): a SQuAD
+    subset's pairs outside the test pool into `formats.write_squad`, a
+    yes/no subset a batch at a time into one file per chain, all kept or
+    all removed. A chain's other paths get hard links to its first file; a
+    manifest follows its last stage.
     """
     out_dir = Path(out_dir)
     plan: dict[DatasetSubsetId, dict[TransformChain | None, list[Path]]] = {}
@@ -358,14 +342,8 @@ def emit_schedule(
         pool = set(folds.pool) if folds is not None and subset is DatasetSubsetId.PQA_L else None
         firsts = [paths[0] for paths in chains.values()]
         if subset not in YESNO_SUBSETS:
-            articles = (
-                article
-                for id_, article in _squad_articles(datasets[subset])
-                if id_ not in test_ids
-            )
-            n_instances[subset, None] = formats.write_squad_articles(
-                firsts[0], articles, provenance
-            )
+            pairs = (pair for pair in datasets[subset] if pair.id not in test_ids)
+            n_instances[subset, None] = formats.write_squad(firsts[0], pairs, provenance)
         else:
             instances = (
                 i

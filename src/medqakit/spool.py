@@ -4,9 +4,10 @@ A spool writes each record's output text once, as UTF-8, to an anonymous
 temporary file (it never shows up as a file, not even after a crash), and
 keeps in memory only the record's id, packed into one byte array, and the
 end offsets of its id and its text. The texts are read back in any order;
-consecutive ones are read without a seek. `schedule` spools the SQuAD
-subsets whose ids its split needs, and `curate artificial` the d4 pairs it
-sorts by id.
+consecutive ones are read without a seek. `curate artificial` spools the
+d4 pairs it sorts by id. `schedule` spools nothing: it reads each subset
+whose ids its split or folds need twice, once for the ids and once for
+the stages.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ from array import array
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from . import formats
-from .corpus import DatasetSubsetId
-
-# Lone surrogates, which a JSON string may hold, pass through the spool; the
-# writer of the final output raises on them as it would without the spool.
+# Lone surrogates pass through the spool; the writer of the final output
+# raises on them as it would without the spool.
 _ERRORS = "surrogatepass"
 
 
 class Spool:
-    """Texts with ids, held in an anonymous temporary file under `directory`;
-    iterating gives each record's (id, text) in the order added."""
+    """Texts with ids, held in an anonymous temporary file under `directory`."""
 
     def __init__(self, directory: str | Path):
         self._file = tempfile.TemporaryFile(dir=directory, buffering=1 << 16)
@@ -49,9 +46,6 @@ class Spool:
         for end in self._id_ends:
             yield packed[start:end].decode("utf-8", _ERRORS)
             start = end
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return zip(self.ids(), self.texts(range(len(self))))
 
     def sorted_indices(self) -> list[int]:
         """The indices of the records in id order, records of equal id in
@@ -77,17 +71,3 @@ class Spool:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def spool_squad(path: str | Path, subset: DatasetSubsetId, directory: str | Path) -> Spool:
-    """A spool of each pair of a SQuAD file, decoded and checked as
-    `formats.iter_squad` does: the pair's id and its `formats.squad_article`.
-    """
-    spool = Spool(directory)
-    try:
-        for pair in formats.iter_squad(path, subset=subset):
-            spool.add(pair.id, formats.squad_article(pair))
-    except BaseException:
-        spool.close()
-        raise
-    return spool

@@ -34,9 +34,12 @@ or if
   added). They stream every large input, and `schedule` writes
   every stage of PQA-A, through each transformation chain, from one pass
   over it a batch at a time (13 stages with the 13 yes/no schedules);
-- the peak of `schedule 4` grows by more than 0.22 KiB per added d4 pair
-  (about 19k at 60k). It keeps d4 in a spool: in memory, each pair is its
-  id and offsets (about 0.12 KiB per pair);
+- the peak of `schedule 4` grows by more than 0.12 KiB per added d4 pair
+  (about 19k at 60k). It reads d1, d3 and d4 twice: a first pass draws the
+  split from their ids, sorted one subset at a time and dropped after the
+  draw, and a second one writes the stages as it reads (about 0.07 KiB per
+  pair; 0.09-0.11 while d4 went to a spool that kept each pair's id and
+  offsets, and the bound was 0.22);
 - the peak of `eval` grows by more than 0.2 KiB per added gold record. eval
   reads the gold file and the predictions in step; with the predictions in
   gold order it holds none of them, only each gold's id and scores, so
@@ -84,7 +87,7 @@ MAX_GROWTH_KB = {
     "eval": ("gold", 0.2),
     "artificial": ("d4 pair", 0.23),
     "export": ("abstract", 0.25),
-    "schedule 4": ("d4 pair", 0.22),
+    "schedule 4": ("d4 pair", 0.12),
     "artificial shuffled": ("d4 pair", 0.23),
 }
 

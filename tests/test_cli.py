@@ -358,9 +358,15 @@ class TestScheduleCommand:
         monkeypatch.setattr(formats, "squad_article", lambda pair: encoded.append(pair) or encode(pair))
         assert main(["schedule", "--config", str(config)]) == 0
         assert len(rendered) == 4
-        # every pair of d1-d4, test ids included, is encoded once: d2 as its
-        # stage is written, the others into the spool the split reads
-        assert len(encoded) == n_pairs
+        # each pair written to the four distinct stages is encoded once, and
+        # no held-out pair is encoded
+        distinct = (("1", "stage1_d1"), ("2", "stage1_d2"), ("3", "stage3_d3"), ("4", "stage4_d4"))
+        n_written = sum(
+            len(json.loads((schedules / sid / f"{name}.json").read_text())["data"])
+            for sid, name in distinct
+        )
+        assert n_written < n_pairs
+        assert len(encoded) == n_written
         assert {p: p.read_bytes() for p in schedules.rglob("*") if p.is_file()} == first
         d1 = (schedules / "1" / "stage1_d1.json").read_bytes()
         for sid, stage in (("2", 2), ("3", 2), ("4", 2)):

@@ -43,7 +43,7 @@ CONTRACT = {
     "curate artificial": ({"morph", "schedule"}, "covid"),
     "curate templates-export": ({"morph", "schedule"}, "covid"),
     "curate templates-import": ({"morph", "schedule"}, "covid"),
-    "schedule": ({"covid"}, "morph"),
+    "schedule": ({"covid", "spool"}, "morph"),
     "eval": ({"covid", "morph", "schedule"}, "metrics"),
 }
 

@@ -10,7 +10,9 @@ oracle decodes the whole file with json, and carries the rule added with the
 streaming reader: the first fault in file order is reported, so an article
 that is not an object is found where the articles before it are checked, and
 on text that is not JSON the values that end before json's fault are checked
-first.
+first. Every oracle rejects a string that holds a lone surrogate, as the
+readers do: in a JSONL line before its fields are checked, and in a SQuAD
+qa or its paragraph's context before the qa's fields.
 """
 
 import json
@@ -27,6 +29,13 @@ from medqakit.weak_label import SourceInstance
 from tests.test_input_fuzz import BYTES, mutate_bytes, mutate_tree
 
 
+LONE_SURROGATE = "a \\u escape decodes to a lone surrogate (U+D800-U+DFFF)"
+
+
+def holds_lone_surrogate(value):
+    return any(0xD800 <= ord(c) <= 0xDFFF for c in json.dumps(value, ensure_ascii=False))
+
+
 def oracle_read_jsonl(path, required, build):
     out = []
     with formats.open_text(path) as handle:
@@ -40,6 +49,8 @@ def oracle_read_jsonl(path, required, build):
                 raise ParseError(f"{where}: malformed JSON: {exc}") from exc
             if type(raw) is not dict:
                 raise expected(where, "a JSON object", raw)
+            if holds_lone_surrogate(raw):
+                raise ParseError(f"{where}: {LONE_SURROGATE}")
             try:
                 for field in required:
                     if field not in raw:
@@ -165,6 +176,9 @@ def oracle_read_squad(path, subset=None):
     try:
         document, malformed = formats.read_json(path), None
     except ParseError as exc:
+        if str(exc) == f"{path}: {LONE_SURROGATE}":
+            # the SQuAD reader looks only at the qas and their contexts
+            return oracle_squad_pairs(path, json.loads(path.read_text("utf-8")), subset)
         if not isinstance(exc.__cause__, json.JSONDecodeError):
             raise
         # the first fault in file order: a fault in a value that decodes
@@ -190,6 +204,8 @@ def oracle_squad_pairs(path, document, subset):
         for p, paragraph in enumerate(oracle_squad_objects(where, article, "paragraphs")):
             for qa in oracle_squad_objects(f"{where}paragraphs[{p}]: ", paragraph, "qas"):
                 try:
+                    if holds_lone_surrogate([paragraph.get("context"), qa]):
+                        raise ParseError(LONE_SURROGATE)
                     pairs.append(oracle_squad_pair(paragraph, qa, subset))
                 except ValidationError as exc:
                     raise type(exc)(f"{path}: qa {qa.get('id')!r}: {exc}") from exc

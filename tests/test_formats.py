@@ -19,6 +19,7 @@ from medqakit.formats import (
     SQUAD_VERSION,
     link_file_atomic,
     read_abstracts,
+    read_json,
     read_predictions,
     read_source_instances,
     read_squad,
@@ -487,6 +488,60 @@ class TestSquadBoundary:
         [pair] = read_squad(squad_file(tmp_path, {"context": "Alpha.", "qas": [qa]}))
         assert (pair.subset, pair.provenance) == (DatasetSubsetId.D3, Provenance.TEMPLATE_MANUAL)
         assert (pair.answer_text, pair.answer_start) == ("Alpha.", 0)
+
+
+LONE_SURROGATE = "a \\u escape decodes to a lone surrogate (U+D800-U+DFFF)"
+
+
+class TestLoneSurrogate:
+    """A \\u escape that decodes to a lone surrogate, which UTF-8 cannot
+    encode, is rejected where the JSON is decoded, with the file and the
+    line or the qa."""
+
+    @pytest.mark.parametrize(
+        "qa, context, where",
+        [
+            ({**GOOD_QA, "id": "q\ud800"}, "A.", "qa 'q\\ud800'"),
+            (GOOD_QA, "A.\udfff", "qa 'q1'"),
+            ({**GOOD_QA, "answers": [*GOOD_QA["answers"], {"text": ["\udc00"]}]}, "A.", "qa 'q1'"),
+        ],
+    )
+    def test_squad_names_the_qa(self, tmp_path, qa, context, where):
+        path = squad_file(tmp_path, {"context": context, "qas": [qa]})
+        with pytest.raises(ParseError) as raised:
+            read_squad(path, subset=DatasetSubsetId.D1)
+        assert str(raised.value) == f"{path}: {where}: {LONE_SURROGATE}"
+
+    def test_squad_fields_outside_the_qas_are_dropped_unchecked(self, tmp_path):
+        article = {"title": "\udc00", "paragraphs": [{"context": "Alpha.", "qas": [GOOD_QA]}]}
+        path = tmp_path / "d1.json"
+        path.write_text(json.dumps({"version": ["\udbff"], "data": [article]}))
+        [pair] = read_squad(path, subset=DatasetSubsetId.D1)
+        assert pair.id == "q1"
+
+    def test_jsonl_names_the_line(self, tmp_path):
+        path = tmp_path / "pqa_l.jsonl"
+        rows = [{"id": "a", "question": "Q?", "context": "C.", "label": "yes"}] * 2
+        rows[1] = {**rows[1], "extra": {"\ud800": 1}}
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(ParseError) as raised:
+            read_yesno(path)
+        assert str(raised.value) == f"{path} line 2: {LONE_SURROGATE}"
+
+    def test_json_object_names_the_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"covid_filter": {"phrases": ["COVID", "\udfff"]}}))
+        with pytest.raises(ParseError) as raised:
+            read_json(path)
+        assert str(raised.value) == f"{path}: {LONE_SURROGATE}"
+
+    def test_a_pair_and_an_escaped_backslash_read_as_text(self, tmp_path):
+        question = "\\ud800 \U0001f600?"  # json writes the emoji as an escaped pair
+        paragraph = {"context": "Alpha.", "qas": [{**GOOD_QA, "question": question}]}
+        path = squad_file(tmp_path, paragraph)
+        assert "\\\\ud800 \\ud83d\\ude00" in path.read_text()
+        [pair] = read_squad(path, subset=DatasetSubsetId.D1)
+        assert pair.question == question
 
 
 class TestWriteTextAtomic:

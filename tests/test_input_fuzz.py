@@ -2,9 +2,10 @@
 
 Each example takes one valid input file, mutates it (a subtree of its JSON
 replaced or deleted, or a few bytes replaced), and runs the command that
-reads it. Whatever the input, the command must end with a documented exit
-code and without an uncaught exception, and a validation error (exit 1)
-must name the file it is about.
+reads it. Drawn strings may hold lone surrogates. Whatever the input, the
+command must end with a documented exit code and without an uncaught
+exception, and a validation error (exit 1) must name the file it is about,
+or, for a value of the run config, its key.
 """
 
 import contextlib
@@ -18,13 +19,16 @@ from hypothesis import strategies as st
 
 from medqakit import DatasetSubsetId, Provenance, QAPair, formats
 from medqakit.cli import main
+from medqakit.defaults import COVID_PHRASES
 
 from tests.conftest import make_corpus_lines, make_paragraph, make_question
 
+# strings hold lone surrogates too, which json writes as \u escapes
+TEXT = st.text(st.characters() | st.sampled_from("\ud800\udbff\udc00\udfff"), max_size=6)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
     lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    | st.dictionaries(TEXT, children, max_size=3),
     max_leaves=5,
 )
 BYTES = st.binary(max_size=4) | st.sampled_from(
@@ -83,8 +87,11 @@ def workspace(tmp_path_factory):
         for i in range(2)
     ]
     predictions = [{"id": p.id, "predicted_text": "Gamma."} for p in pairs]
+    # 20 ids, the fewest the folds take
+    pqa_l = [{**sources[i % 3], "id": f"pqa_l-{i:04d}"} for i in range(20)]
     seeds = {
         "sources.jsonl": jsonl(sources),
+        "pqa_l.jsonl": jsonl(pqa_l),
         "covid.jsonl": jsonl(abstracts),
         "templates.json": json.dumps(templates).encode("utf-8"),
         "predictions.jsonl": jsonl(predictions),
@@ -92,24 +99,34 @@ def workspace(tmp_path_factory):
     for name, raw in seeds.items():
         (root / name).write_bytes(raw)
     formats.write_squad(root / "gold.json", pairs)
-    seeds["gold.json"] = (root / "gold.json").read_bytes()
+    formats.write_squad(root / "out" / "d1.json", pairs)
     config = root / "config.json"
     paths = {
-        "pqa_l": str(root / "sources.jsonl"),
+        "pqa_l": str(root / "pqa_l.jsonl"),
+        "pqa_a": str(root / "sources.jsonl"),
         "covid_corpus": str(root / "covid.jsonl"),
         "templates": str(root / "templates.json"),
     }
-    config.write_text(json.dumps({"output_dir": str(root / "out"), "paths": paths}))
-    assert main(["curate", "templates-export", "--config", str(config)]) == 0
+    # the default phrases, written out so that a mutation can reach them
+    covid_filter = {"phrases": list(COVID_PHRASES)}
+    run = {"output_dir": str(root / "out"), "paths": paths, "covid_filter": covid_filter}
+    config.write_text(json.dumps(run))
+    for name in ("gold.json", "out/d1.json", "config.json"):
+        seeds[name] = (root / name).read_bytes()
+    # the flag wins over a mutated output_dir, so every output stays under root
+    with_config = ["--config", str(config), "--output-dir", str(root / "out")]
+    assert main(["curate", "templates-export", *with_config]) == 0
     queue = (root / "out" / "review_queue.tsv").read_text().splitlines()
     assert len(queue) > 1
     # the first sentence of each group selected
     reviewed = [queue[0]] + [row + ("x" if row.split("\t")[2] == "0" else "") for row in queue[1:]]
     seeds["reviewed.tsv"] = ("\n".join(reviewed) + "\n").encode("utf-8")
-    with_config = ["--config", str(config)]
     evaluate = ["eval", str(root / "gold.json"), str(root / "predictions.jsonl")]
     commands = {
-        "sources.jsonl": ["label", "--subset", "pqa_l", *with_config],
+        "sources.jsonl": ["label", "--subset", "pqa_a", *with_config],
+        "pqa_l.jsonl": ["schedule", "--schedule", "baseline", *with_config],
+        "out/d1.json": ["schedule", "--schedule", "1", *with_config],
+        "config.json": ["curate", "artificial", *with_config],
         "covid.jsonl": ["curate", "artificial", *with_config],
         "templates.json": ["curate", "templates-export", *with_config],
         "reviewed.tsv": ["curate", "templates-import", "--review", str(root / "reviewed.tsv"),
@@ -121,7 +138,7 @@ def workspace(tmp_path_factory):
 
 
 @settings(
-    max_examples=300,
+    max_examples=1000,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -147,4 +164,6 @@ def test_mutated_input_exits_cleanly(workspace, data):
     assert code in (0, 1, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if code == 1:
-        assert str(root / name) in err.getvalue()
+        # a run config's value is named by its key, as `config KEY`
+        named = [str(root / name), *(["error: config "] if name == "config.json" else [])]
+        assert any(where in err.getvalue() for where in named), err.getvalue()

@@ -20,11 +20,12 @@ from medqakit import (
     make_target_split,
 )
 from medqakit import formats
-from medqakit import spool as spool_module
+from medqakit.cli import main
 from medqakit.defaults import SCHEDULE_IDS
 from medqakit.schedule import DEFAULT_HOLDOUT_FRACTIONS, YESNO_SUBSETS, get_schedule, read_datasets
 
 from tests.conftest import tree_sha256
+from tests.test_cli import write_config
 
 EXPECTED_STAGE_ORDERS = {
     "1": ["d1"],
@@ -460,49 +461,34 @@ def test_read_datasets_draws_the_split_and_folds_of_the_ids_it_reads(
 ):
     subsets = {stage.subset for sid in schedule_ids for stage in get_schedule(sid).stages}
     path_of = write_inputs(tmp_path, materialized)
-    with read_datasets(subsets, path_of, 13, fractions, tmp_path) as (datasets, split, folds):
-        assert set(datasets) == subsets
+    datasets, split, folds = read_datasets(subsets, path_of, 13, fractions)
+    assert {s: list(data) for s, data in datasets.items()} == {s: materialized[s] for s in subsets}
     held = {s: [i.id for i in materialized[s]] for s in subsets if s in fractions}
     assert split == (make_target_split(held, SplitSpec(13, fractions)) if held else None)
     pqa_l = [i.id for i in materialized[DatasetSubsetId.PQA_L]]
     assert folds == (make_folds(pqa_l, 13) if DatasetSubsetId.PQA_L in subsets else None)
 
 
-@pytest.fixture()
-def spools(monkeypatch):
-    """Every spool made from here on."""
-    made = []
-
-    class Recorded(spool_module.Spool):
-        def __init__(self, directory):
-            super().__init__(directory)
-            made.append(self)
-
-    monkeypatch.setattr(spool_module, "Spool", Recorded)
-    return made
-
-
-@pytest.mark.parametrize("fault", [None, "truncated d4", "truncated pqa_l", "repeated d3 id"])
-def test_read_datasets_closes_its_spools(materialized, tmp_path, spools, fault):
+@pytest.mark.parametrize("fault", ["truncated d4", "truncated pqa_l", "repeated d3 id"])
+def test_a_fault_in_a_listed_subset_exits_1_before_any_stage_is_written(
+    materialized, tmp_path, capsys, fault
+):
+    """d4 is read for the split, pqa_l for the folds and d3's repeated id
+    is met by the split: each exits 1 naming the file, with no stage,
+    manifest or temp file written."""
     lists = dict(materialized)
     if fault == "repeated d3 id":
         lists[DatasetSubsetId.D3] = [*lists[DatasetSubsetId.D3], lists[DatasetSubsetId.D3][0]]
-    path_of = write_inputs(tmp_path, lists)
-    if fault and fault.startswith("truncated"):
-        path = path_of(DatasetSubsetId(fault.split()[1]))
-        path.write_bytes(path.read_bytes()[:-20])
-    subsets = set(lists)
-    if fault is None:
-        with read_datasets(subsets, path_of, 13, DEFAULT_HOLDOUT_FRACTIONS, tmp_path) as read:
-            assert not any(spool._file.closed for spool in spools)
-        assert read[0][DatasetSubsetId.D1] in spools
-    else:
-        with pytest.raises(ValidationError):
-            with read_datasets(subsets, path_of, 13, DEFAULT_HOLDOUT_FRACTIONS, tmp_path):
-                raise AssertionError("the block ran")
-    # d1, d3 and d4 are spooled (d4 in part, when it is the fault)
-    assert len(spools) == 3
-    assert all(spool._file.closed for spool in spools)
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        path_of(s).name for s in subsets
-    )
+    out = tmp_path / "out"
+    path_of = write_inputs(out, lists)
+    faulty = path_of(DatasetSubsetId(fault.split()[1]))
+    if fault.startswith("truncated"):
+        faulty.write_bytes(faulty.read_bytes()[:-20])
+    yesno = {s.value: str(path_of(s)) for s in YESNO_SUBSETS}
+    config = write_config(tmp_path, schedules=list(SCHEDULE_IDS), paths=yesno)
+    inputs = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert main(["schedule", "--config", str(config)]) == 1
+    assert f"error: {faulty}" in capsys.readouterr().err
+    # the config echo is the one file written
+    assert sorted(p.name for p in out.iterdir()) == sorted([*inputs, "config.json"])

@@ -1,15 +1,12 @@
 """The spool gives back each text and id as added, in any order, and leaves
-no file behind in its directory; a spooled SQuAD file gives each pair's id
-and article."""
+no file behind in its directory."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medqakit import formats
-from medqakit.corpus import DatasetSubsetId, Provenance, QAPair
-from medqakit.spool import Spool, spool_squad
+from medqakit.spool import Spool
 
 # ids repeat; texts hold non-ASCII characters and lone surrogates
 IDS = st.sampled_from(["b", "a", "10", "9", "é", "\ud800", ""])
@@ -26,7 +23,6 @@ def test_texts_and_ids_come_back_as_added(tmp_path_factory, records, seed):
         assert list(directory.iterdir()) == []
         assert len(spool) == len(records)
         assert list(spool.ids()) == [id_ for id_, _ in records]
-        assert list(spool) == records
         order = list(range(len(records))) * 2
         random.Random(seed).shuffle(order)
         assert list(spool.texts(order)) == [records[k][1] for k in order]
@@ -35,14 +31,3 @@ def test_texts_and_ids_come_back_as_added(tmp_path_factory, records, seed):
         assert spool.sorted_indices() == expected
     assert list(directory.iterdir()) == []
 
-
-def test_a_spooled_squad_file_holds_each_pair_s_id_and_article(tmp_path):
-    pairs = [
-        QAPair(f"d3-{k}", "Why?", "Alpha beta.", "Alpha", 0, DatasetSubsetId.D3, Provenance.TEMPLATE_MANUAL)
-        for k in (2, 1, 10)
-    ]
-    path = tmp_path / "d3.json"
-    formats.write_squad(path, pairs)
-    with spool_squad(path, DatasetSubsetId.D3, tmp_path) as spool:
-        assert list(spool) == [(pair.id, formats.squad_article(pair)) for pair in pairs]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d3.json"]

@@ -1,9 +1,9 @@
 """Streamed inputs: `schedule` writes the same files whether a subset is
-decoded while its stages are written or read into a list first, decodes each
-input file once; `label` writes the same files whether it labels its
-sources a batch at a time or all at once; and the streaming readers and
-consumers hold memory that does not grow with the number of records they
-pass on."""
+decoded while its stages are written or read into a list first, and decodes
+each input file once, or twice when the split or the folds draw its ids;
+`label` writes the same files whether it labels its sources a batch at a
+time or all at once; and the streaming readers and consumers hold memory
+that does not grow with the number of records they pass on."""
 
 import json
 import shutil
@@ -27,7 +27,7 @@ from medqakit import (
 from medqakit.cli import main
 from medqakit.errors import ParseError, ValidationError
 from medqakit.metrics import Prediction, evaluate
-from medqakit.defaults import SCHEDULE_IDS
+from medqakit.defaults import DEFAULT_HOLDOUT_FRACTIONS, SCHEDULE_IDS
 from medqakit.schedule import emit_schedule, get_schedule
 
 from tests.test_cli import mark_first_per_group, write_config, write_corpus, write_sources
@@ -99,7 +99,11 @@ def test_streamed_schedule_equals_the_list_path(workspace, monkeypatch, schedule
 
     monkeypatch.setattr(formats, "open_text", counted)
     streamed = schedule_tree(workspace, config)
-    assert {name: opened.get(name) for name in DATASET_FILES} == dict.fromkeys(DATASET_FILES, 1)
+    # a file whose ids the split or the folds draw is read for them first
+    drawn = {"pqa_l", *(fractions or (s.value for s in DEFAULT_HOLDOUT_FRACTIONS))}
+    assert {name: opened.get(name) for name in DATASET_FILES} == {
+        name: 2 if name.partition(".")[0] in drawn else 1 for name in DATASET_FILES
+    }
     listed(monkeypatch)
     assert schedule_tree(workspace, config) == streamed
     assert any(name.startswith("schedules/") for name in streamed)
